@@ -51,7 +51,6 @@ from .rules import (
     copeland_scores,
     minimax_direct,
     minimax_threshold,
-    selection_record,
     worst_defeats,
 )
 from .search import (
@@ -133,7 +132,6 @@ __all__ = [
     "sample_profile",
     "sample_profiles",
     "scan_minimax",
-    "selection_record",
     "serialize_profile",
     "smallest_cycle_length",
     "worst_defeats",

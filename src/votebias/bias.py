@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .prefs import Profile
-from .rules import RULES, borda, copeland, minimax_threshold, profile_threshold
+from .rules import TALLY_RULES, upper_tally
 
 
 def bias_flags(
@@ -88,30 +88,22 @@ def audit_profile(
     profile: Profile,
     rules: Iterable[str] = ("minimax", "borda", "copeland"),
 ) -> list[BiasReport]:
-    """Evaluate each rule on the profile and its reversal and flag biases."""
-    reversal = profile.reverse()
+    """Evaluate each rule on the profile's tally and its transpose and flag biases."""
+    u = upper_tally(profile)
+    h, n = profile.h, profile.n
     reports = []
     for name in rules:
-        if name not in RULES:
-            raise ValueError(f"unknown rule {name!r}; choose from {sorted(RULES)}")
-        mu_p = mu_pr = None
-        if name == "minimax":
-            mu_p = profile_threshold(profile)
-            mu_pr = profile_threshold(reversal)
-            sel_p = minimax_threshold(profile)
-            sel_pr = minimax_threshold(reversal)
-        elif name == "borda":
-            sel_p, sel_pr = borda(profile), borda(reversal)
-        else:
-            sel_p, sel_pr = copeland(profile), copeland(reversal)
-        t1, t2, t3 = bias_flags(sel_p, sel_pr, profile.n)
+        if name not in TALLY_RULES:
+            raise ValueError(f"unknown rule {name!r}; choose from {sorted(TALLY_RULES)}")
+        sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
+        t1, t2, t3 = bias_flags(sel_p, sel_pr, n)
         reports.append(
             BiasReport(
                 rule=name,
-                h=profile.h,
-                n=profile.n,
-                selection_p=sel_p,
-                selection_pr=sel_pr,
+                h=h,
+                n=n,
+                selection_p=frozenset(sel_p),
+                selection_pr=frozenset(sel_pr),
                 type1=t1,
                 type2=t2,
                 type3=t3,

@@ -35,7 +35,7 @@ from .graphs import (
     profile_threshold,
 )
 from .prefs import Profile, ProfileParseError, parse_profile, serialize_profile
-from .rules import RULES, selection_record
+from .rules import TALLY_RULES, condorcet_loser, condorcet_winner, upper_tally
 from .search import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
@@ -86,6 +86,10 @@ def _read_profile(path: str) -> Profile:
                 text = fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(
+            f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII text"
+        ) from None
     try:
         return parse_profile(text)
     except ProfileParseError as exc:
@@ -133,10 +137,24 @@ def cmd_audit(args: argparse.Namespace) -> int:
     profile = _read_profile(args.profile)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     for r in rules:
-        if r not in RULES:
-            raise _CliError(f"unknown rule {r!r}; choose from {sorted(RULES)}")
-    reports = audit_profile(profile, rules)
-    record = selection_record(profile)
+        if r not in TALLY_RULES:
+            raise _CliError(f"unknown rule {r!r}; choose from {sorted(TALLY_RULES)}")
+    audited = {rep.rule: rep for rep in audit_profile(profile)}
+    reports = [audited[r] for r in rules]
+    minimax = audited["minimax"]
+    record = {
+        "profile": serialize_profile(profile),
+        "h": profile.h,
+        "n": profile.n,
+        "mu_p": minimax.mu_p,
+        "mu_pr": minimax.mu_pr,
+        "minimax": sorted(minimax.selection_p),
+        "minimax_reversal": sorted(minimax.selection_pr),
+        "borda": sorted(audited["borda"].selection_p),
+        "copeland": sorted(audited["copeland"].selection_p),
+        "condorcet_winner": condorcet_winner(profile),
+        "condorcet_loser": condorcet_loser(profile),
+    }
     graphs = {}
     for mu in args.mu or []:
         _check_mu(profile.h, mu)
@@ -240,9 +258,12 @@ class VerificationCell:
     seed: int | None = None
     note: str = ""
     witness: dict | None = None
+    mismatches: int = 0  # dual-route minimax disagreements; any one contradicts
 
     @property
     def consistent(self) -> bool | None:
+        if self.mismatches:
+            return False
         if self.outcome == OUTCOME_WITNESS:
             return not self.expected
         if self.outcome == OUTCOME_IMMUNE:
@@ -305,11 +326,12 @@ def _verify_group(
             raise RuntimeError(
                 f"scan visited {report.examined} of {enumerated} representatives"
             )
-        note = (
-            f"neutrality cut: {cut_space} representatives cover the space"
-            if use_cut
-            else ""
-        )
+        notes = [f"neutrality cut: {cut_space} representatives cover the space"] if use_cut else []
+        if report.kramer_mismatches:
+            notes.append(
+                f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
+            )
+        note = "; ".join(notes)
         for j in js:
             witness = None
             if report.firsts[j] is not None:
@@ -322,6 +344,7 @@ def _verify_group(
                     examined=report.examined, elapsed=elapsed, space=space,
                     hits=report.counts[j], note=note,
                     witness=witness.to_json_dict() if witness else None,
+                    mismatches=report.kramer_mismatches,
                 )
             )
         return cells
@@ -436,7 +459,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     first, _, second = args.pair.partition("-")
-    if first not in RULES or second not in RULES or first == second:
+    if first not in TALLY_RULES or second not in TALLY_RULES or first == second:
         raise _CliError(
             f"bad pair {args.pair!r}; expected two distinct rules like minimax-borda"
         )
@@ -448,35 +471,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
     method = args.strategy
     if method == "auto":
         method = "exhaustive" if space <= budget else "sampled"
-    rule_a, rule_b = RULES[first], RULES[second]
+    core_a, core_b = TALLY_RULES[first], TALLY_RULES[second]
     verdict = "inconclusive"
     examined = 0
     difference: Profile | None = None
     note = ""
+    candidates = ()
     if method == "exhaustive":
         if space > budget:
             note = f"space holds {space} profiles, over budget {budget}"
         else:
-            for columns in itertools.product(all_rankings(n), repeat=h):
-                examined += 1
-                profile = Profile(columns)
-                if rule_a(profile) != rule_b(profile):
-                    difference = profile
-                    verdict = "different"
-                    break
-            else:
-                verdict = "identical"
+            candidates = map(Profile, itertools.product(all_rankings(n), repeat=h))
     else:
         sample_budget = args.budget if args.budget is not None else DEFAULT_SAMPLE_BUDGET
-        for index in range(sample_budget):
-            examined += 1
-            profile = sample_profile(h, n, args.seed, index)
-            if rule_a(profile) != rule_b(profile):
-                difference = profile
-                verdict = "different"
-                break
-        if difference is None:
+        candidates = (sample_profile(h, n, args.seed, i) for i in range(sample_budget))
+    for profile in candidates:
+        examined += 1
+        u = upper_tally(profile)
+        selections = core_a(u, h, n)[0], core_b(u, h, n)[0]
+        if selections[0] != selections[1]:
+            difference = profile
+            verdict = "different"
+            break
+    else:
+        if method == "sampled":
             note = f"selections agreed on {sample_budget} samples; not a proof"
+        elif space <= budget:
+            verdict = "identical"
     payload = {
         "pair": [first, second],
         "h": h,
@@ -492,10 +513,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         payload["note"] = note
     if difference is not None:
         payload["profile"] = serialize_profile(difference)
-        payload["selections"] = {
-            first: sorted(rule_a(difference)),
-            second: sorted(rule_b(difference)),
-        }
+        payload["selections"] = {first: list(selections[0]), second: list(selections[1])}
     code = EXIT_OK if verdict in ("identical", "different") else EXIT_INCONCLUSIVE
     if args.json:
         _emit_json(payload)

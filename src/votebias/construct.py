@@ -3,21 +3,18 @@
 The recipes build profiles whose majority structure is known by design: a
 rotational cycle on the low-numbered alternatives plus one extra alternative
 inserted at the top of an initial block of voters and at the bottom of the
-rest.  Each constructor re-derives the claimed thresholds and dominant sets
-before certifying, so a bug here fails loudly instead of producing a bogus
-witness.
+rest.  Each constructor certifies its profile and then holds the certified
+thresholds and selections to the ones claimed by design, so a bug here fails
+loudly instead of producing a bogus witness.
 """
 
 from __future__ import annotations
 
-import random
-
 from .bias import in_table
 from .fixtures import fixture_profile
-from .graphs import has_l_cycle, majority_graph, minimal_threshold, profile_threshold
+from .graphs import has_l_cycle, majority_graph, minimal_threshold
 from .prefs import Profile, Ranking
-from .rules import minimax_threshold
-from .search import DEFAULT_SEED, Witness, certify_witness
+from .search import Witness, certify_witness
 
 
 class ConstructionError(ValueError):
@@ -40,19 +37,17 @@ def _rotation_profile(l: int, h: int, n: int) -> Profile:
     return Profile(tuple(columns))
 
 
-def construct_cycle_profile(
-    l: int,
-    mu: int,
-    h: int,
-    n: int | None = None,
-    seed: int = DEFAULT_SEED,
-    attempts: int = 200,
-) -> Profile:
+def construct_cycle_profile(l: int, mu: int, h: int, n: int | None = None) -> Profile:
     """A profile whose mu-majority graph contains an l-cycle.
 
-    Domain: 2 <= l <= n, h/2 < mu <= (l-1)h/l.  The rotational construction
-    is validated with has_l_cycle; if validation ever failed, a bounded
-    seeded random search would take over rather than returning unchecked.
+    Domain: 2 <= l <= n, h/2 < mu <= (l-1)h/l.  The profile is the rotation
+    profile, and it is valid on the whole domain: the arc i -> i+1 of the
+    cycle 1 -> 2 -> ... -> l -> 1 is reversed only by the voters of the one
+    rotation that starts at i+1 (at 1 for the arc l -> 1), at most
+    ceil(h/l) of them.  So every arc is backed by at least
+    h - ceil(h/l) = floor((l-1)h/l) >= mu voters, the last step because mu is
+    an integer no larger than (l-1)h/l.  The cycle is still re-checked with
+    has_l_cycle before the profile is returned.
     """
     if n is None:
         n = l
@@ -68,18 +63,9 @@ def construct_cycle_profile(
             f"requires mu <= (l-1)h/l = {(l - 1) * h / l:.2f}"
         )
     profile = _rotation_profile(l, h, n)
-    if has_l_cycle(majority_graph(profile, mu), l):
-        return profile
-    rng = random.Random(seed)
-    alts = list(range(1, n + 1))
-    for _ in range(attempts):
-        candidate = Profile(tuple(Ranking(tuple(rng.sample(alts, n))) for _ in range(h)))
-        if has_l_cycle(majority_graph(candidate, mu), l):
-            return candidate
-    raise ConstructionError(
-        f"validation failed for (l={l}, mu={mu}, h={h}) and no random profile "
-        f"with an l-cycle was found in {attempts} attempts"
-    )
+    if not has_l_cycle(majority_graph(profile, mu), l):
+        raise ConstructionError(f"rotation profile lost its {l}-cycle at mu={mu}, h={h}")
+    return profile
 
 
 def smallest_cycle_length(h: int, n: int, mu: int) -> int | None:
@@ -101,18 +87,17 @@ def _extend_top_bottom(cycle: Profile, extra: int, top_count: int) -> Profile:
     return Profile(tuple(columns))
 
 
-def _check_witness_shape(profile: Profile, mu_p: int, mu_pr: int, n: int) -> None:
-    reversed_profile = profile.reverse()
-    got_mu_p = profile_threshold(profile)
-    got_mu_pr = profile_threshold(reversed_profile)
-    sel_p = minimax_threshold(profile)
-    sel_pr = minimax_threshold(reversed_profile)
-    if (got_mu_p, got_mu_pr) != (mu_p, mu_pr) or sel_p != {n} or sel_pr != {n}:
+def _check_witness_shape(witness: Witness, mu_p: int, mu_pr: int) -> Witness:
+    """The certified witness, once its thresholds and selections match the design."""
+    n = witness.profile.n
+    got = (witness.mu_p, witness.mu_pr, witness.selection_p, witness.selection_pr)
+    if got != (mu_p, mu_pr, {n}, {n}):
         raise ConstructionError(
-            f"construction sanity check failed: thresholds ({got_mu_p}, {got_mu_pr}) "
-            f"expected ({mu_p}, {mu_pr}); selections {sorted(sel_p)}/{sorted(sel_pr)} "
+            f"construction sanity check failed: thresholds ({got[0]}, {got[1]}) "
+            f"expected ({mu_p}, {mu_pr}); selections {sorted(got[2])}/{sorted(got[3])} "
             f"expected [{n}]/[{n}]"
         )
+    return witness
 
 
 def construct_witness_odd(h: int, n: int) -> Witness:
@@ -134,8 +119,8 @@ def construct_witness_odd(h: int, n: int) -> Witness:
     mu = (h + 3) // 2
     cycle = construct_cycle_profile(n - 1, mu, h)
     profile = _extend_top_bottom(cycle, n, top_count=mu0)
-    _check_witness_shape(profile, mu_p=mu0, mu_pr=mu, n=n)
-    return certify_witness(profile, j=1, rule="minimax", method="constructive")
+    witness = certify_witness(profile, j=1, rule="minimax", method="constructive")
+    return _check_witness_shape(witness, mu_p=mu0, mu_pr=mu)
 
 
 def construct_witness_even(h: int, n: int) -> Witness:
@@ -154,8 +139,8 @@ def construct_witness_even(h: int, n: int) -> Witness:
     mu0 = minimal_threshold(h)
     cycle = construct_cycle_profile(n - 1, mu0, h)
     profile = _extend_top_bottom(cycle, n, top_count=h // 2)
-    _check_witness_shape(profile, mu_p=mu0, mu_pr=mu0, n=n)
-    return certify_witness(profile, j=1, rule="minimax", method="constructive")
+    witness = certify_witness(profile, j=1, rule="minimax", method="constructive")
+    return _check_witness_shape(witness, mu_p=mu0, mu_pr=mu0)
 
 
 def _type1_domain(h: int, n: int) -> bool:

@@ -171,12 +171,12 @@ def parse_profile(text: str) -> Profile:
         cells = line.split()
         row: list[int] = []
         for c, cell in enumerate(cells, start=1):
-            try:
-                row.append(int(cell, 10))
-            except ValueError:
+            # int() would also take signs, underscores and non-ASCII digits.
+            if not (cell.isascii() and cell.isdigit()):
                 raise ProfileParseError(
-                    f"row {r}, column {c}: {cell!r} is not a decimal integer"
-                ) from None
+                    f"row {r}, column {c}: {cell!r} is not an ASCII decimal integer"
+                )
+            row.append(int(cell))
         grid.append(row)
     h = len(grid[0])
     for r, row in enumerate(grid, start=1):

@@ -8,6 +8,7 @@ machinery, the two minimax routes and the reversal duality all agree.
 
 from __future__ import annotations
 
+from .bias import in_table
 from .graphs import (
     acyclicity_threshold,
     analyze,
@@ -19,13 +20,7 @@ from .graphs import (
     profile_threshold,
 )
 from .prefs import Profile
-from .rules import condorcet_loser, condorcet_winner, minimax_direct
-
-T2_EXACT = frozenset({(4, 4)})
-
-
-def _in_t2(h: int, n: int) -> bool:
-    return h == 2 or n <= 3 or (h, n) in T2_EXACT
+from .rules import condorcet_loser, condorcet_winner, minimax_defeats, minimax_direct, upper_tally
 
 
 def property_violations(profile: Profile) -> list[str]:
@@ -33,14 +28,9 @@ def property_violations(profile: Profile) -> list[str]:
     out: list[str] = []
     n, h = profile.n, profile.h
     reversed_profile = profile.reverse()
-    tally = profile.tally().counts
     mu0 = minimal_threshold(h)
     mu_green = greenberg_threshold(h, n)
     mu_acyclic = acyclicity_threshold(h, n)
-
-    # Worst defeat of x in p is its best victory in the reversal and vice versa.
-    worst_defeat = [max(tally[y][x] for y in range(n) if y != x) for x in range(n)]
-    worst_defeat_rev = [max(tally[x][y] for y in range(n) if y != x) for x in range(n)]
 
     prev_arcs: frozenset | None = None
     prev_dominant: set | None = None
@@ -98,10 +88,9 @@ def property_violations(profile: Profile) -> list[str]:
 
     mu_p = profile_threshold(profile)
     mu_pr = profile_threshold(reversed_profile)
-    if mu_p != max(mu0, min(worst_defeat) + 1):
-        out.append("profile threshold differs from the worst-defeat formula")
-    if mu_pr != max(mu0, min(worst_defeat_rev) + 1):
-        out.append("reversal threshold differs from the best-victory formula")
+    # The tally core reads the reversal's threshold off p's transposed tally.
+    if (mu_p, mu_pr) != minimax_defeats(upper_tally(profile), h, n)[2:]:
+        out.append("graph-route thresholds differ from the tally core's")
     selection = dominant_set(profile, mu_p)
     if not selection:
         out.append("empty dominant set at the profile threshold")
@@ -116,7 +105,7 @@ def property_violations(profile: Profile) -> list[str]:
     loser = condorcet_loser(profile)
     if loser != condorcet_winner(reversed_profile):
         out.append("majority loser does not match the reversal's majority winner")
-    if loser is not None and loser in selection and _in_t2(h, n):
+    if loser is not None and loser in selection and in_table(2, h, n):
         out.append("majority loser selected inside the type-2 immunity region")
 
     if (h, n) == (3, 3):

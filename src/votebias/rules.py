@@ -1,14 +1,108 @@
 """Minimax, Borda, and Copeland selections plus Condorcet queries.
 
+All three rules are functions of the pairwise tally alone, and reversing every
+voter transposes it.  The tally-level core takes the upper triangle ``u``
+(``u[k]`` voters rank pair k's smaller alternative first; the reversal's is
+``h - u``) and returns a rule's selections on the profile and its reversal.
+
 Minimax is implemented twice on purpose: once as the argmin of greatest
-pairwise defeats and once through the threshold/dominant-set machinery.
-The two must always agree; tests and exhaustive sweeps hold them to that.
+pairwise defeats and once through the threshold/dominant-set machinery
+(``minimax_threshold``), which never touches the core.  The two must always
+agree; tests and exhaustive sweeps hold them to that.
 """
 
 from __future__ import annotations
 
-from .graphs import dominant_set, majority_graph, minimal_threshold, profile_threshold
+from functools import lru_cache, partial
+
+from .graphs import dominant_set, minimal_threshold, profile_threshold
 from .prefs import Profile
+
+
+@lru_cache(maxsize=None)
+def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """0-based pairs (x, y), x < y, in lexicographic order: the index k of u."""
+    return tuple((x, y) for x in range(n) for y in range(x + 1, n))
+
+
+def upper_tally(profile: Profile) -> list[int]:
+    """The upper triangle u of the profile's tally, indexed like upper_pairs."""
+    counts = profile.tally().counts
+    return [counts[x][y] for x, y in upper_pairs(profile.n)]
+
+
+def minimax_defeats(u, h: int, n: int) -> tuple[list[int], list[int], int, int]:
+    """Worst defeats on p and on its reversal, with both profile thresholds.
+
+    One fused pass: wd[x] is x's greatest defeat in p and wdr[x] its greatest
+    defeat in the reversal (its greatest victory in p), 0-based.  Each
+    threshold is the least admissible mu above the smallest worst defeat.
+    """
+    wd = [0] * n
+    wdr = [0] * n
+    for (x, y), a in zip(upper_pairs(n), u):
+        b = h - a
+        if b > wd[x]:
+            wd[x] = b
+        if a > wd[y]:
+            wd[y] = a
+        if a > wdr[x]:
+            wdr[x] = a
+        if b > wdr[y]:
+            wdr[y] = b
+    mu0 = h // 2 + 1
+    m1 = min(wd)
+    m2 = min(wdr)
+    return wd, wdr, m1 + 1 if m1 >= mu0 else mu0, m2 + 1 if m2 >= mu0 else mu0
+
+
+def minimax_tally(u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Minimax on p and its reversal: (selection_p, selection_pr, mu_p, mu_pr)."""
+    wd, wdr, mu_p, mu_pr = minimax_defeats(u, h, n)
+    sel_p = tuple(x + 1 for x in range(n) if wd[x] < mu_p)
+    return sel_p, tuple(x + 1 for x in range(n) if wdr[x] < mu_pr), mu_p, mu_pr
+
+
+def _borda_scores(u, h: int, n: int) -> list[int]:
+    """Row sums of the tally: an alternative earns one point per rival below it."""
+    scores = [0] * n
+    for (x, y), a in zip(upper_pairs(n), u):
+        scores[x] += a
+        scores[y] += h - a
+    return scores
+
+
+def _copeland_scores(u, h: int, n: int) -> list[int]:
+    """Simple-majority wins minus losses."""
+    mu0 = h // 2 + 1
+    scores = [0] * n
+    for (x, y), a in zip(upper_pairs(n), u):
+        if a >= mu0:
+            scores[x] += 1
+            scores[y] -= 1
+        elif h - a >= mu0:
+            scores[y] += 1
+            scores[x] -= 1
+    return scores
+
+
+def _top(scores: list[int]) -> tuple[int, ...]:
+    best = max(scores)
+    return tuple(x + 1 for x, s in enumerate(scores) if s == best)
+
+
+def scored_tally(scores, u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], None, None]:
+    """A score rule on p and on its reversal: top alternatives on u and on h - u."""
+    return _top(scores(u, h, n)), _top(scores([h - a for a in u], h, n)), None, None
+
+
+# Each maps (u, h, n) to (selection_p, selection_pr, mu_p, mu_pr); selections
+# are ascending 1-based tuples, thresholds are None for rules without one.
+TALLY_RULES = {
+    "minimax": minimax_tally,
+    "borda": partial(scored_tally, _borda_scores),
+    "copeland": partial(scored_tally, _copeland_scores),
+}
 
 
 def minimax_direct(profile: Profile) -> frozenset[int]:
@@ -20,12 +114,8 @@ def minimax_direct(profile: Profile) -> frozenset[int]:
 
 def worst_defeats(profile: Profile) -> dict[int, int]:
     """Greatest pairwise defeat per alternative: max over rivals of t[y][x]."""
-    t = profile.tally()
-    n = profile.n
-    return {
-        x: max(t.count(y, x) for y in range(1, n + 1) if y != x)
-        for x in range(1, n + 1)
-    }
+    wd = minimax_defeats(upper_tally(profile), profile.h, profile.n)[0]
+    return dict(enumerate(wd, start=1))
 
 
 def minimax_threshold(profile: Profile) -> frozenset[int]:
@@ -35,82 +125,43 @@ def minimax_threshold(profile: Profile) -> frozenset[int]:
 
 def borda_scores(profile: Profile) -> dict[int, int]:
     """Positional scores: an alternative ranked j-th by a voter earns n - j."""
-    n = profile.n
-    scores = {x: 0 for x in range(1, n + 1)}
-    for q in profile.columns:
-        for x in range(1, n + 1):
-            scores[x] += n - q.rank_of(x)
-    return scores
+    return dict(enumerate(_borda_scores(upper_tally(profile), profile.h, profile.n), start=1))
 
 
 def borda(profile: Profile) -> frozenset[int]:
-    scores = borda_scores(profile)
-    top = max(scores.values())
-    return frozenset(x for x, s in scores.items() if s == top)
+    return frozenset(_top(_borda_scores(upper_tally(profile), profile.h, profile.n)))
 
 
 def copeland_scores(profile: Profile) -> dict[int, int]:
     """Out-degree minus in-degree in the simple-majority graph."""
-    g = majority_graph(profile, minimal_threshold(profile.h))
-    scores = {x: 0 for x in g.vertices()}
-    for x, y in g.arcs:
-        scores[x] += 1
-        scores[y] -= 1
-    return scores
+    return dict(enumerate(_copeland_scores(upper_tally(profile), profile.h, profile.n), start=1))
 
 
 def copeland(profile: Profile) -> frozenset[int]:
-    scores = copeland_scores(profile)
-    top = max(scores.values())
-    return frozenset(x for x, s in scores.items() if s == top)
+    return frozenset(_top(_copeland_scores(upper_tally(profile), profile.h, profile.n)))
+
+
+def _condorcet(profile: Profile, side: int) -> int | None:
+    # x beats every rival by simple majority iff its worst defeat is at most
+    # h - mu0; the loser is the reversal's winner, read off the best victories.
+    defeats = minimax_defeats(upper_tally(profile), profile.h, profile.n)[side]
+    bound = profile.h - minimal_threshold(profile.h)
+    return next((x + 1 for x, d in enumerate(defeats) if d <= bound), None)
 
 
 def condorcet_winner(profile: Profile) -> int | None:
     """The alternative beating every rival by simple majority, if any."""
-    mu0 = minimal_threshold(profile.h)
-    t = profile.tally()
-    n = profile.n
-    for x in range(1, n + 1):
-        if all(t.count(x, y) >= mu0 for y in range(1, n + 1) if y != x):
-            return x
-    return None
+    return _condorcet(profile, 0)
 
 
 def condorcet_loser(profile: Profile) -> int | None:
     """The alternative beaten by every rival by simple majority, if any."""
-    mu0 = minimal_threshold(profile.h)
-    t = profile.tally()
-    n = profile.n
-    for x in range(1, n + 1):
-        if all(t.count(y, x) >= mu0 for y in range(1, n + 1) if y != x):
-            return x
-    return None
+    return _condorcet(profile, 1)
 
 
+# The profile-level route; certify_witness re-checks every witness through it.
 RULES = {
     "minimax": minimax_threshold,
     "borda": borda,
     "copeland": copeland,
 }
-
-
-def selection_record(profile: Profile) -> dict:
-    """Per-profile evaluation record for every rule plus Condorcet queries."""
-    from .prefs import serialize_profile  # local to avoid import noise at top
-
-    mu_p = profile_threshold(profile)
-    reversal = profile.reverse()
-    mu_pr = profile_threshold(reversal)
-    return {
-        "profile": serialize_profile(profile),
-        "h": profile.h,
-        "n": profile.n,
-        "mu_p": mu_p,
-        "mu_pr": mu_pr,
-        "minimax": sorted(dominant_set(profile, mu_p)),
-        "minimax_reversal": sorted(dominant_set(reversal, mu_pr)),
-        "borda": sorted(borda(profile)),
-        "copeland": sorted(copeland(profile)),
-        "condorcet_winner": condorcet_winner(profile),
-        "condorcet_loser": condorcet_loser(profile),
-    }

@@ -7,9 +7,9 @@ rules are also neutral, which allows an optional further cut: only multisets
 containing the identity ranking need to be visited.  The cut is never used
 for counting.
 
-Minimax scans go through a tuned kernel that keeps a running pairwise tally
-while walking the multiset tree; Borda and Copeland exhaustive runs use the
-plain profile path (their feasible grids are tiny).
+Exhaustive scans go through one kernel that keeps a running upper-triangle
+tally while walking the multiset tree and evaluates each leaf through the
+tally-level core in ``rules``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterator
 
-from .bias import audit_profile
+from .bias import audit_profile, bias_flags
+from .graphs import profile_threshold
 from .prefs import Profile, Ranking, serialize_profile
-from .rules import RULES
+from .rules import RULES, TALLY_RULES, minimax_defeats, upper_pairs
 
 DEFAULT_EXHAUSTIVE_BUDGET = 5_000_000
 DEFAULT_SAMPLE_BUDGET = 100_000
@@ -115,25 +117,35 @@ class Witness:
 def certify_witness(
     profile: Profile, j: int, rule: str, method: str, seed: int | None = None
 ) -> Witness:
-    """Re-audit a candidate profile and wrap it as a Witness, or fail loudly."""
+    """Re-audit a candidate profile and wrap it as a Witness, or fail loudly.
+
+    RULES[rule] (minimax by its threshold route) runs on the profile and on its
+    re-tallied reversal, independently of the tally core that proposed it.
+    """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
-    report = audit_profile(profile, rules=(rule,))[0]
-    flags = (report.type1, report.type2, report.type3)
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; choose from {sorted(RULES)}")
+    reversal = profile.reverse()
+    selection_p, selection_pr = RULES[rule](profile), RULES[rule](reversal)
+    mu_p = mu_pr = None
+    if rule == "minimax":
+        mu_p, mu_pr = profile_threshold(profile), profile_threshold(reversal)
+    flags = bias_flags(selection_p, selection_pr, profile.n)
     if not flags[j - 1]:
         raise CertificationError(
             f"candidate does not exhibit type-{j} bias for {rule}: "
-            f"selections {sorted(report.selection_p)} / {sorted(report.selection_pr)}"
+            f"selections {sorted(selection_p)} / {sorted(selection_pr)}"
         )
     return Witness(
         profile=profile,
         j=j,
         rule=rule,
-        selection_p=report.selection_p,
-        selection_pr=report.selection_pr,
+        selection_p=selection_p,
+        selection_pr=selection_pr,
         flags=flags,
-        mu_p=report.mu_p,
-        mu_pr=report.mu_pr,
+        mu_p=mu_p,
+        mu_pr=mu_pr,
         method=method,
         seed=seed,
     )
@@ -224,22 +236,26 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, workers)
 
 
-# --- minimax scan kernel ---------------------------------------------------
+# --- scan kernel -------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """Upper-triangle pair list and, per ranking, the 0/1 above vector."""
-    pairs = tuple((x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1))
+def _pair_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per ranking, its upper-triangle 0/1 vector: its own tally with h = 1."""
+    pairs = upper_pairs(n)
     vecs = []
     for q in all_rankings(n):
-        vecs.append(tuple(1 if q.rank_of(x) < q.rank_of(y) else 0 for x, y in pairs))
-    return pairs, tuple(vecs)
+        beats = q.beats()
+        vecs.append(tuple(beats[x * n + y] for x, y in pairs))
+    return tuple(vecs)
 
 
 @dataclass
 class KernelReport:
-    """Aggregate of one minimax scan over (part of) the multiset tree."""
+    """Aggregate of one scan over (part of) the multiset tree.
+
+    kramer_mismatches and the Condorcet counters stay 0 for Borda and Copeland.
+    """
 
     h: int
     n: int
@@ -258,68 +274,62 @@ def _scan(
     stop_early: bool = False,
     track_condorcet: bool = False,
     prefix: tuple[int, ...] = (),
+    rule: str = "minimax",
 ) -> KernelReport:
     """Walk nondecreasing ranking-index tuples below a fixed prefix.
 
     The running upper-triangle tally u[k] counts, over chosen voters, how
-    many rank pair k's smaller alternative above its larger one; the full
-    tally entry for the opposite direction is depth - u[k].
+    many rank pair k's smaller alternative above its larger one; each level
+    adds its voter's vector into a fresh list, and each leaf hands the full
+    tally to the rule's tally core.
     """
-    pairs, vecs = _pair_tables(n)
+    vecs = _pair_tables(n)
     K = len(vecs)
-    npairs = len(pairs)
-    mu0 = h // 2 + 1
-    # 0-based endpoints per pair, flattened for the leaf loops.
-    px = [x - 1 for x, _ in pairs]
-    py = [y - 1 for _, y in pairs]
     report = KernelReport(h=h, n=n)
     counts = report.counts
     firsts = report.firsts
-    u = [0] * npairs
+    u = [0] * len(vecs[0])
     for r in prefix:
-        v = vecs[r]
-        for k in range(npairs):
-            u[k] += v[k]
-    if len(prefix) > h:
-        raise ValueError("prefix longer than the profile")
+        u = list(map(add, u, vecs[r]))
+    if len(prefix) >= h:
+        raise ValueError("prefix must leave at least one voter to choose")
     hunting = set(want)
     stack: list[int] = []
     rng_n = range(n)
-    rng_pairs = range(npairs)
-    cw_bound = h - mu0
+    cw_bound = h - (h // 2 + 1)
+    minimax = rule == "minimax"
+    core = TALLY_RULES[rule]
 
-    def leaf() -> bool:
+    def leaf(tally: list[int], last: int) -> bool:
         report.examined += 1
-        wd = [0] * n
-        wdr = [0] * n
-        for k in rng_pairs:
-            a = u[k]
-            b = h - a
-            x = px[k]
-            y = py[k]
-            if b > wd[x]:
-                wd[x] = b
-            if a > wd[y]:
-                wd[y] = a
-            if a > wdr[x]:
-                wdr[x] = a
-            if b > wdr[y]:
-                wdr[y] = b
-        m1 = min(wd)
-        mu_p = m1 + 1 if m1 >= mu0 else mu0
-        sel = [x for x in rng_n if wd[x] < mu_p]
-        direct = [x for x in rng_n if wd[x] == m1]
-        if sel != direct:
-            report.kramer_mismatches += 1
-        m2 = min(wdr)
-        mu_pr = m2 + 1 if m2 >= mu0 else mu0
-        selr_size = 0
-        meets = False
-        for x in rng_n:
-            if wdr[x] < mu_pr:
-                selr_size += 1
-                if wd[x] < mu_p:
-                    meets = True
+        if minimax:
+            wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
+            sel = [x for x in rng_n if wd[x] < mu_p]
+            m1 = min(wd)
+            if sel != [x for x in rng_n if wd[x] == m1]:
+                report.kramer_mismatches += 1
+            selr_size = 0
+            meets = False
+            for x in rng_n:
+                if wdr[x] < mu_pr:
+                    selr_size += 1
+                    if wd[x] < mu_p:
+                        meets = True
+            if track_condorcet:
+                winner = loser = -1
+                for x in rng_n:
+                    if wd[x] <= cw_bound:
+                        winner = x
+                    if wdr[x] <= cw_bound:
+                        loser = x
+                if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
+                    report.condorcet_principle_violations += 1
+                if loser >= 0 and wd[loser] < mu_p:
+                    report.condorcet_loser_selections += 1
+        else:
+            sel, selr, _, _ = core(tally, h, n)
+            selr_size = len(selr)
+            meets = not set(sel).isdisjoint(selr)
         if meets:
             ls = len(sel)
             fired = (False, ls == 1 and selr_size == 1, ls == 1, ls < n)
@@ -327,63 +337,52 @@ def _scan(
                 if fired[j]:
                     counts[j] += 1
                     if firsts[j] is None:
-                        firsts[j] = tuple(prefix) + tuple(stack)
+                        firsts[j] = (*prefix, *stack, last)
                         hunting.discard(j)
-        if track_condorcet:
-            winner = loser = -1
-            for x in rng_n:
-                if wd[x] <= cw_bound:
-                    winner = x
-                if wdr[x] <= cw_bound:
-                    loser = x
-            if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
-                report.condorcet_principle_violations += 1
-            if loser >= 0 and wd[loser] < mu_p:
-                report.condorcet_loser_selections += 1
         return not stop_early or bool(hunting)
 
-    def rec(depth: int, lo: int) -> bool:
-        if depth == h:
-            return leaf()
+    def rec(depth: int, lo: int, u: list[int]) -> bool:
+        if depth == h - 1:
+            for r in range(lo, K):
+                if not leaf(list(map(add, u, vecs[r])), r):
+                    return False
+            return True
         for r in range(lo, K):
-            v = vecs[r]
-            for k in rng_pairs:
-                u[k] += v[k]
             stack.append(r)
-            keep = rec(depth + 1, r)
+            keep = rec(depth + 1, r, list(map(add, u, vecs[r])))
             stack.pop()
-            for k in rng_pairs:
-                u[k] -= v[k]
             if not keep:
                 return False
         return True
 
-    rec(len(prefix), prefix[-1] if prefix else 0)
+    rec(len(prefix), prefix[-1] if prefix else 0, u)
     return report
 
 
-def _scan_chunk(args: tuple) -> KernelReport:
-    """Worker task: scan a set of two-level prefixes, in ascending rank order."""
-    h, n, want, track_condorcet, chunk = args
+def _merge(h: int, n: int, want: tuple[int, ...], parts) -> KernelReport:
+    """Sum reports over disjoint prefixes.
+
+    Enumeration order is lexicographic on index tuples, so the least first hit
+    is the earliest one."""
     merged = KernelReport(h=h, n=n)
-    first_ranks = {j: None for j in want}
-    for rank, pre in chunk:
-        rep = _scan(h, n, want=want, track_condorcet=track_condorcet, prefix=pre)
-        merged.examined += rep.examined
-        merged.kramer_mismatches += rep.kramer_mismatches
-        merged.condorcet_principle_violations += rep.condorcet_principle_violations
-        merged.condorcet_loser_selections += rep.condorcet_loser_selections
+    for part in parts:
+        merged.examined += part.examined
+        merged.kramer_mismatches += part.kramer_mismatches
+        merged.condorcet_principle_violations += part.condorcet_principle_violations
+        merged.condorcet_loser_selections += part.condorcet_loser_selections
         for j in want:
-            merged.counts[j] += rep.counts[j]
-            if rep.firsts[j] is not None and first_ranks[j] is None:
-                first_ranks[j] = rank
-                merged.firsts[j] = rep.firsts[j]
-    # Smuggle the prefix ranks out for the cross-worker merge.
-    merged.firsts = {
-        j: (first_ranks[j], merged.firsts[j]) if first_ranks[j] is not None else None
-        for j in want
-    }
+            merged.counts[j] += part.counts[j]
+            first = part.firsts[j]
+            if first is not None and (merged.firsts[j] is None or first < merged.firsts[j]):
+                merged.firsts[j] = first
     return merged
+
+
+def _scan_chunk(args: tuple) -> KernelReport:
+    """Worker task: scan a set of two-level prefixes."""
+    h, n, want, track_condorcet, chunk = args
+    parts = (_scan(h, n, want=want, track_condorcet=track_condorcet, prefix=pre) for pre in chunk)
+    return _merge(h, n, want, parts)
 
 
 def scan_minimax(
@@ -402,8 +401,7 @@ def scan_minimax(
     the reported first witness is the one earliest in enumeration order.
     """
     workers = resolve_workers(workers)
-    _, vecs = _pair_tables(n)
-    K = len(vecs)
+    K = len(_pair_tables(n))
     space = neutral_count(h, n) if neutral_cut else anonymous_count(h, n)
     base_prefix = (0,) if neutral_cut else ()
     if workers <= 1 or h - len(base_prefix) < 3 or space < 50_000:
@@ -419,26 +417,12 @@ def scan_minimax(
         prefix_iter = ((0, r2) for r2 in range(K))
     else:
         prefix_iter = ((r1, r2) for r1 in range(K) for r2 in range(r1, K))
-    ranked = list(enumerate(prefix_iter))
-    chunks = [ranked[w::workers] for w in range(workers)]
+    prefixes = list(prefix_iter)
+    chunks = [prefixes[w::workers] for w in range(workers)]
     tasks = [(h, n, want, track_condorcet, chunk) for chunk in chunks if chunk]
     with multiprocessing.Pool(processes=len(tasks)) as pool:
         parts = pool.map(_scan_chunk, tasks)
-    merged = KernelReport(h=h, n=n)
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for part in parts:
-        merged.examined += part.examined
-        merged.kramer_mismatches += part.kramer_mismatches
-        merged.condorcet_principle_violations += part.condorcet_principle_violations
-        merged.condorcet_loser_selections += part.condorcet_loser_selections
-        for j in want:
-            merged.counts[j] += part.counts[j]
-            tagged = part.firsts[j]
-            if tagged is not None and (j not in best or tagged[0] < best[j][0]):
-                best[j] = tagged
-    for j in want:
-        merged.firsts[j] = best[j][1] if j in best else None
-    return merged
+    return _merge(h, n, want, parts)
 
 
 def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
@@ -493,49 +477,26 @@ def _find_exhaustive(
             h, n, want=(j,), stop_early=True, workers=workers, neutral_cut=cut
         )
         stats = {"kramer_mismatches": report.kramer_mismatches}
-        if report.firsts[j] is not None:
-            profile = profile_from_indices(n, report.firsts[j])
-            witness = certify_witness(profile, j, rule, method="exhaustive")
-            return SearchResult(
-                h=h, n=n, j=j, rule=rule, method="exhaustive",
-                outcome=OUTCOME_WITNESS, examined=report.examined, space=space,
-                witness=witness, note=note, stats=stats,
-            )
-        if report.examined != space:
-            raise RuntimeError(
-                f"enumeration visited {report.examined} of {space} representatives"
-            )
-        return SearchResult(
-            h=h, n=n, j=j, rule=rule, method="exhaustive",
-            outcome=OUTCOME_IMMUNE, examined=report.examined, space=space,
-            note=note, stats=stats,
-        )
-    # Borda / Copeland: plain profile path; feasible spaces are small.
-    rankings = all_rankings(n)
-    if cut:
-        combos = (
-            (rankings[0],) + rest
-            for rest in itertools.combinations_with_replacement(rankings, h - 1)
-        )
     else:
-        combos = itertools.combinations_with_replacement(rankings, h)
-    examined = 0
-    for columns in combos:
-        examined += 1
-        profile = Profile(columns)
-        report = audit_profile(profile, rules=(rule,))[0]
-        if (report.type1, report.type2, report.type3)[j - 1]:
-            witness = certify_witness(profile, j, rule, method="exhaustive")
-            return SearchResult(
-                h=h, n=n, j=j, rule=rule, method="exhaustive",
-                outcome=OUTCOME_WITNESS, examined=examined, space=space,
-                witness=witness, note=note,
-            )
-    if examined != space:
-        raise RuntimeError(f"enumeration visited {examined} of {space} representatives")
+        # Borda and Copeland spaces that fit a budget are small: one process.
+        report = _scan(h, n, want=(j,), stop_early=True, prefix=(0,) if cut else (), rule=rule)
+        stats = {}
+    if report.kramer_mismatches:
+        raise RuntimeError(
+            f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
+        )
+    witness = None
+    if report.firsts[j] is not None:
+        profile = profile_from_indices(n, report.firsts[j])
+        witness = certify_witness(profile, j, rule, method="exhaustive")
+    elif report.examined != space:
+        raise RuntimeError(
+            f"enumeration visited {report.examined} of {space} representatives"
+        )
     return SearchResult(
         h=h, n=n, j=j, rule=rule, method="exhaustive",
-        outcome=OUTCOME_IMMUNE, examined=examined, space=space, note=note,
+        outcome=OUTCOME_WITNESS if witness else OUTCOME_IMMUNE,
+        examined=report.examined, space=space, witness=witness, note=note, stats=stats,
     )
 
 

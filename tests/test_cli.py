@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given
 
-from votebias import export_dot, fixture_profile, majority_graph, serialize_profile
+import votebias.cli
+from votebias import (
+    borda,
+    condorcet_loser,
+    condorcet_winner,
+    copeland,
+    export_dot,
+    fixture_profile,
+    majority_graph,
+    minimax_direct,
+    profile_threshold,
+    serialize_profile,
+)
 from votebias.cli import main
+
+from conftest import profiles
 
 
 def run(capsys, *argv):
@@ -88,6 +104,41 @@ class TestAudit:
         code, _, err = run(capsys, "audit", str(bad))
         assert code == 1
         assert str(bad) in err and "row 2, column 2" in err
+
+    def test_non_ascii_file_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"1 2\n2 \xc3\n")
+        code, out, err = run(capsys, "audit", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("votebias: error:") and "0xc3" in err
+
+    def test_undecodable_stdin_is_an_input_error(self, capsys, monkeypatch):
+        raw = io.TextIOWrapper(io.BytesIO(b"1 2\n2 \xc3\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", raw)
+        code, out, err = run(capsys, "audit", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("votebias: error: -:") and "0xc3" in err
+
+    @given(profiles(max_h=5, max_n=4))
+    def test_record_is_consistent(self, p):
+        stdout = io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(serialize_profile(p))
+        try:
+            with contextlib.redirect_stdout(stdout):
+                assert main(["audit", "-", "--json", "--rules", "borda"]) == 0
+        finally:
+            sys.stdin = stdin
+        rec = json.loads(stdout.getvalue())["record"]
+        assert rec["profile"] == serialize_profile(p)
+        assert rec["h"] == p.h and rec["n"] == p.n
+        assert rec["minimax"] == sorted(minimax_direct(p))
+        assert rec["minimax_reversal"] == sorted(minimax_direct(p.reverse()))
+        assert rec["borda"] == sorted(borda(p))
+        assert rec["copeland"] == sorted(copeland(p))
+        assert rec["mu_p"] == profile_threshold(p)
+        assert rec["mu_pr"] == profile_threshold(p.reverse())
+        assert rec["condorcet_winner"] == condorcet_winner(p)
+        assert rec["condorcet_loser"] == condorcet_loser(p)
 
     def test_bad_mu(self, capsys, profile_file):
         code, _, err = run(capsys, "audit", profile_file("tm2-5-4"), "--mu", "2")
@@ -232,6 +283,28 @@ class TestVerify:
         monkeypatch.setenv("VOTEBIAS_WORKERS", "3")
         _, parallel, _ = run(capsys, *args)
         assert sequential == parallel
+
+    def test_dual_route_mismatch_contradicts_the_cell(self, capsys, monkeypatch):
+        scan = votebias.cli.scan_minimax
+
+        def one_mismatch(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            report.kramer_mismatches = 1
+            return report
+
+        args = ("verify", "--h", "2", "--n", "3", "--j", "3", "--json")
+        _, clean, _ = run(capsys, *args)
+        monkeypatch.setattr(votebias.cli, "scan_minimax", one_mismatch)
+        code, out, _ = run(capsys, *args)
+        assert code == 2
+        payload = json.loads(out)
+        cell = payload["cells"][0]
+        assert cell["consistent"] is False
+        assert "disagree on 1 profiles" in cell["note"]
+        assert payload["summary"]["contradicted"] == 1
+        # No new key: only the verdict and the note differ from a clean run.
+        clean_cell = json.loads(clean)["cells"][0]
+        assert set(cell) == set(clean_cell) | {"note"}
 
     def test_bad_arguments(self, capsys):
         assert run(capsys, "verify", "--j", "4")[0] == 1

@@ -45,12 +45,21 @@ class TestCycleProfile:
 
     @pytest.mark.parametrize(
         "l, mu, h",
-        [(3, 2, 3), (3, 3, 5), (4, 3, 4), (4, 4, 6), (5, 4, 5), (3, 4, 7), (6, 5, 6)],
+        [
+            (l, mu, h)
+            for l in GRID_N
+            for h in GRID_H
+            for mu in range(h // 2 + 1, h + 1)
+            if mu * l <= (l - 1) * h
+        ],
     )
     def test_domain_interior(self, l, mu, h):
+        # The whole domain with h <= 12 and n <= 8: the rotation never fails.
         assert mu * l <= (l - 1) * h and 2 * mu > h
-        p = construct_cycle_profile(l, mu, h)
-        assert has_l_cycle(majority_graph(p, mu), l)
+        for n in range(l, max(GRID_N) + 1):
+            p = construct_cycle_profile(l, mu, h, n=n)
+            assert p.h == h and p.n == n
+            assert has_l_cycle(majority_graph(p, mu), l)
 
     def test_rejects_sub_majority_threshold(self):
         with pytest.raises(ConstructionError, match="not a majority threshold"):

@@ -10,6 +10,8 @@ from votebias import Profile, ProfileParseError, Ranking, TallyMatrix, parse_pro
 
 from conftest import naive_tally, profiles
 
+DIGITS = set("0123456789")
+
 
 class TestRanking:
     def test_order_and_positions(self):
@@ -102,7 +104,17 @@ class TestParsing:
 
     @given(profiles())
     def test_roundtrip_random(self, p):
-        assert parse_profile(serialize_profile(p)).columns == p.columns
+        assert parse_profile(serialize_profile(p)) == p
+
+    @pytest.mark.parametrize("token", ["+1", "0_2", "\u0661", "-1", "1.0", "\u00b2"])
+    def test_rejects_tokens_int_would_take(self, token):
+        with pytest.raises(ProfileParseError, match="row 2, column 1"):
+            parse_profile(f"1 2\n{token} 1")
+
+    @given(st.text(min_size=1).filter(lambda t: t.split() == [t] and not set(t) <= DIGITS))
+    def test_rejects_every_non_decimal_token(self, token):
+        with pytest.raises(ProfileParseError, match="row 1, column 2"):
+            parse_profile(f"1 {token}\n2 1")
 
     def test_error_names_row_and_column(self):
         with pytest.raises(ProfileParseError, match="row 2, column 2"):

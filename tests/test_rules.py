@@ -16,16 +16,16 @@ from votebias import (
     minimax_threshold,
     parse_profile,
     profile_threshold,
-    selection_record,
-    serialize_profile,
     worst_defeats,
 )
+from votebias.rules import TALLY_RULES, upper_pairs, upper_tally
 
 from conftest import (
     naive_borda,
     naive_borda_scores,
     naive_copeland,
     naive_copeland_scores,
+    naive_dominant,
     naive_minimax,
     naive_tally,
     naive_worst_defeat,
@@ -146,17 +146,25 @@ class TestCondorcet:
         assert condorcet_loser(p) is None
 
 
-class TestSelectionRecord:
-    @given(profiles(max_h=5, max_n=4))
-    def test_record_is_consistent(self, p):
-        rec = selection_record(p)
-        assert rec["profile"] == serialize_profile(p)
-        assert rec["h"] == p.h and rec["n"] == p.n
-        assert rec["minimax"] == sorted(minimax_direct(p))
-        assert rec["minimax_reversal"] == sorted(minimax_direct(p.reverse()))
-        assert rec["borda"] == sorted(borda(p))
-        assert rec["copeland"] == sorted(copeland(p))
-        assert rec["mu_p"] == profile_threshold(p)
-        assert rec["mu_pr"] == profile_threshold(p.reverse())
-        assert rec["condorcet_winner"] == condorcet_winner(p)
-        assert rec["condorcet_loser"] == condorcet_loser(p)
+class TestTallyCore:
+    @given(profiles())
+    def test_upper_tally_against_oracle(self, p):
+        assert upper_tally(p) == [naive_tally(p, x + 1, y + 1) for x, y in upper_pairs(p.n)]
+
+    @given(profiles())
+    def test_every_rule_against_oracles_on_p_and_reversal(self, p):
+        u = upper_tally(p)
+        pr = p.reverse()
+        oracles = {"minimax": naive_minimax, "borda": naive_borda, "copeland": naive_copeland}
+        assert set(TALLY_RULES) == set(oracles)
+        for name, oracle in oracles.items():
+            sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, p.h, p.n)
+            assert set(sel_p) == oracle(p), name
+            assert set(sel_pr) == oracle(pr), name
+            assert list(sel_p) == sorted(sel_p) and list(sel_pr) == sorted(sel_pr)
+            if name != "minimax":
+                assert mu_p is mu_pr is None
+        _, _, mu_p, mu_pr = TALLY_RULES["minimax"](u, p.h, p.n)
+        for q, mu in ((p, mu_p), (pr, mu_pr)):
+            admissible = range(p.h // 2 + 1, p.h + 1)
+            assert mu == min(m for m in admissible if naive_dominant(q, m))

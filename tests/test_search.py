@@ -26,6 +26,7 @@ from votebias import (
     scan_minimax,
     serialize_profile,
 )
+from votebias import search
 from votebias.search import OUTCOME_IMMUNE, OUTCOME_INCONCLUSIVE, OUTCOME_WITNESS
 
 
@@ -303,6 +304,19 @@ class TestFindWitness:
                     res = find_witness(h, n, j, rule=rule)
                     assert res.outcome == OUTCOME_IMMUNE
                     assert res.examined == anonymous_count(h, n)
+
+    def test_dual_route_mismatch_raises(self, monkeypatch):
+        scan = search.scan_minimax
+
+        def one_mismatch(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            report.kramer_mismatches = 1
+            return report
+
+        monkeypatch.setattr(search, "scan_minimax", one_mismatch)
+        for h, n in [(3, 3), (4, 3)]:
+            with pytest.raises(RuntimeError, match="disagree on 1 profiles"):
+                find_witness(h, n, 3)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
