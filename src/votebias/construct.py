@@ -10,6 +10,8 @@ loudly instead of producing a bogus witness.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .bias import in_table
 from .fixtures import fixture_profile
 from .graphs import has_l_cycle, majority_graph, minimal_threshold
@@ -143,47 +145,34 @@ def construct_witness_even(h: int, n: int) -> Witness:
     return _check_witness_shape(witness, mu_p=mu0, mu_pr=mu0)
 
 
-def _type1_domain(h: int, n: int) -> bool:
-    if n < 4 or h < 2:
-        return False
-    factor = 3 if h % 2 else 2
-    return h * (n - 3) >= factor * (n - 1)
+def _recipe(h: int, n: int, j: int) -> Callable[[], Profile] | None:
+    """The profile builder of the recipe that covers (h, n, j), or None."""
+    if h < 2 or n < 2:
+        return None
+    odd = h % 2
+    if n >= 4 and h * (n - 3) >= (3 if odd else 2) * (n - 1):  # the type-1 domains
+        builder = construct_witness_odd if odd else construct_witness_even
+        return lambda: builder(h, n).profile
+    if j >= 2:
+        if h == 3 and n >= 4:
+            return lambda: fixture_profile(f"tm2-3-n({n})")
+        if (h, n) in ((5, 4), (7, 4), (5, 5)):
+            return lambda: fixture_profile(f"tm2-{h}-{n}")
+    if j == 3:
+        if h == 2 and n >= 3:
+            return lambda: fixture_profile(f"tm3-2-n({n})")
+        if n == 3 and h != 3:
+            return lambda: fixture_profile(f"tm3-h-3({h})")
+        if (h, n) == (4, 4):
+            return lambda: fixture_profile("tm3-4-4")
+    return None
 
 
 def has_constructive_witness(h: int, n: int, j: int) -> bool:
-    """Whether some recipe below produces a minimax type-j witness at (h, n)."""
+    """Whether some recipe produces a minimax type-j witness at (h, n)."""
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
-    if h < 2 or n < 2:
-        return False
-    if _type1_domain(h, n):
-        return True
-    if j >= 2:
-        if (h == 3 and n >= 4) or (h, n) in ((5, 4), (7, 4), (5, 5)):
-            return True
-    if j == 3:
-        if (h == 2 and n >= 3) or (n == 3 and h != 3) or (h, n) == (4, 4):
-            return True
-    return False
-
-
-def _recipe_profile(h: int, n: int, j: int) -> Profile:
-    if _type1_domain(h, n):
-        builder = construct_witness_odd if h % 2 else construct_witness_even
-        return builder(h, n).profile
-    if j >= 2:
-        if h == 3 and n >= 4:
-            return fixture_profile(f"tm2-3-n({n})")
-        if (h, n) in ((5, 4), (7, 4), (5, 5)):
-            return fixture_profile(f"tm2-{h}-{n}")
-    if j == 3:
-        if h == 2 and n >= 3:
-            return fixture_profile(f"tm3-2-n({n})")
-        if n == 3 and h != 3:
-            return fixture_profile(f"tm3-h-3({h})")
-        if (h, n) == (4, 4):
-            return fixture_profile("tm3-4-4")
-    raise ConstructionError(f"no constructive recipe for (h={h}, n={n}, j={j})")
+    return _recipe(h, n, j) is not None
 
 
 def constructive_witness(h: int, n: int, j: int) -> Witness | None:
@@ -195,7 +184,7 @@ def constructive_witness(h: int, n: int, j: int) -> Witness | None:
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
-    if in_table(j, h, n) or not has_constructive_witness(h, n, j):
+    recipe = None if in_table(j, h, n) else _recipe(h, n, j)
+    if recipe is None:
         return None
-    profile = _recipe_profile(h, n, j)
-    return certify_witness(profile, j, rule="minimax", method="constructive")
+    return certify_witness(recipe(), j, rule="minimax", method="constructive")

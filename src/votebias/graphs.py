@@ -74,12 +74,6 @@ class MajorityGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def out_neighbors(self, x: int) -> frozenset[int]:
-        return frozenset(y for (a, y) in self.arcs if a == x)
-
-    def in_neighbors(self, x: int) -> frozenset[int]:
-        return frozenset(a for (a, y) in self.arcs if y == x)
-
 
 @dataclass(frozen=True)
 class ComponentInfo:

@@ -30,10 +30,6 @@ class Ranking:
             raise ValueError(f"ranking needs at least 2 alternatives, got {n}")
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"ranking {self.order!r} is not a permutation of 1..{n}")
-        positions = [0] * n
-        for j, x in enumerate(self.order, start=1):
-            positions[x - 1] = j
-        object.__setattr__(self, "_positions", tuple(positions))
 
     @property
     def n(self) -> int:
@@ -43,7 +39,7 @@ class Ranking:
         """1-based position of alternative x (1 = best, n = worst)."""
         if not 1 <= x <= self.n:
             raise ValueError(f"alternative {x} not in 1..{self.n}")
-        return self._positions[x - 1]
+        return self.order.index(x) + 1
 
     def reverse(self) -> "Ranking":
         """The reversed ranking: position j goes to position n+1-j."""

@@ -7,9 +7,10 @@ rules are also neutral, which allows an optional further cut: only multisets
 containing the identity ranking need to be visited.  The cut is never used
 for counting.
 
-Exhaustive scans go through one kernel that keeps a running upper-triangle
-tally while walking the multiset tree and evaluates each leaf through the
-tally-level core in ``rules``.
+Exhaustive scans for every rule go through one entry, ``scan_minimax``,
+which checks its visit count against the closed form.  Its kernel keeps a
+running upper-triangle tally while walking the multiset tree and evaluates
+each leaf through the tally-level core in ``rules``.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class SearchResult:
     witness: Witness | None = None
     seed: int | None = None
     note: str = ""
-    stats: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=None)
@@ -227,13 +227,16 @@ def sample_profiles(h: int, n: int, seed: int, count: int) -> Iterator[Profile]:
 
 
 def resolve_workers(workers: int | None = None) -> int:
+    """The argument, else VOTEBIAS_WORKERS, else 1, clamped to 1..os.cpu_count().
+
+    Scans are CPU-bound, so processes beyond the core count only cost memory."""
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
         try:
             workers = int(raw)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, workers)
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 # --- scan kernel -------------------------------------------------------------
@@ -380,8 +383,11 @@ def _merge(h: int, n: int, want: tuple[int, ...], parts) -> KernelReport:
 
 def _scan_chunk(args: tuple) -> KernelReport:
     """Worker task: scan a set of two-level prefixes."""
-    h, n, want, track_condorcet, chunk = args
-    parts = (_scan(h, n, want=want, track_condorcet=track_condorcet, prefix=pre) for pre in chunk)
+    h, n, want, track_condorcet, rule, chunk = args
+    parts = (
+        _scan(h, n, want=want, track_condorcet=track_condorcet, prefix=pre, rule=rule)
+        for pre in chunk
+    )
     return _merge(h, n, want, parts)
 
 
@@ -393,36 +399,40 @@ def scan_minimax(
     track_condorcet: bool = False,
     workers: int | None = None,
     neutral_cut: bool = False,
+    rule: str = "minimax",
 ) -> KernelReport:
-    """Scan the representative space for minimax bias flags.
+    """Scan the representative space for a rule's bias flags: the one kernel entry.
 
     With workers > 1 the two deepest prefix levels are striped across a
     process pool; parallel runs never stop early, so counts stay exact and
     the reported first witness is the one earliest in enumeration order.
+    A visit count other than neutral_count/anonymous_count raises
+    RuntimeError, unless the scan stopped early after finding every wanted type.
     """
     workers = resolve_workers(workers)
     K = len(_pair_tables(n))
     space = neutral_count(h, n) if neutral_cut else anonymous_count(h, n)
     base_prefix = (0,) if neutral_cut else ()
     if workers <= 1 or h - len(base_prefix) < 3 or space < 50_000:
-        return _scan(
+        report = _scan(
             h,
             n,
             want=want,
             stop_early=stop_early,
             track_condorcet=track_condorcet,
             prefix=base_prefix,
+            rule=rule,
         )
-    if neutral_cut:
-        prefix_iter = ((0, r2) for r2 in range(K))
     else:
-        prefix_iter = ((r1, r2) for r1 in range(K) for r2 in range(r1, K))
-    prefixes = list(prefix_iter)
-    chunks = [prefixes[w::workers] for w in range(workers)]
-    tasks = [(h, n, want, track_condorcet, chunk) for chunk in chunks if chunk]
-    with multiprocessing.Pool(processes=len(tasks)) as pool:
-        parts = pool.map(_scan_chunk, tasks)
-    return _merge(h, n, want, parts)
+        prefixes = [(r1, r2) for r1 in base_prefix or range(K) for r2 in range(r1, K)]
+        chunks = [prefixes[w::workers] for w in range(workers)]
+        tasks = [(h, n, want, track_condorcet, rule, chunk) for chunk in chunks if chunk]
+        with multiprocessing.Pool(processes=len(tasks)) as pool:
+            report = _merge(h, n, want, pool.map(_scan_chunk, tasks))
+    found_all = stop_early and all(report.firsts[j] is not None for j in want)
+    if report.examined != space and not found_all:
+        raise RuntimeError(f"scan visited {report.examined} of {space} representatives")
+    return report
 
 
 def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
@@ -472,15 +482,9 @@ def _find_exhaustive(
             outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
             note=f"space holds {space} representatives, over budget {budget}",
         )
-    if rule == "minimax":
-        report = scan_minimax(
-            h, n, want=(j,), stop_early=True, workers=workers, neutral_cut=cut
-        )
-        stats = {"kramer_mismatches": report.kramer_mismatches}
-    else:
-        # Borda and Copeland spaces that fit a budget are small: one process.
-        report = _scan(h, n, want=(j,), stop_early=True, prefix=(0,) if cut else (), rule=rule)
-        stats = {}
+    report = scan_minimax(
+        h, n, want=(j,), stop_early=True, workers=workers, neutral_cut=cut, rule=rule
+    )
     if report.kramer_mismatches:
         raise RuntimeError(
             f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
@@ -489,14 +493,10 @@ def _find_exhaustive(
     if report.firsts[j] is not None:
         profile = profile_from_indices(n, report.firsts[j])
         witness = certify_witness(profile, j, rule, method="exhaustive")
-    elif report.examined != space:
-        raise RuntimeError(
-            f"enumeration visited {report.examined} of {space} representatives"
-        )
     return SearchResult(
         h=h, n=n, j=j, rule=rule, method="exhaustive",
         outcome=OUTCOME_WITNESS if witness else OUTCOME_IMMUNE,
-        examined=report.examined, space=space, witness=witness, note=note, stats=stats,
+        examined=report.examined, space=space, witness=witness, note=note,
     )
 
 

@@ -185,6 +185,9 @@ def test_criterion_4_dual_route_equivalence(kernel_scans):
     with criterion(4, "direct and threshold minimax agree on every tested profile"):
         for (h, n), report in kernel_scans.items():
             assert report.kramer_mismatches == 0, (h, n)
+            assert report.condorcet_principle_violations == 0, (h, n)
+            if expected_immune(2, h, n):
+                assert report.condorcet_loser_selections == 0, (h, n)
         for h, n in [(10, 5), (9, 6), (15, 4)]:
             for p in sample_profiles(h, n, seed=DEFAULT_SEED, count=100_000):
                 assert minimax_direct(p) == minimax_threshold(p)

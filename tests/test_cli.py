@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
+import os
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,6 +29,8 @@ from votebias import (
 from votebias.cli import main
 
 from conftest import profiles
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -276,7 +281,22 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_matches_the_frozen_grid_reference(self, capsys, monkeypatch):
+        # The benchmark's reference rows: plain scans, the cut at (2,7), constructive cells.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        table = json.loads(workloads.GRID_REFERENCE.read_text())
+        for hs, ns in (((2, 3, 4), (2, 3, 4)), ((2,), (7,)), ((3,), (7, 8)), ((4,), (6, 7, 8))):
+            h_arg, n_arg = ",".join(map(str, hs)), ",".join(map(str, ns))
+            code, out, _ = run(capsys, "verify", "--h", h_arg, "--n", n_arg, "--j", "2,3", "--json")
+            assert code == 0
+            got = [[c.get(k) for k in workloads.GRID_FIELDS] for c in json.loads(out)["cells"]]
+            assert got == [row for row in table if row[0] in hs and row[1] in ns]
+
     def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         args = ("verify", "--h", "5", "--n", "4", "--json")
         monkeypatch.delenv("VOTEBIAS_WORKERS", raising=False)
         _, sequential, _ = run(capsys, *args)
@@ -311,6 +331,18 @@ class TestVerify:
         assert run(capsys, "verify", "--h", "0..3")[0] == 1
         assert run(capsys, "verify", "--h", "five")[0] == 1
         assert run(capsys, "verify", "--h", "4..2")[0] == 1
+
+    def test_range_size_is_bounded(self, capsys):
+        assert len(votebias.cli._parse_values("1..10000", "h", 1)) == 10_000
+        code, out, err = run(capsys, "verify", "--h", "2..10002")
+        assert code == 1 and out == ""
+        assert "holds 10001 values, over the limit of 10000" in err
+
+    def test_bad_worker_count_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("VOTEBIAS_WORKERS", "many")
+        code, out, err = run(capsys, "verify", "--h", "2", "--n", "2")
+        assert code == 1 and out == ""
+        assert err == "votebias: error: VOTEBIAS_WORKERS must be an integer, got 'many'\n"
 
 
 class TestCompare:
@@ -454,6 +486,8 @@ class TestUsageErrors:
             ["unknown-command"],
             ["verify", "--strategy", "psychic"],
             ["compare", "--pair", "minimax-borda"],
+            ["verify", "--budget", "0"],
+            ["compare", "--pair", "minimax-borda", "--h", "3", "--n", "3", "--budget", "0"],
             ["fixtures"],
         ):
             with pytest.raises(SystemExit) as info:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -117,6 +119,7 @@ class TestSampling:
 
 class TestResolveWorkers:
     def test_default_and_env(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.delenv("VOTEBIAS_WORKERS", raising=False)
         assert resolve_workers() == 1
         monkeypatch.setenv("VOTEBIAS_WORKERS", "4")
@@ -126,6 +129,14 @@ class TestResolveWorkers:
         monkeypatch.setenv("VOTEBIAS_WORKERS", "many")
         with pytest.raises(ValueError):
             resolve_workers()
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("VOTEBIAS_WORKERS", "100000")
+        assert resolve_workers() == 3
+        assert resolve_workers(100_000) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers() == 1
 
 
 class TestStrategy:
@@ -214,7 +225,8 @@ class TestScanKernel:
         assert early.firsts[3] == full.firsts[3]
         assert early.examined <= full.examined
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         seq = scan_minimax(5, 4, want=(1, 2, 3), track_condorcet=True, workers=1)
         par = scan_minimax(5, 4, want=(1, 2, 3), track_condorcet=True, workers=3)
         assert par.examined == seq.examined == anonymous_count(5, 4)
@@ -223,6 +235,30 @@ class TestScanKernel:
         assert par.kramer_mismatches == seq.kramer_mismatches == 0
         assert par.condorcet_principle_violations == 0
         assert par.condorcet_loser_selections == seq.condorcet_loser_selections
+
+    def test_parallel_scan_keeps_the_rule(self, monkeypatch):
+        # Minimax has type-2 and type-3 hits at (5,4); a worker running it would count them.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = scan_minimax(5, 4, want=(1, 2, 3), workers=2, rule="borda")
+        assert report.examined == anonymous_count(5, 4)
+        assert report.counts == {1: 0, 2: 0, 3: 0}
+
+    def test_short_scan_raises(self, monkeypatch):
+        scan = search._scan
+
+        def one_short(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            report.examined -= 1
+            return report
+
+        monkeypatch.setattr(search, "_scan", one_short)
+        with pytest.raises(RuntimeError, match="visited 55 of 56"):
+            scan_minimax(3, 3)
+        with pytest.raises(RuntimeError, match="visited 20 of 21"):
+            scan_minimax(3, 3, want=(3,), stop_early=True, neutral_cut=True, rule="borda")
+        # A scan that stopped after finding every wanted type is not short.
+        early = scan_minimax(4, 3, want=(3,), stop_early=True)
+        assert early.firsts[3] is not None
 
     @pytest.mark.parametrize("h, n", [(3, 3), (4, 3), (3, 4), (4, 4)])
     def test_neutral_cut_preserves_existence(self, h, n):
@@ -245,7 +281,6 @@ class TestFindWitness:
         assert res.outcome == OUTCOME_IMMUNE
         assert res.examined == res.space == 56
         assert res.witness is None
-        assert res.stats["kramer_mismatches"] == 0
 
     def test_exhaustive_finds_and_certifies(self):
         res = find_witness(4, 3, 3)
@@ -294,16 +329,24 @@ class TestFindWitness:
         assert other.outcome == OUTCOME_INCONCLUSIVE
         assert "borda" in other.note
 
-    def test_borda_and_copeland_are_immune_exhaustively(self):
+    def test_borda_and_copeland_are_immune_exhaustively(self, monkeypatch):
         # Reversal complements Borda scores and negates Copeland scores, so
         # neither rule can keep a proper selection alive; every small cell
         # certifies immune for every type.
+        scan, scanned = search.scan_minimax, []
+
+        def spy(*args, **kwargs):
+            scanned.append(kwargs["rule"])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(search, "scan_minimax", spy)
         for rule in ("borda", "copeland"):
             for h, n in [(2, 3), (3, 3), (4, 3), (2, 4)]:
                 for j in (1, 2, 3):
                     res = find_witness(h, n, j, rule=rule)
                     assert res.outcome == OUTCOME_IMMUNE
                     assert res.examined == anonymous_count(h, n)
+        assert scanned == ["borda"] * 12 + ["copeland"] * 12
 
     def test_dual_route_mismatch_raises(self, monkeypatch):
         scan = search.scan_minimax
