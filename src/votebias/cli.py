@@ -53,6 +53,7 @@ from .search import (
     resolve_workers,
     sample_profile,
     scan_minimax,
+    table_refusal,
 )
 
 LONG_RUN_BUDGET = 300_000_000
@@ -327,8 +328,9 @@ def _verify_group(
     """
     space = anonymous_count(h, n)
     cut_space = neutral_count(h, n)
-    plain_ok = space <= ex_budget
-    cut_ok = cut_space <= ex_budget
+    refusal = table_refusal(n)
+    plain_ok = space <= ex_budget and not refusal
+    cut_ok = cut_space <= ex_budget and not refusal
     cells: list[VerificationCell] = []
     if strategy in ("auto", "exhaustive") and (plain_ok or cut_ok):
         use_cut = not plain_ok
@@ -372,6 +374,7 @@ def _verify_group(
                     note=(
                         f"space holds {space} representatives "
                         f"({cut_space} under the neutrality cut), over budget {ex_budget}"
+                        if cut_space > ex_budget else refusal
                     ),
                 )
             )

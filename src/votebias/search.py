@@ -22,7 +22,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, lt
 from typing import Callable, Iterator
 
 from .bias import audit_profile, bias_flags
@@ -241,16 +241,44 @@ def resolve_workers(workers: int | None = None) -> int:
 
 # --- scan kernel -------------------------------------------------------------
 
+# The kernel holds one upper-triangle vector per ranking; 10! of them would
+# take several GB, so larger n never reaches it.
+MAX_SCAN_RANKINGS = math.factorial(9)
+# Distinct tallies a scan remembers before it starts its verdict cache afresh:
+# about 80 MB at the 76 bytes per entry measured at (4,5).  No cell within
+# the default budget has that many; long runs such as (5,5) do.
+VERDICT_CACHE_LIMIT = 1 << 20
+
+# Bits of a leaf verdict; bit j (1..3) is the type-j flag.
+_MISMATCH, _PRINCIPLE, _LOSER = 1, 16, 32
+
+
+def table_refusal(n: int) -> str:
+    """Why the scan kernel refuses n alternatives, or "" when its ranking table fits."""
+    size = math.factorial(n)
+    if size <= MAX_SCAN_RANKINGS:
+        return ""
+    return f"ranking table holds {size} rankings, over the limit of {MAX_SCAN_RANKINGS}"
+
 
 @lru_cache(maxsize=None)
-def _pair_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per ranking, its upper-triangle 0/1 vector: its own tally with h = 1."""
-    pairs = upper_pairs(n)
+def _pair_tables(n: int) -> tuple[bytes, ...]:
+    """Per ranking, in all_rankings order, its upper-triangle 0/1 vector: its
+    own tally with h = 1."""
+    xs, ys = zip(*upper_pairs(n))
+    alternatives = range(n)
     vecs = []
-    for q in all_rankings(n):
-        beats = q.beats()
-        vecs.append(tuple(beats[x * n + y] for x, y in pairs))
+    for order in itertools.permutations(alternatives):
+        place = sorted(alternatives, key=order.__getitem__).__getitem__
+        vecs.append(bytes(map(lt, map(place, xs), map(place, ys))))
     return tuple(vecs)
+
+
+@lru_cache(maxsize=None)
+def _packed_rows(n: int, h: int) -> tuple[int, ...]:
+    """Per ranking, its vector as one integer: digit k is its u[k] in base h + 1."""
+    weights = [(h + 1) ** k for k in range(n * (n - 1) // 2)]
+    return tuple(sum(itertools.compress(weights, vec)) for vec in _pair_tables(n))
 
 
 @dataclass
@@ -270,95 +298,133 @@ class KernelReport:
     condorcet_loser_selections: int = 0
 
 
+def _leaf_verdict(tally: list[int], h: int, n: int, rule: str, track_condorcet: bool) -> int:
+    """One leaf's verdict bits: the three type flags, the dual-route mismatch
+    and, for minimax with track_condorcet, the two Condorcet counters."""
+    rng_n = range(n)
+    bits = 0
+    if rule == "minimax":
+        wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
+        sel = [x for x in rng_n if wd[x] < mu_p]
+        m1 = min(wd)
+        if sel != [x for x in rng_n if wd[x] == m1]:
+            bits |= _MISMATCH
+        selr_size = 0
+        meets = False
+        for x in rng_n:
+            if wdr[x] < mu_pr:
+                selr_size += 1
+                if wd[x] < mu_p:
+                    meets = True
+        if track_condorcet:
+            cw_bound = h - (h // 2 + 1)
+            winner = loser = -1
+            for x in rng_n:
+                if wd[x] <= cw_bound:
+                    winner = x
+                if wdr[x] <= cw_bound:
+                    loser = x
+            if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
+                bits |= _PRINCIPLE
+            if loser >= 0 and wd[loser] < mu_p:
+                bits |= _LOSER
+    else:
+        sel, selr, _, _ = TALLY_RULES[rule](tally, h, n)
+        selr_size = len(selr)
+        meets = not set(sel).isdisjoint(selr)
+    if meets:
+        ls = len(sel)
+        bits |= (ls == 1 and selr_size == 1) << 1 | (ls == 1) << 2 | (ls < n) << 3
+    return bits
+
+
 def _scan(
     h: int,
     n: int,
     want: tuple[int, ...] = (1, 2, 3),
     stop_early: bool = False,
     track_condorcet: bool = False,
-    prefix: tuple[int, ...] = (),
+    prefixes: tuple[tuple[int, ...], ...] = ((),),
     rule: str = "minimax",
 ) -> KernelReport:
-    """Walk nondecreasing ranking-index tuples below a fixed prefix.
+    """Walk nondecreasing ranking-index tuples below each prefix, in order.
 
     The running upper-triangle tally u[k] counts, over chosen voters, how
-    many rank pair k's smaller alternative above its larger one; each level
-    adds its voter's vector into a fresh list, and each leaf hands the full
-    tally to the rule's tally core.
+    many rank pair k's smaller alternative above its larger one; each
+    internal level adds its voter's vector into a fresh list and its packed
+    row into the packed tally.  A leaf costs one int add and one lookup in a
+    verdict cache keyed by the packed tally; only a miss runs _leaf_verdict.
+
+    Soundness of the cache: _leaf_verdict reads the tally u, h, n, rule and
+    track_condorcet and nothing else (no ranking index), and all but u are
+    fixed for one call, so leaves with equal u have equal verdicts.  The key
+    determines u: digit k of a packed row is that ranking's u[k] (0 or 1) in
+    base h + 1, and a leaf's key is the sum of the rows of its h voters, so
+    every digit of the sum is at most h < h + 1, no digit carries, and the
+    key's base-(h + 1) digits are exactly u.  Verdicts are still applied leaf
+    by leaf, so examined, counts, firsts and every counter stay exact per
+    profile.  The cache lives for this call only.
     """
     vecs = _pair_tables(n)
+    packed = _packed_rows(n, h)
     K = len(vecs)
     report = KernelReport(h=h, n=n)
     counts = report.counts
     firsts = report.firsts
-    u = [0] * len(vecs[0])
-    for r in prefix:
-        u = list(map(add, u, vecs[r]))
-    if len(prefix) >= h:
-        raise ValueError("prefix must leave at least one voter to choose")
     hunting = set(want)
+    verdicts: dict[int, int] = {}
+    get = verdicts.get
     stack: list[int] = []
-    rng_n = range(n)
-    cw_bound = h - (h // 2 + 1)
-    minimax = rule == "minimax"
-    core = TALLY_RULES[rule]
 
-    def leaf(tally: list[int], last: int) -> bool:
-        report.examined += 1
-        if minimax:
-            wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
-            sel = [x for x in rng_n if wd[x] < mu_p]
-            m1 = min(wd)
-            if sel != [x for x in rng_n if wd[x] == m1]:
-                report.kramer_mismatches += 1
-            selr_size = 0
-            meets = False
-            for x in rng_n:
-                if wdr[x] < mu_pr:
-                    selr_size += 1
-                    if wd[x] < mu_p:
-                        meets = True
-            if track_condorcet:
-                winner = loser = -1
-                for x in rng_n:
-                    if wd[x] <= cw_bound:
-                        winner = x
-                    if wdr[x] <= cw_bound:
-                        loser = x
-                if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
-                    report.condorcet_principle_violations += 1
-                if loser >= 0 and wd[loser] < mu_p:
-                    report.condorcet_loser_selections += 1
-        else:
-            sel, selr, _, _ = core(tally, h, n)
-            selr_size = len(selr)
-            meets = not set(sel).isdisjoint(selr)
-        if meets:
-            ls = len(sel)
-            fired = (False, ls == 1 and selr_size == 1, ls == 1, ls < n)
-            for j in want:
-                if fired[j]:
-                    counts[j] += 1
-                    if firsts[j] is None:
-                        firsts[j] = (*prefix, *stack, last)
-                        hunting.discard(j)
+    def hit(bits: int, last: int) -> bool:
+        """Apply a non-zero verdict; False once a stop-early scan has all it wants."""
+        if bits & _MISMATCH:
+            report.kramer_mismatches += 1
+        if bits & _PRINCIPLE:
+            report.condorcet_principle_violations += 1
+        if bits & _LOSER:
+            report.condorcet_loser_selections += 1
+        for j in want:
+            if bits >> j & 1:
+                counts[j] += 1
+                if firsts[j] is None:
+                    firsts[j] = (*stack, last)
+                    hunting.discard(j)
         return not stop_early or bool(hunting)
 
-    def rec(depth: int, lo: int, u: list[int]) -> bool:
+    def rec(depth: int, lo: int, u: list[int], key: int) -> bool:
         if depth == h - 1:
             for r in range(lo, K):
-                if not leaf(list(map(add, u, vecs[r])), r):
+                leaf = key + packed[r]
+                bits = get(leaf)
+                if bits is None:
+                    if len(verdicts) >= VERDICT_CACHE_LIMIT:
+                        verdicts.clear()
+                    bits = verdicts[leaf] = _leaf_verdict(
+                        list(map(add, u, vecs[r])), h, n, rule, track_condorcet
+                    )
+                if bits and not hit(bits, r):
+                    report.examined += r - lo + 1
                     return False
+            report.examined += K - lo
             return True
         for r in range(lo, K):
             stack.append(r)
-            keep = rec(depth + 1, r, list(map(add, u, vecs[r])))
+            keep = rec(depth + 1, r, list(map(add, u, vecs[r])), key + packed[r])
             stack.pop()
             if not keep:
                 return False
         return True
 
-    rec(len(prefix), prefix[-1] if prefix else 0, u)
+    for prefix in prefixes:
+        if len(prefix) >= h:
+            raise ValueError("prefix must leave at least one voter to choose")
+        stack[:] = prefix
+        u = [0] * len(vecs[0])
+        for r in prefix:
+            u = list(map(add, u, vecs[r]))
+        if not rec(len(prefix), prefix[-1] if prefix else 0, u, sum(packed[r] for r in prefix)):
+            break
     return report
 
 
@@ -381,16 +447,6 @@ def _merge(h: int, n: int, want: tuple[int, ...], parts) -> KernelReport:
     return merged
 
 
-def _scan_chunk(args: tuple) -> KernelReport:
-    """Worker task: scan a set of two-level prefixes."""
-    h, n, want, track_condorcet, rule, chunk = args
-    parts = (
-        _scan(h, n, want=want, track_condorcet=track_condorcet, prefix=pre, rule=rule)
-        for pre in chunk
-    )
-    return _merge(h, n, want, parts)
-
-
 def scan_minimax(
     h: int,
     n: int,
@@ -404,13 +460,18 @@ def scan_minimax(
     """Scan the representative space for a rule's bias flags: the one kernel entry.
 
     With workers > 1 the two deepest prefix levels are striped across a
-    process pool; parallel runs never stop early, so counts stay exact and
-    the reported first witness is the one earliest in enumeration order.
-    A visit count other than neutral_count/anonymous_count raises
-    RuntimeError, unless the scan stopped early after finding every wanted type.
+    process pool, one _scan (and one verdict cache) per worker; parallel runs
+    never stop early, so counts stay exact and the reported first witness is
+    the one earliest in enumeration order.  A visit count other than
+    neutral_count/anonymous_count raises RuntimeError, unless the scan stopped
+    early after finding every wanted type; n past MAX_SCAN_RANKINGS rankings
+    raises ValueError before any table is built.
     """
+    refusal = table_refusal(n)
+    if refusal:
+        raise ValueError(refusal)
     workers = resolve_workers(workers)
-    K = len(_pair_tables(n))
+    K = math.factorial(n)
     space = neutral_count(h, n) if neutral_cut else anonymous_count(h, n)
     base_prefix = (0,) if neutral_cut else ()
     if workers <= 1 or h - len(base_prefix) < 3 or space < 50_000:
@@ -420,15 +481,15 @@ def scan_minimax(
             want=want,
             stop_early=stop_early,
             track_condorcet=track_condorcet,
-            prefix=base_prefix,
+            prefixes=(base_prefix,),
             rule=rule,
         )
     else:
         prefixes = [(r1, r2) for r1 in base_prefix or range(K) for r2 in range(r1, K)]
         chunks = [prefixes[w::workers] for w in range(workers)]
-        tasks = [(h, n, want, track_condorcet, rule, chunk) for chunk in chunks if chunk]
+        tasks = [(h, n, want, False, track_condorcet, chunk, rule) for chunk in chunks if chunk]
         with multiprocessing.Pool(processes=len(tasks)) as pool:
-            report = _merge(h, n, want, pool.map(_scan_chunk, tasks))
+            report = _merge(h, n, want, pool.starmap(_scan, tasks))
     found_all = stop_early and all(report.firsts[j] is not None for j in want)
     if report.examined != space and not found_all:
         raise RuntimeError(f"scan visited {report.examined} of {space} representatives")
@@ -436,8 +497,20 @@ def scan_minimax(
 
 
 def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
-    rankings = all_rankings(n)
-    return Profile(tuple(rankings[i] for i in indices))
+    """The profile whose voters are all_rankings(n)[i] for i in indices.
+
+    Each order is unranked from its index in the factorial number system, so
+    only these rankings are built, never the n! table; an index of n! or more
+    raises IndexError."""
+    columns = []
+    for index in indices:
+        alts = list(range(1, n + 1))
+        order = []
+        for k in range(n - 1, -1, -1):
+            digit, index = divmod(index, math.factorial(k))
+            order.append(alts.pop(digit))
+        columns.append(Ranking(tuple(order)))
+    return Profile(tuple(columns))
 
 
 # --- find_witness ----------------------------------------------------------
@@ -476,11 +549,15 @@ def _find_exhaustive(
     cut = strategy.neutral_cut
     space = neutral_count(h, n) if cut else anonymous_count(h, n)
     note = "neutrality cut over multisets containing the identity ranking" if cut else ""
-    if space > budget:
+    refusal = table_refusal(n)
+    if space > budget or refusal:
         return SearchResult(
             h=h, n=n, j=j, rule=rule, method="exhaustive",
             outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
-            note=f"space holds {space} representatives, over budget {budget}",
+            note=(
+                f"space holds {space} representatives, over budget {budget}"
+                if space > budget else refusal
+            ),
         )
     report = scan_minimax(
         h, n, want=(j,), stop_early=True, workers=workers, neutral_cut=cut, rule=rule

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  The full-space certification of (5, 5) for type 1
-takes around a quarter of an hour on one core and only runs when the
+takes about two and a half minutes on one core and only runs when the
 environment variable VOTEBIAS_LONG_RUN is set.
 """
 
@@ -150,7 +150,7 @@ def test_criterion_2_immunity_certificates(kernel_scans):
 
 @pytest.mark.skipif(
     not os.environ.get("VOTEBIAS_LONG_RUN"),
-    reason="full (5,5) certification takes ~15 minutes per core; "
+    reason="full (5,5) certification takes ~2.5 minutes per core; "
     "set VOTEBIAS_LONG_RUN=1 to include it",
 )
 def test_criterion_2_long_run_5_5():

@@ -254,6 +254,25 @@ class TestVerify:
         assert cell["outcome"] == "inconclusive"
         assert "over budget 1000" in cell["note"]
 
+    def test_n_past_the_table_limit_leaves_the_exhaustive_route(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"ranking table built for n={n}")
+
+        monkeypatch.setattr(votebias.search, "_pair_tables", refuse)
+        # neutral_count(2, 10) = 3,628,800 fits the default budget; the 10! table does not.
+        code, out, _ = run(
+            capsys, "verify", "--h", "2", "--n", "10", "--j", "3",
+            "--strategy", "exhaustive", "--json",
+        )
+        assert code == 3
+        cell = json.loads(out)["cells"][0]
+        assert (cell["outcome"], cell["examined"]) == ("inconclusive", 0)
+        assert cell["note"] == "ranking table holds 3628800 rankings, over the limit of 362880"
+        code, out, _ = run(capsys, "verify", "--h", "2", "--n", "10", "--j", "3", "--json")
+        assert code == 0
+        cell = json.loads(out)["cells"][0]
+        assert (cell["method"], cell["outcome"]) == ("constructive", "witness-found")
+
     def test_constructive_strategy(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--h", "8", "--n", "5", "--j", "1",
@@ -282,18 +301,17 @@ class TestVerify:
         assert first == second
 
     def test_matches_the_frozen_grid_reference(self, capsys, monkeypatch):
-        # The benchmark's reference rows: plain scans, the cut at (2,7), constructive cells.
+        # Every reference row, i.e. the default grid: plain and cut scans, constructive cells.
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
         spec.loader.exec_module(workloads)
         table = json.loads(workloads.GRID_REFERENCE.read_text())
-        for hs, ns in (((2, 3, 4), (2, 3, 4)), ((2,), (7,)), ((3,), (7, 8)), ((4,), (6, 7, 8))):
-            h_arg, n_arg = ",".join(map(str, hs)), ",".join(map(str, ns))
-            code, out, _ = run(capsys, "verify", "--h", h_arg, "--n", n_arg, "--j", "2,3", "--json")
-            assert code == 0
-            got = [[c.get(k) for k in workloads.GRID_FIELDS] for c in json.loads(out)["cells"]]
-            assert got == [row for row in table if row[0] in hs and row[1] in ns]
+        code, out, _ = run(capsys, "verify", "--j", "2,3", "--json")
+        assert code == 0
+        got = [[c.get(k) for k in workloads.GRID_FIELDS] for c in json.loads(out)["cells"]]
+        assert len(got) == 154
+        assert got == table
 
     def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)

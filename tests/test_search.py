@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,14 +12,18 @@ from hypothesis import strategies as st
 from votebias import (
     BudgetExceededError,
     CertificationError,
+    Profile,
     SearchStrategy,
     all_rankings,
     anonymous_count,
     audit_profile,
     certify_witness,
+    condorcet_loser,
+    condorcet_winner,
     enumerate_anonymous,
     find_witness,
     fixture_profile,
+    minimax_direct,
     neutral_count,
     parse_profile,
     profile_from_indices,
@@ -29,6 +34,7 @@ from votebias import (
     serialize_profile,
 )
 from votebias import search
+from votebias.rules import upper_tally
 from votebias.search import OUTCOME_IMMUNE, OUTCOME_INCONCLUSIVE, OUTCOME_WITNESS
 
 
@@ -189,14 +195,17 @@ class TestCertifyWitness:
         assert d["selection_pr"] == [1, 3, 4]
 
 
-def brute_counts(h: int, n: int) -> tuple[dict, dict]:
-    """Independent bias counts and first-hit indices via the plain audit path."""
+def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, tuple[int, int], int]:
+    """Independent bias counts, first-hit indices, Condorcet counters and the
+    number of distinct tallies, via the plain audit path."""
     counts = {1: 0, 2: 0, 3: 0}
     firsts: dict[int, tuple[int, ...] | None] = {1: None, 2: None, 3: None}
+    condorcet = [0, 0]
+    tallies = set()
     order = {q.order: i for i, q in enumerate(all_rankings(n))}
 
     def visit(p):
-        r = audit_profile(p, rules=("minimax",))[0]
+        r = audit_profile(p, rules=(rule,))[0]
         flags = (r.type1, r.type2, r.type3)
         idx = tuple(order[q.order] for q in p.columns)
         for j in (1, 2, 3):
@@ -204,20 +213,60 @@ def brute_counts(h: int, n: int) -> tuple[dict, dict]:
                 counts[j] += 1
                 if firsts[j] is None:
                     firsts[j] = idx
+        if rule == "minimax":
+            winner, loser, selected = condorcet_winner(p), condorcet_loser(p), minimax_direct(p)
+            condorcet[0] += winner is not None and selected != {winner}
+            condorcet[1] += loser is not None and loser in selected
+        tallies.add(tuple(upper_tally(p)))
 
     enumerate_anonymous(h, n, visit)
-    return counts, firsts
+    return counts, firsts, tuple(condorcet), len(tallies)
 
 
 class TestScanKernel:
-    @pytest.mark.parametrize("h, n", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)])
-    def test_counts_and_firsts_match_plain_audit(self, h, n):
-        expected_counts, expected_firsts = brute_counts(h, n)
-        report = scan_minimax(h, n, want=(1, 2, 3), track_condorcet=True)
-        assert report.examined == anonymous_count(h, n)
+    @pytest.mark.parametrize(
+        "h, n, rule",
+        [
+            pytest.param(h, n, rule, id=f"{h}-{n}" if rule == "minimax" else f"{h}-{n}-{rule}")
+            for rule in ("minimax", "borda", "copeland")
+            for h, n in [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]
+        ],
+    )
+    def test_counts_and_firsts_match_plain_audit(self, h, n, rule):
+        expected_counts, expected_firsts, condorcet, distinct = brute_counts(h, n, rule)
+        report = scan_minimax(h, n, want=(1, 2, 3), track_condorcet=True, rule=rule)
+        # Leaves share tallies here, so most of them are answered by the verdict cache.
+        assert distinct < report.examined == anonymous_count(h, n)
         assert report.counts == expected_counts
         assert report.firsts == expected_firsts
         assert report.kramer_mismatches == 0
+        assert (
+            report.condorcet_principle_violations,
+            report.condorcet_loser_selections,
+        ) == condorcet
+
+    def test_a_mismatch_counts_every_leaf_of_its_tally(self, monkeypatch):
+        h, n = 4, 3
+        leaves = Counter()
+        enumerate_anonymous(h, n, lambda p: leaves.update([tuple(upper_tally(p))]))
+        real = search.minimax_defeats
+        split = [u for u in leaves if len(set(real(u, h, n)[0])) > 1]
+        target = max(split, key=leaves.__getitem__)
+        assert leaves[target] > 1
+
+        def skewed(u, h, n):
+            wd, wdr, mu_p, mu_pr = real(u, h, n)
+            if tuple(u) == target:
+                mu_p = h + 1  # the threshold route selects everyone, the argmin does not
+            return wd, wdr, mu_p, mu_pr
+
+        monkeypatch.setattr(search, "minimax_defeats", skewed)
+        assert scan_minimax(h, n).kramer_mismatches == leaves[target]
+
+    def test_a_full_verdict_cache_starts_afresh(self, monkeypatch):
+        plain = scan_minimax(4, 4, track_condorcet=True)
+        monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 3)
+        assert scan_minimax(4, 4, track_condorcet=True) == plain
 
     def test_stop_early_agrees_on_the_first_hit(self):
         full = scan_minimax(4, 3, want=(3,))
@@ -273,6 +322,47 @@ class TestScanKernel:
         p = profile_from_indices(3, idx)
         rankings = all_rankings(3)
         assert p.columns == tuple(rankings[i] for i in idx)
+        for n in (2, 3, 4, 5):
+            every = tuple(range(len(all_rankings(n))))
+            assert profile_from_indices(n, every).columns == all_rankings(n)
+        with pytest.raises(IndexError):
+            profile_from_indices(3, (6,))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pair_tables_are_one_voter_tallies(self, n):
+        # A profile needs two voters; two copies of q tally twice its vector.
+        expected = [upper_tally(Profile((q, q))) for q in all_rankings(n)]
+        assert [[2 * a for a in vec] for vec in search._pair_tables(n)] == expected
+
+    def test_n_past_the_table_limit_never_builds_it(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"ranking table built for n={n}")
+
+        monkeypatch.setattr(search, "_pair_tables", refuse)
+        note = "ranking table holds 3628800 rankings, over the limit of 362880"
+        with pytest.raises(ValueError, match=note):
+            scan_minimax(2, 10, neutral_cut=True)
+        # neutral_count(2, 10) = 3,628,800 fits the default budget; the table does not.
+        res = find_witness(2, 10, 1, strategy=SearchStrategy(neutral_cut=True))
+        assert res.outcome == OUTCOME_INCONCLUSIVE
+        assert res.examined == 0
+        assert res.note == note
+
+
+@given(st.integers(2, 6), st.integers(2, 60), st.data())
+def test_packing_is_injective_and_carry_free(n, h, data):
+    vecs, packed = search._pair_tables(n), search._packed_rows(n, h)
+    rows = data.draw(st.lists(st.integers(0, len(vecs) - 1), max_size=h))
+    u = [sum(vecs[r][k] for r in rows) for k in range(n * (n - 1) // 2)]
+    key = sum(packed[r] for r in rows)
+    # The sum of the packed rows is the packed sum: no digit carried.
+    assert key == sum(a * (h + 1) ** k for k, a in enumerate(u))
+    # Its base-(h + 1) digits give u back, so distinct tallies get distinct keys.
+    digits = []
+    for _ in u:
+        key, digit = divmod(key, h + 1)
+        digits.append(digit)
+    assert (digits, key) == (u, 0)
 
 
 class TestFindWitness:
