@@ -68,7 +68,6 @@ from .search import (
     profile_from_indices,
     resolve_workers,
     sample_profile,
-    sample_profiles,
     scan_minimax,
 )
 
@@ -130,7 +129,6 @@ __all__ = [
     "property_violations",
     "resolve_workers",
     "sample_profile",
-    "sample_profiles",
     "scan_minimax",
     "serialize_profile",
     "smallest_cycle_length",

@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -43,21 +44,21 @@ from .search import (
     OUTCOME_IMMUNE,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_WITNESS,
+    SearchResult,
     SearchStrategy,
     all_rankings,
-    anonymous_count,
-    certify_witness,
     find_witness,
-    neutral_count,
-    profile_from_indices,
     resolve_workers,
     sample_profile,
-    scan_minimax,
-    table_refusal,
+    search_exhaustive,
 )
 
 LONG_RUN_BUDGET = 300_000_000
 MAX_RANGE_VALUES = 10_000
+# verify and compare print space sizes such as C(n! + h - 1, h) and n!^h; at
+# (200, 20) they have at most 3,678 digits, inside Python's 4,300-digit
+# int-to-str limit, and no witness recipe builds more than 200 voters.
+MAX_H, MAX_N = 200, 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +99,7 @@ def _read_profile(path: str) -> Profile:
         raise _CliError(f"{path}: {exc}") from None
 
 
-def _parse_values(spec: str, name: str, minimum: int) -> list[int]:
+def _parse_values(spec: str, name: str, minimum: int, maximum: int | None = None) -> list[int]:
     """Parse 'A..B', 'A,B,C' or a mix; values are validated and deduplicated."""
     values: list[int] = []
     for token in spec.split(","):
@@ -125,6 +126,8 @@ def _parse_values(spec: str, name: str, minimum: int) -> list[int]:
     out = sorted(set(values))
     if not out or out[0] < minimum:
         raise _CliError(f"{name} values must be >= {minimum}, got {spec!r}")
+    if maximum is not None and out[-1] > maximum:
+        raise _CliError(f"{name} values must be <= {maximum}, got {spec!r}")
     return out
 
 
@@ -261,53 +264,43 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 @dataclass
 class VerificationCell:
-    """One (h, n, j) cell checked against the expected immunity classification."""
+    """One (h, n, j) search result checked against the expected immunity classification."""
 
-    h: int
-    n: int
-    j: int
+    result: SearchResult
     expected: bool
-    method: str
-    outcome: str
-    examined: int
     elapsed: float
-    space: int
-    hits: int | None = None
-    seed: int | None = None
-    note: str = ""
-    witness: dict | None = None
-    mismatches: int = 0  # dual-route minimax disagreements; any one contradicts
 
     @property
     def consistent(self) -> bool | None:
-        if self.mismatches:
+        if self.result.mismatches:  # dual-route minimax disagreements; any one contradicts
             return False
-        if self.outcome == OUTCOME_WITNESS:
+        if self.result.outcome == OUTCOME_WITNESS:
             return not self.expected
-        if self.outcome == OUTCOME_IMMUNE:
+        if self.result.outcome == OUTCOME_IMMUNE:
             return self.expected
         return None
 
     def to_json_dict(self) -> dict:
+        r = self.result
         record = {
-            "h": self.h,
-            "n": self.n,
-            "j": self.j,
+            "h": r.h,
+            "n": r.n,
+            "j": r.j,
             "expected_immune": self.expected,
-            "method": self.method,
-            "outcome": self.outcome,
-            "examined": self.examined,
-            "space": self.space,
+            "method": r.method,
+            "outcome": r.outcome,
+            "examined": r.examined,
+            "space": r.space,
             "consistent": self.consistent,
         }
-        if self.hits is not None:
-            record["hits"] = self.hits
-        if self.seed is not None:
-            record["seed"] = self.seed
-        if self.note:
-            record["note"] = self.note
-        if self.witness is not None:
-            record["witness"] = self.witness
+        if r.hits is not None:
+            record["hits"] = r.hits
+        if r.seed is not None:
+            record["seed"] = r.seed
+        if r.note:
+            record["note"] = r.note
+        if r.witness is not None:
+            record["witness"] = r.witness.to_json_dict()
         return record
 
 
@@ -317,99 +310,45 @@ def _verify_group(
     js: list[int],
     strategy: str,
     ex_budget: int,
-    sample_budget: int,
+    sample_budget: int | None,
     seed: int,
     workers: int,
 ) -> list[VerificationCell]:
-    """Verify all requested bias types at one (h, n), sharing exhaustive scans.
+    """Verify all requested bias types at one (h, n).
 
-    Exhaustive scans here never stop early, so examined counts and hit
-    totals do not depend on the worker count.
+    The auto and exhaustive strategies run search_exhaustive, one complete
+    scan for all of js, so examined counts and hit totals do not depend on
+    the worker count.  Only auto falls back, per type, to a constructive or
+    sampled search, and only when the exhaustive search was inconclusive.
     """
-    space = anonymous_count(h, n)
-    cut_space = neutral_count(h, n)
-    refusal = table_refusal(n)
-    plain_ok = space <= ex_budget and not refusal
-    cut_ok = cut_space <= ex_budget and not refusal
-    cells: list[VerificationCell] = []
-    if strategy in ("auto", "exhaustive") and (plain_ok or cut_ok):
-        use_cut = not plain_ok
-        started = time.perf_counter()
-        report = scan_minimax(
-            h, n, want=tuple(js), stop_early=False, workers=workers,
-            neutral_cut=use_cut,
-        )
-        elapsed = time.perf_counter() - started
-        notes = [f"neutrality cut: {cut_space} representatives cover the space"] if use_cut else []
-        if report.kramer_mismatches:
-            notes.append(
-                f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
-            )
-        note = "; ".join(notes)
-        for j in js:
-            witness = None
-            if report.firsts[j] is not None:
-                profile = profile_from_indices(n, report.firsts[j])
-                witness = certify_witness(profile, j, "minimax", method="exhaustive")
-            cells.append(
-                VerificationCell(
-                    h=h, n=n, j=j, expected=in_table(j, h, n), method="exhaustive",
-                    outcome=OUTCOME_WITNESS if witness else OUTCOME_IMMUNE,
-                    examined=report.examined, elapsed=elapsed, space=space,
-                    hits=report.counts[j], note=note,
-                    witness=witness.to_json_dict() if witness else None,
-                    mismatches=report.kramer_mismatches,
-                )
-            )
-        return cells
+    started = time.perf_counter()
+    if strategy in ("auto", "exhaustive"):
+        results = search_exhaustive(h, n, tuple(js), "minimax", ex_budget, workers)
+        if strategy == "exhaustive" or results[0].outcome != OUTCOME_INCONCLUSIVE:
+            elapsed = time.perf_counter() - started
+            return [VerificationCell(r, in_table(r.j, h, n), elapsed) for r in results]
+    cells = []
     for j in js:
         expected = in_table(j, h, n)
         started = time.perf_counter()
-        if strategy == "exhaustive":
-            cells.append(
-                VerificationCell(
-                    h=h, n=n, j=j, expected=expected, method="exhaustive",
-                    outcome=OUTCOME_INCONCLUSIVE, examined=0,
-                    elapsed=time.perf_counter() - started, space=space,
-                    note=(
-                        f"space holds {space} representatives "
-                        f"({cut_space} under the neutrality cut), over budget {ex_budget}"
-                        if cut_space > ex_budget else refusal
-                    ),
-                )
-            )
-            continue
         if strategy == "constructive" or (
             strategy == "auto" and not expected and has_constructive_witness(h, n, j)
         ):
-            result = find_witness(h, n, j, "minimax", SearchStrategy("constructive"))
+            mode = SearchStrategy("constructive")
         else:
-            result = find_witness(
-                h, n, j, "minimax",
-                SearchStrategy("sampled", budget=sample_budget, seed=seed),
-            )
-        cells.append(
-            VerificationCell(
-                h=h, n=n, j=j, expected=expected, method=result.method,
-                outcome=result.outcome, examined=result.examined,
-                elapsed=time.perf_counter() - started, space=space,
-                seed=result.seed, note=result.note,
-                witness=result.witness.to_json_dict() if result.witness else None,
-            )
-        )
+            mode = SearchStrategy("sampled", budget=sample_budget, seed=seed)
+        result = find_witness(h, n, j, "minimax", mode)
+        cells.append(VerificationCell(result, expected, time.perf_counter() - started))
     return cells
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    h_values = _parse_values(args.h, "h", 2)
-    n_values = _parse_values(args.n, "n", 2)
-    j_values = _parse_values(args.j, "j", 1)
-    if any(j > 3 for j in j_values):
-        raise _CliError("bias types are 1, 2 and 3")
+    h_values = _parse_values(args.h, "h", 2, MAX_H)
+    n_values = _parse_values(args.n, "n", 2, MAX_N)
+    j_values = _parse_values(args.j, "j", 1, 3)
     ex_budget = args.budget if args.budget is not None else (
         LONG_RUN_BUDGET if args.long_run else DEFAULT_EXHAUSTIVE_BUDGET
     )
-    sample_budget = args.budget if args.budget is not None else DEFAULT_SAMPLE_BUDGET
     try:
         workers = resolve_workers(None)
     except ValueError as exc:
@@ -419,11 +358,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for n in n_values:
             cells.extend(
                 _verify_group(
-                    h, n, j_values, args.strategy, ex_budget, sample_budget,
+                    h, n, j_values, args.strategy, ex_budget, args.budget,
                     args.seed, workers,
                 )
             )
-    cells.sort(key=lambda c: (c.h, c.n, c.j))
     contradicted = sum(1 for c in cells if c.consistent is False)
     inconclusive = sum(1 for c in cells if c.consistent is None)
     consistent = len(cells) - contradicted - inconclusive
@@ -442,29 +380,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit_json({"cells": [c.to_json_dict() for c in cells], "summary": summary})
         return code
     if args.csv:
+        header = ["h", "n", "j", "expected_immune", "method", "outcome", "examined",
+                  "space", "hits", "consistent"]
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["h", "n", "j", "expected_immune", "method", "outcome", "examined",
-             "space", "hits", "consistent"]
-        )
+        writer.writerow(header)
         for c in cells:
-            writer.writerow(
-                [c.h, c.n, c.j, c.expected, c.method, c.outcome, c.examined,
-                 c.space, "" if c.hits is None else c.hits,
-                 "" if c.consistent is None else c.consistent]
-            )
+            record = c.to_json_dict()  # a missing hits and a None verdict write as ""
+            writer.writerow([record.get(k) for k in header])
         return code
     print(f"{'h':>3} {'n':>3} {'j':>2} {'expected':<9} {'method':<12} "
           f"{'outcome':<17} {'examined':>10} {'elapsed':>9} verdict")
     for c in cells:
+        r = c.result
         verdict = {True: "ok", False: "CONTRADICTION", None: "inconclusive"}[c.consistent]
         expected = "immune" if c.expected else "biased"
         print(
-            f"{c.h:>3} {c.n:>3} {c.j:>2} {expected:<9} {c.method:<12} "
-            f"{c.outcome:<17} {c.examined:>10} {c.elapsed:>8.2f}s {verdict}"
+            f"{r.h:>3} {r.n:>3} {r.j:>2} {expected:<9} {r.method:<12} "
+            f"{r.outcome:<17} {r.examined:>10} {c.elapsed:>8.2f}s {verdict}"
         )
-        if c.note:
-            print(f"          note: {c.note}")
+        if r.note:
+            print(f"          note: {r.note}")
     print(
         f"cells: {summary['cells']}  consistent: {consistent}  "
         f"contradicted: {contradicted}  inconclusive: {inconclusive}"
@@ -482,8 +417,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"bad pair {args.pair!r}; expected two distinct rules like minimax-borda"
         )
     h, n = args.h, args.n
-    if h < 2 or n < 2:
-        raise _CliError("need h >= 2 and n >= 2")
+    if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
+        raise _CliError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}")
     space = math.factorial(n) ** h
     budget = args.budget if args.budget is not None else DEFAULT_EXHAUSTIVE_BUDGET
     method = args.strategy
@@ -727,10 +662,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except _CliError as exc:
         print(f"votebias: error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  As the signal module
+        # docs advise, point stdout at devnull so that the final flush at exit
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -22,12 +22,8 @@ class Fixture:
     expected: dict = field(default_factory=dict)
 
 
-def _grid(text: str) -> Profile:
-    return parse_profile(text)
-
-
 def _intro_6_4() -> Fixture:
-    p = _grid(
+    p = parse_profile(
         "1 1 1 2 3 4\n"
         "2 3 4 3 4 2\n"
         "3 4 2 4 2 3\n"
@@ -47,7 +43,7 @@ def _intro_6_4() -> Fixture:
 
 
 def _tm2_5_4() -> Fixture:
-    p = _grid(
+    p = parse_profile(
         "1 1 1 2 3\n"
         "2 3 4 3 4\n"
         "3 4 2 4 2\n"
@@ -68,7 +64,7 @@ def _tm2_5_4() -> Fixture:
 
 
 def _tm2_5_5() -> Fixture:
-    p = _grid(
+    p = parse_profile(
         "1 1 1 5 2\n"
         "2 3 4 2 3\n"
         "3 4 5 3 4\n"
@@ -93,7 +89,7 @@ def _tm2_7_4() -> Fixture:
     # Voter 4 swaps the two middle alternatives; with a plain duplicate of
     # voter 1 there, alternative 2 would lose its level-5 victory slack and
     # the reversal would keep only two survivors instead of three.
-    p = _grid(
+    p = parse_profile(
         "1 1 1 1 3 4 2\n"
         "2 3 4 3 4 2 3\n"
         "3 4 2 2 2 3 4\n"
@@ -114,7 +110,7 @@ def _tm2_7_4() -> Fixture:
 
 
 def _tm3_4_4() -> Fixture:
-    p = _grid(
+    p = parse_profile(
         "1 1 4 4\n"
         "2 2 2 2\n"
         "3 3 3 3\n"
@@ -135,7 +131,7 @@ def _tm3_4_4() -> Fixture:
 
 
 def _confronto1_3_3() -> Fixture:
-    p = _grid(
+    p = parse_profile(
         "1 1 2\n"
         "2 2 3\n"
         "3 3 1"

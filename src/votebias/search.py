@@ -8,9 +8,10 @@ containing the identity ranking need to be visited.  The cut is never used
 for counting.
 
 Exhaustive scans for every rule go through one entry, ``scan_minimax``,
-which checks its visit count against the closed form.  Its kernel keeps a
-running upper-triangle tally while walking the multiset tree and evaluates
-each leaf through the tally-level core in ``rules``.
+which checks its visit count against the closed form; ``search_exhaustive``
+alone decides which scan a cell gets, for ``find_witness`` and ``verify``.
+The kernel keeps a running upper-triangle tally while walking the multiset
+tree and evaluates each leaf through the tally-level core in ``rules``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, lt
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bias import audit_profile, bias_flags
 from .graphs import profile_threshold
@@ -57,15 +58,12 @@ class SearchStrategy:
     """How find_witness is allowed to spend effort.
 
     budget bounds the representatives examined (exhaustive) or samples drawn
-    (sampled).  neutral_cut additionally restricts exhaustive enumeration to
-    multisets containing the identity ranking; sound for existence/absence
-    because the rules are neutral, never used for counting.
+    (sampled).
     """
 
     mode: str = "exhaustive"
     budget: int | None = None
     seed: int = DEFAULT_SEED
-    neutral_cut: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "sampled", "constructive"):
@@ -154,7 +152,13 @@ def certify_witness(
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of find_witness: three-valued, never a silent None."""
+    """Outcome of one search for one bias type: three-valued, never a silent None.
+
+    space is anonymous_count(h, n) in every mode, also under the neutrality
+    cut.  hits is the exact number of biased representatives, set only by an
+    exhaustive scan that did not stop early; mismatches counts the profiles on
+    which the two minimax routes disagreed during an exhaustive scan.
+    """
 
     h: int
     n: int
@@ -163,10 +167,12 @@ class SearchResult:
     method: str
     outcome: str
     examined: int
-    space: int | None = None
+    space: int
     witness: Witness | None = None
     seed: int | None = None
     note: str = ""
+    hits: int | None = None
+    mismatches: int = 0
 
 
 @lru_cache(maxsize=None)
@@ -219,11 +225,6 @@ def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
     rng = random.Random(f"{seed}:{index}")
     alts = list(range(1, n + 1))
     return Profile(tuple(Ranking(tuple(rng.sample(alts, n))) for _ in range(h)))
-
-
-def sample_profiles(h: int, n: int, seed: int, count: int) -> Iterator[Profile]:
-    for index in range(count):
-        yield sample_profile(h, n, seed, index)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -513,7 +514,64 @@ def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
     return Profile(tuple(columns))
 
 
-# --- find_witness ----------------------------------------------------------
+# --- witness search ----------------------------------------------------------
+
+
+def search_exhaustive(
+    h: int,
+    n: int,
+    js: tuple[int, ...],
+    rule: str = "minimax",
+    budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
+    workers: int | None = None,
+    stop_early: bool = False,
+) -> list[SearchResult]:
+    """Exhaustive search for each bias type in js at (h, n): the one cell search.
+
+    The scan is plain when anonymous_count fits the budget and under the
+    neutrality cut when only neutral_count does; otherwise, or when the ranking
+    table is refused, every result is inconclusive with examined=0.  One
+    scan_minimax serves all of js and each first hit is re-certified.  Without
+    stop_early the scan is complete, so hits are exact counts and examined does
+    not depend on the worker count; with it hits is None.  A dual-route
+    mismatch is counted in mismatches and named in the note, never raised here.
+    """
+    space = anonymous_count(h, n)
+    cut_space = neutral_count(h, n)
+    refusal = table_refusal(n)
+
+    def result(j: int, **fields) -> SearchResult:
+        return SearchResult(h=h, n=n, j=j, rule=rule, method="exhaustive", space=space, **fields)
+
+    if refusal or cut_space > budget:
+        note = (
+            f"space holds {space} representatives "
+            f"({cut_space} under the neutrality cut), over budget {budget}"
+            if cut_space > budget else refusal
+        )
+        return [result(j, outcome=OUTCOME_INCONCLUSIVE, examined=0, note=note) for j in js]
+    cut = space > budget
+    report = scan_minimax(
+        h, n, want=js, stop_early=stop_early, workers=workers, neutral_cut=cut, rule=rule
+    )
+    notes = [f"neutrality cut: {cut_space} representatives cover the space"] if cut else []
+    if report.kramer_mismatches:
+        notes.append(
+            f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
+        )
+    results = []
+    for j in js:
+        witness = None
+        if report.firsts[j] is not None:
+            profile = profile_from_indices(n, report.firsts[j])
+            witness = certify_witness(profile, j, rule, method="exhaustive")
+        results.append(result(
+            j, outcome=OUTCOME_WITNESS if witness else OUTCOME_IMMUNE,
+            examined=report.examined, witness=witness, note="; ".join(notes),
+            hits=None if stop_early else report.counts[j],
+            mismatches=report.kramer_mismatches,
+        ))
+    return results
 
 
 def find_witness(
@@ -526,9 +584,11 @@ def find_witness(
 ) -> SearchResult:
     """Search for a type-j reversal-bias witness for a rule at (h, n).
 
-    Exhaustive mode certifies immunity when the whole representative space
-    is swept without a hit; a space larger than the budget yields an
-    inconclusive result, never a silent truncation.
+    Exhaustive mode is search_exhaustive for j alone, stopping at the first
+    hit: it certifies immunity when the whole space (or the neutrality cut)
+    is swept without a hit, yields an inconclusive result for a space larger
+    than the budget, never a silent truncation, and raises RuntimeError when
+    the two minimax routes disagreed.
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
@@ -536,49 +596,22 @@ def find_witness(
         raise ValueError(f"unknown rule {rule!r}; choose from {sorted(RULES)}")
     strategy = strategy or SearchStrategy()
     if strategy.mode == "exhaustive":
-        return _find_exhaustive(h, n, j, rule, strategy, workers)
+        (result,) = search_exhaustive(
+            h, n, (j,), rule, strategy.effective_budget, workers, stop_early=True
+        )
+        if result.mismatches:
+            raise RuntimeError(
+                f"direct and threshold minimax disagree on {result.mismatches} profiles"
+            )
+        return result
     if strategy.mode == "sampled":
         return _find_sampled(h, n, j, rule, strategy)
     return _find_constructive(h, n, j, rule)
 
 
-def _find_exhaustive(
-    h: int, n: int, j: int, rule: str, strategy: SearchStrategy, workers: int | None
-) -> SearchResult:
-    budget = strategy.effective_budget
-    cut = strategy.neutral_cut
-    space = neutral_count(h, n) if cut else anonymous_count(h, n)
-    note = "neutrality cut over multisets containing the identity ranking" if cut else ""
-    refusal = table_refusal(n)
-    if space > budget or refusal:
-        return SearchResult(
-            h=h, n=n, j=j, rule=rule, method="exhaustive",
-            outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
-            note=(
-                f"space holds {space} representatives, over budget {budget}"
-                if space > budget else refusal
-            ),
-        )
-    report = scan_minimax(
-        h, n, want=(j,), stop_early=True, workers=workers, neutral_cut=cut, rule=rule
-    )
-    if report.kramer_mismatches:
-        raise RuntimeError(
-            f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
-        )
-    witness = None
-    if report.firsts[j] is not None:
-        profile = profile_from_indices(n, report.firsts[j])
-        witness = certify_witness(profile, j, rule, method="exhaustive")
-    return SearchResult(
-        h=h, n=n, j=j, rule=rule, method="exhaustive",
-        outcome=OUTCOME_WITNESS if witness else OUTCOME_IMMUNE,
-        examined=report.examined, space=space, witness=witness, note=note,
-    )
-
-
 def _find_sampled(h: int, n: int, j: int, rule: str, strategy: SearchStrategy) -> SearchResult:
     budget = strategy.effective_budget
+    space = anonymous_count(h, n)
     for index in range(budget):
         profile = sample_profile(h, n, strategy.seed, index)
         report = audit_profile(profile, rules=(rule,))[0]
@@ -588,12 +621,12 @@ def _find_sampled(h: int, n: int, j: int, rule: str, strategy: SearchStrategy) -
             )
             return SearchResult(
                 h=h, n=n, j=j, rule=rule, method="sampled",
-                outcome=OUTCOME_WITNESS, examined=index + 1, witness=witness,
-                seed=strategy.seed,
+                outcome=OUTCOME_WITNESS, examined=index + 1, space=space,
+                witness=witness, seed=strategy.seed,
             )
     return SearchResult(
         h=h, n=n, j=j, rule=rule, method="sampled",
-        outcome=OUTCOME_INCONCLUSIVE, examined=budget, seed=strategy.seed,
+        outcome=OUTCOME_INCONCLUSIVE, examined=budget, space=space, seed=strategy.seed,
         note=f"no witness in {budget} samples; sampling cannot certify immunity",
     )
 
@@ -601,20 +634,21 @@ def _find_sampled(h: int, n: int, j: int, rule: str, strategy: SearchStrategy) -
 def _find_constructive(h: int, n: int, j: int, rule: str) -> SearchResult:
     from .construct import constructive_witness  # deferred: construct imports Witness
 
+    space = anonymous_count(h, n)
     if rule != "minimax":
         return SearchResult(
             h=h, n=n, j=j, rule=rule, method="constructive",
-            outcome=OUTCOME_INCONCLUSIVE, examined=0,
+            outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
             note=f"no constructive recipe for rule {rule!r}",
         )
     witness = constructive_witness(h, n, j)
     if witness is None:
         return SearchResult(
             h=h, n=n, j=j, rule=rule, method="constructive",
-            outcome=OUTCOME_INCONCLUSIVE, examined=0,
+            outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
             note="no constructive recipe applies at this (h, n)",
         )
     return SearchResult(
         h=h, n=n, j=j, rule=rule, method="constructive",
-        outcome=OUTCOME_WITNESS, examined=1, witness=witness,
+        outcome=OUTCOME_WITNESS, examined=1, space=space, witness=witness,
     )

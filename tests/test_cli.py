@@ -6,7 +6,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,9 @@ from votebias import (
     condorcet_loser,
     condorcet_winner,
     copeland,
+    SearchStrategy,
     export_dot,
+    find_witness,
     fixture_profile,
     majority_graph,
     minimax_direct,
@@ -30,7 +34,8 @@ from votebias.cli import main
 
 from conftest import profiles
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -323,7 +328,7 @@ class TestVerify:
         assert sequential == parallel
 
     def test_dual_route_mismatch_contradicts_the_cell(self, capsys, monkeypatch):
-        scan = votebias.cli.scan_minimax
+        scan = votebias.search.scan_minimax
 
         def one_mismatch(*args, **kwargs):
             report = scan(*args, **kwargs)
@@ -332,7 +337,7 @@ class TestVerify:
 
         args = ("verify", "--h", "2", "--n", "3", "--j", "3", "--json")
         _, clean, _ = run(capsys, *args)
-        monkeypatch.setattr(votebias.cli, "scan_minimax", one_mismatch)
+        monkeypatch.setattr(votebias.search, "scan_minimax", one_mismatch)
         code, out, _ = run(capsys, *args)
         assert code == 2
         payload = json.loads(out)
@@ -355,6 +360,35 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--h", "2..10002")
         assert code == 1 and out == ""
         assert "holds 10001 values, over the limit of 10000" in err
+
+    @pytest.mark.parametrize(
+        "h, n, budget",
+        [
+            (3, 3, 56),  # plain scan: the whole space fits
+            (4, 3, 126),  # plain scan with witnesses
+            (3, 4, 300),  # only the neutrality cut fits
+            (5, 5, 1000),  # over budget even under the cut
+            (2, 10, 5_000_000),  # the cut fits, the ranking table is refused
+        ],
+    )
+    def test_matches_find_witness_cell_by_cell(self, capsys, monkeypatch, h, n, budget):
+        def refuse(n):
+            raise AssertionError(f"ranking table built for n={n}")
+
+        if n == 10:
+            monkeypatch.setattr(votebias.search, "_pair_tables", refuse)
+        _, out, _ = run(
+            capsys, "verify", "--h", str(h), "--n", str(n), "--strategy", "exhaustive",
+            "--budget", str(budget), "--json",
+        )
+        for cell in json.loads(out)["cells"]:
+            res = find_witness(h, n, cell["j"], strategy=SearchStrategy(budget=budget))
+            assert (cell["outcome"], cell["space"], cell.get("note", "")) == (
+                res.outcome, res.space, res.note
+            )
+            assert cell.get("witness") == (res.witness and res.witness.to_json_dict())
+            if res.outcome == "certified-immune":
+                assert cell["examined"] == res.examined
 
     def test_bad_worker_count_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("VOTEBIAS_WORKERS", "many")
@@ -512,3 +546,42 @@ class TestUsageErrors:
                 main(argv)
             assert info.value.code == 1
             capsys.readouterr()
+
+    def test_h_and_n_are_bounded(self, capsys):
+        pair = ("compare", "--pair", "minimax-borda")
+        for argv, bound in (
+            (("verify", "--h", "201", "--n", "3"), "h values must be <= 200"),
+            (("verify", "--h", "2", "--n", "21"), "n values must be <= 20"),
+            ((*pair, "--h", "201", "--n", "3"), "need 2 <= h <= 200 and 2 <= n <= 20"),
+            ((*pair, "--h", "3", "--n", "21"), "need 2 <= h <= 200 and 2 <= n <= 20"),
+        ):
+            # A budget of 1 keeps the run short should the bound ever let it through.
+            code, out, err = run(capsys, *argv, "--budget", "1")
+            assert code == 1 and out == ""
+            assert bound in err
+        # At the bounds the largest spaces still print.
+        code, out, _ = run(capsys, "verify", "--h", "200", "--n", "20", "--j", "3", "--json")
+        assert code == 0
+        assert len(str(json.loads(out)["cells"][0]["space"])) == 3303
+        code, out, _ = run(
+            capsys, *pair, "--h", "200", "--n", "20", "--strategy", "sampled",
+            "--budget", "1", "--json",
+        )
+        assert code in (0, 3)
+        assert json.loads(out)["space"] == math.factorial(20) ** 200
+
+    def test_closed_pipe_prints_no_traceback(self):
+        # About 320 KB of JSON: more than a pipe buffer, so writes go on after the close.
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), path)))}
+        argv = ["thresholds", "--h", "2..200", "--n", "2..8", "--json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "votebias", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.read(1024).startswith(b"[")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert code == 1

@@ -29,7 +29,6 @@ from votebias import (
     profile_from_indices,
     resolve_workers,
     sample_profile,
-    sample_profiles,
     scan_minimax,
     serialize_profile,
 )
@@ -114,7 +113,7 @@ class TestSampling:
         a = sample_profile(5, 4, seed=7, index=3)
         b = sample_profile(5, 4, seed=7, index=3)
         assert a.columns == b.columns
-        stream = [serialize_profile(p) for p in sample_profiles(5, 4, seed=7, count=5)]
+        stream = [serialize_profile(sample_profile(5, 4, seed=7, index=i)) for i in range(5)]
         assert stream[3] == serialize_profile(a)
         assert len(set(stream)) > 1
 
@@ -343,7 +342,7 @@ class TestScanKernel:
         with pytest.raises(ValueError, match=note):
             scan_minimax(2, 10, neutral_cut=True)
         # neutral_count(2, 10) = 3,628,800 fits the default budget; the table does not.
-        res = find_witness(2, 10, 1, strategy=SearchStrategy(neutral_cut=True))
+        res = find_witness(2, 10, 1)
         assert res.outcome == OUTCOME_INCONCLUSIVE
         assert res.examined == 0
         assert res.note == note
@@ -388,9 +387,11 @@ class TestFindWitness:
         assert "over budget 100" in res.note
 
     def test_exhaustive_with_neutral_cut(self):
-        res = find_witness(3, 4, 2, strategy=SearchStrategy(neutral_cut=True))
+        # A budget that fits only the cut scans under it.
+        res = find_witness(3, 4, 2, strategy=SearchStrategy(budget=neutral_count(3, 4)))
         assert res.outcome == OUTCOME_WITNESS
-        assert res.space == neutral_count(3, 4)
+        assert res.space == anonymous_count(3, 4)
+        assert res.examined <= neutral_count(3, 4)
         assert "neutrality cut" in res.note
 
     def test_sampled_hit_and_miss(self):
