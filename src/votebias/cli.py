@@ -41,6 +41,8 @@ from .search import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_SEED,
+    MAX_H,
+    MAX_N,
     OUTCOME_IMMUNE,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_WITNESS,
@@ -55,10 +57,6 @@ from .search import (
 
 LONG_RUN_BUDGET = 300_000_000
 MAX_RANGE_VALUES = 10_000
-# verify and compare print space sizes such as C(n! + h - 1, h) and n!^h; at
-# (200, 20) they have at most 3,678 digits, inside Python's 4,300-digit
-# int-to-str limit, and no witness recipe builds more than 200 voters.
-MAX_H, MAX_N = 200, 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1

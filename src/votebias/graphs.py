@@ -3,11 +3,18 @@
 For a threshold mu with h/2 < mu <= h, the mu-majority graph has an arc
 x -> y whenever at least mu voters rank x above y.  Because mu exceeds
 half the electorate, two opposite arcs can never coexist.
+
+Graphs and dominant sets are read off the rows of the profile's tally, never
+through the minimax core in ``rules``, so they stay an independent route.  The
+structural analysis holds a graph as one out-neighbour and one in-neighbour
+bitmask per vertex (bit y-1 for alternative y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, compress
 
 from .prefs import Profile
 
@@ -117,18 +124,19 @@ class GraphAnalysis:
         }
 
 
+@lru_cache(maxsize=None)
+def _cells(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (x, y) in 1..n squared, in the row-major order of the tally."""
+    return tuple((x, y) for x in range(1, n + 1) for y in range(1, n + 1))
+
+
 def majority_graph(profile: Profile, mu: int) -> MajorityGraph:
     """The mu-majority graph of a profile."""
     _check_threshold(profile.h, mu)
+    # The diagonal is 0 < mu, so it never yields an arc.
     t = profile.tally()
-    n = profile.n
-    arcs = frozenset(
-        (x, y)
-        for x in range(1, n + 1)
-        for y in range(1, n + 1)
-        if x != y and t.count(x, y) >= mu
-    )
-    return MajorityGraph(n, arcs, mu)
+    arcs = frozenset(compress(_cells(t.n), map(mu.__le__, chain.from_iterable(t.counts))))
+    return MajorityGraph(t.n, arcs, mu)
 
 
 def dominant_set(profile: Profile, mu: int) -> frozenset[int]:
@@ -137,13 +145,8 @@ def dominant_set(profile: Profile, mu: int) -> frozenset[int]:
     Equals the maximal set of the mu-majority graph.
     """
     _check_threshold(profile.h, mu)
-    t = profile.tally()
-    n = profile.n
-    return frozenset(
-        x
-        for x in range(1, n + 1)
-        if all(t.count(y, x) < mu for y in range(1, n + 1) if y != x)
-    )
+    worst = map(max, zip(*profile.tally().counts))
+    return frozenset(x for x, w in enumerate(worst, start=1) if w < mu)
 
 
 def profile_threshold(profile: Profile) -> int:
@@ -158,41 +161,52 @@ def profile_threshold(profile: Profile) -> int:
     raise AssertionError("dominant set empty at every admissible threshold")
 
 
+def _adjacency(graph: MajorityGraph) -> tuple[list[int], list[int]]:
+    """Neighbour masks: x -> y sets bit y-1 of outs[x-1] and bit x-1 of ins[y-1]."""
+    outs, ins = [0] * graph.n, [0] * graph.n
+    for x, y in graph.arcs:
+        outs[x - 1] |= 1 << (y - 1)
+        ins[y - 1] |= 1 << (x - 1)
+    return outs, ins
+
+
+@lru_cache(maxsize=4096)
+def _members(mask: int) -> tuple[int, ...]:
+    """The 0-based vertices of a mask, ascending; the cache holds every mask of n <= 12."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def analyze(graph: MajorityGraph) -> GraphAnalysis:
     """Full structural analysis, computed once per graph and cached."""
     try:
         return graph._analysis  # type: ignore[attr-defined]
     except AttributeError:
         pass
-    n = graph.n
-    outs: dict[int, set[int]] = {x: set() for x in graph.vertices()}
-    ins: dict[int, set[int]] = {x: set() for x in graph.vertices()}
-    for x, y in graph.arcs:
-        outs[x].add(y)
-        ins[y].add(x)
+    outs, ins = _adjacency(graph)
+    full = (1 << graph.n) - 1
+    maximal = frozenset(x for x, m in enumerate(ins, start=1) if not m)
+    minimal = frozenset(x for x, m in enumerate(outs, start=1) if not m)
+    # Without self-loops, an arc to every other vertex is the mask full minus x.
+    maxima = frozenset(x + 1 for x, m in enumerate(outs) if m | 1 << x == full)
+    minima = frozenset(x + 1 for x, m in enumerate(ins) if m | 1 << x == full)
 
-    maximal = frozenset(x for x in graph.vertices() if not ins[x])
-    minimal = frozenset(x for x in graph.vertices() if not outs[x])
-    maxima = frozenset(x for x in graph.vertices() if len(outs[x]) == n - 1)
-    minima = frozenset(x for x in graph.vertices() if len(ins[x]) == n - 1)
-
+    # No arc joins two components, so peeling the whole graph peels each one.
+    cyclic = _cyclic_core(full, outs)
+    neighbours = [o | i for o, i in zip(outs, ins)]
     components = []
-    seen: set[int] = set()
-    for start in graph.vertices():
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
+    unseen = full
+    while unseen:  # flood fill from the least unseen vertex, so components come in order
+        comp = frontier = unseen & -unseen
         while frontier:
-            v = frontier.pop()
-            for w in outs[v] | ins[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        components.append(
-            ComponentInfo(tuple(sorted(comp)), _acyclic(comp, outs))
-        )
+            reach = 0
+            for v in _members(frontier):
+                reach |= neighbours[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen ^= comp
+        components.append(ComponentInfo(
+            tuple(v + 1 for v in _members(comp)), not comp & cyclic
+        ))
 
     analysis = GraphAnalysis(
         maximal=maximal,
@@ -201,57 +215,45 @@ def analyze(graph: MajorityGraph) -> GraphAnalysis:
         maxima=maxima,
         minima=minima,
         components=tuple(components),
-        acyclic=all(c.acyclic for c in components),
+        acyclic=not cyclic,
     )
     object.__setattr__(graph, "_analysis", analysis)
     return analysis
 
 
-def _acyclic(vertices: set[int], outs: dict[int, set[int]]) -> bool:
-    """Directed-cycle check by coloring DFS restricted to the given vertices."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    for root in vertices:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, list[int]]] = [(root, [w for w in outs[root] if w in vertices])]
-        color[root] = GREY
-        while stack:
-            v, todo = stack[-1]
-            if todo:
-                w = todo.pop()
-                if color[w] == GREY:
-                    return False
-                if color[w] == WHITE:
-                    color[w] = GREY
-                    stack.append((w, [u for u in outs[w] if u in vertices]))
-            else:
-                color[v] = BLACK
-                stack.pop()
-    return True
+def _cyclic_core(mask: int, outs: list[int]) -> int:
+    """The vertices of a mask left once its sinks are peeled off, round by round.
+
+    A finite digraph is acyclic iff each of its nonempty subgraphs has a sink,
+    so what is left is empty iff the subgraph on the mask has no directed cycle.
+    """
+    while mask:
+        sinks = 0
+        for v in _members(mask):
+            if not outs[v] & mask:
+                sinks |= 1 << v
+        if not sinks:
+            break
+        mask ^= sinks
+    return mask
 
 
 def has_l_cycle(graph: MajorityGraph, length: int) -> bool:
     """Whether the graph contains a simple directed cycle of exactly `length` arcs."""
     if not 2 <= length <= graph.n:
         raise ValueError(f"cycle length {length} not in 2..{graph.n}")
-    outs: dict[int, set[int]] = {x: set() for x in graph.vertices()}
-    for x, y in graph.arcs:
-        outs[x].add(y)
+    outs, _ = _adjacency(graph)
 
-    def extend(start: int, v: int, used: set[int], depth: int) -> bool:
+    def extend(start: int, v: int, used: int, depth: int) -> bool:
         # Canonical form: every vertex on the cycle stays >= the start vertex.
         if depth == length:
-            return start in outs[v]
-        for w in outs[v]:
-            if w > start and w not in used:
-                used.add(w)
-                if extend(start, w, used, depth + 1):
-                    return True
-                used.remove(w)
+            return bool(outs[v] >> start & 1)
+        for w in _members(outs[v] & ~used & -(2 << start)):
+            if extend(start, w, used | 1 << w, depth + 1):
+                return True
         return False
 
-    return any(extend(s, s, {s}, 1) for s in graph.vertices())
+    return any(extend(s, s, 1 << s, 1) for s in range(graph.n))
 
 
 def export_dot(graph: MajorityGraph, labels: dict[int, str] | None = None) -> str:

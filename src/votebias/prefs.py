@@ -8,6 +8,7 @@ reversal and tallying return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class ProfileParseError(ValueError):
@@ -47,19 +48,19 @@ class Ranking:
 
     def beats(self) -> tuple[int, ...]:
         """Flat 0/1 matrix b[(x-1)*n + (y-1)] = 1 iff x is ranked above y."""
-        try:
-            return self._beats  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        n = self.n
-        flat = [0] * (n * n)
-        for j, x in enumerate(self.order):
-            base = (x - 1) * n
-            for y in self.order[j + 1:]:
-                flat[base + (y - 1)] = 1
-        beats = tuple(flat)
-        object.__setattr__(self, "_beats", beats)
-        return beats
+        return _beats(self.order)
+
+
+# Keyed by order, so equal rankings share one vector; all n <= 7 rankings fit.
+@lru_cache(maxsize=8192)
+def _beats(order: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(order)
+    flat = [0] * (n * n)
+    for j, x in enumerate(order):
+        base = (x - 1) * n
+        for y in order[j + 1:]:
+            flat[base + (y - 1)] = 1
+    return tuple(flat)
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,8 @@ class Profile:
         except AttributeError:
             pass
         n, h = self.n, self.h
-        flat = [0] * (n * n)
-        for q in self.columns:
-            b = q.beats()
-            for k in range(n * n):
-                flat[k] += b[k]
-        rows = tuple(tuple(flat[x * n:(x + 1) * n]) for x in range(n))
+        flat = iter(map(sum, zip(*(q.beats() for q in self.columns))))
+        rows = tuple(zip(*[flat] * n))
         t = TallyMatrix(n, h, rows)
         object.__setattr__(self, "_tally", t)
         return t

@@ -41,26 +41,26 @@ def property_violations(profile: Profile) -> list[str]:
         transposed = frozenset((y, x) for x, y in arcs)
         if graph_rev.arcs != transposed:
             out.append(f"mu={mu}: reversal graph is not the transpose")
-        if any((y, x) in arcs for x, y in arcs):
+        if arcs & transposed:
             out.append(f"mu={mu}: a pair beats each other both ways")
 
         info = analyze(graph)
         info_rev = analyze(graph_rev)
         dom = dominant_set(profile, mu)
         dom_rev = dominant_set(reversed_profile, mu)
-        if dom != set(info.maximal):
+        if dom != info.maximal:
             out.append(f"mu={mu}: dominant set differs from maximal vertices")
-        if dom != set(info_rev.minimal):
+        if dom != info_rev.minimal:
             out.append(f"mu={mu}: dominant set differs from reversal minimal vertices")
-        isolated = set(info.isolated)
-        if dom & dom_rev != isolated or isolated != set(info_rev.isolated):
+        isolated = info.isolated
+        if dom & dom_rev != isolated or isolated != info_rev.isolated:
             out.append(f"mu={mu}: dominant intersection differs from isolated vertices")
         if len(info.maxima) > 1 or len(info_rev.maxima) > 1:
             out.append(f"mu={mu}: more than one greatest vertex in a profile graph")
-        if len(info.maxima) == 1 and dom != set(info.maxima):
+        if len(info.maxima) == 1 and dom != info.maxima:
             out.append(f"mu={mu}: greatest vertex exists but dominant set differs")
 
-        per_component = sum(len(set(c.vertices) & dom) for c in info.components)
+        per_component = sum(len(dom.intersection(c.vertices)) for c in info.components)
         acyclic_components = sum(1 for c in info.components if c.acyclic)
         if per_component != len(dom):
             out.append(f"mu={mu}: per-component maximal counts do not add up")

@@ -35,6 +35,10 @@ DEFAULT_EXHAUSTIVE_BUDGET = 5_000_000
 DEFAULT_SAMPLE_BUDGET = 100_000
 DEFAULT_SEED = 271828
 WORKERS_ENV = "VOTEBIAS_WORKERS"
+# Space sizes such as C(n! + h - 1, h) and n!^h go into notes and reports; at
+# (200, 20) they have at most 3,678 digits, inside Python's 4,300-digit
+# int-to-str limit, and no witness recipe builds more than 200 voters.
+MAX_H, MAX_N = 200, 20
 
 OUTCOME_WITNESS = "witness-found"
 OUTCOME_IMMUNE = "certified-immune"
@@ -535,7 +539,10 @@ def search_exhaustive(
     stop_early the scan is complete, so hits are exact counts and examined does
     not depend on the worker count; with it hits is None.  A dual-route
     mismatch is counted in mismatches and named in the note, never raised here.
+    A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N raises ValueError.
     """
+    if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
+        raise ValueError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}, got h={h}, n={n}")
     space = anonymous_count(h, n)
     cut_space = neutral_count(h, n)
     refusal = table_refusal(n)
@@ -588,7 +595,7 @@ def find_witness(
     hit: it certifies immunity when the whole space (or the neutrality cut)
     is swept without a hit, yields an inconclusive result for a space larger
     than the budget, never a silent truncation, and raises RuntimeError when
-    the two minimax routes disagreed.
+    the two minimax routes disagreed, ValueError past MAX_H or MAX_N.
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
@@ -636,19 +643,12 @@ def _find_constructive(h: int, n: int, j: int, rule: str) -> SearchResult:
 
     space = anonymous_count(h, n)
     if rule != "minimax":
-        return SearchResult(
-            h=h, n=n, j=j, rule=rule, method="constructive",
-            outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
-            note=f"no constructive recipe for rule {rule!r}",
-        )
-    witness = constructive_witness(h, n, j)
-    if witness is None:
-        return SearchResult(
-            h=h, n=n, j=j, rule=rule, method="constructive",
-            outcome=OUTCOME_INCONCLUSIVE, examined=0, space=space,
-            note="no constructive recipe applies at this (h, n)",
-        )
+        witness, note = None, f"no constructive recipe for rule {rule!r}"
+    else:
+        witness = constructive_witness(h, n, j)
+        note = "" if witness else "no constructive recipe applies at this (h, n)"
     return SearchResult(
         h=h, n=n, j=j, rule=rule, method="constructive",
-        outcome=OUTCOME_WITNESS, examined=1, space=space, witness=witness,
+        outcome=OUTCOME_WITNESS if witness else OUTCOME_INCONCLUSIVE,
+        examined=1 if witness else 0, space=space, witness=witness, note=note,
     )

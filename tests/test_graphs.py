@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -18,6 +21,8 @@ from votebias import (
     parse_profile,
     profile_threshold,
 )
+
+from votebias import fixtures, rules
 
 from conftest import GRID_H, GRID_N, naive_dominant, profiles
 
@@ -198,6 +203,93 @@ class TestCycles:
         g = majority_graph(p, minimal_threshold(p.h))
         found = any(has_l_cycle(g, l) for l in range(2, p.n + 1))
         assert found == (not analyze(g).acyclic)
+
+
+def naive_analysis(n: int, arcs: frozenset) -> dict:
+    """analyze's JSON from sets, a DFS and permutations, with no bitmask."""
+    vertices = range(1, n + 1)
+    outs = {x: {y for a, y in arcs if a == x} for x in vertices}
+    ins = {y: {x for x, b in arcs if b == y} for y in vertices}
+    components, seen = [], set()
+    for start in vertices:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for w in outs[v] | ins[v]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        inside = [(x, y) for x, y in arcs if x in comp]
+        # Acyclic iff some order of the component puts every arc forward.
+        acyclic = any(
+            all(order.index(x) < order.index(y) for x, y in inside)
+            for order in itertools.permutations(sorted(comp))
+        )
+        components.append({"vertices": sorted(comp), "acyclic": acyclic})
+    return {
+        "maximal": [x for x in vertices if not ins[x]],
+        "minimal": [x for x in vertices if not outs[x]],
+        "isolated": [x for x in vertices if not ins[x] and not outs[x]],
+        "maxima": [x for x in vertices if len(outs[x]) == n - 1],
+        "minima": [x for x in vertices if len(ins[x]) == n - 1],
+        "components": components,
+        "acyclic": all(c["acyclic"] for c in components),
+    }
+
+
+def naive_has_l_cycle(n: int, arcs: frozenset, length: int) -> bool:
+    return any(
+        all((seq[i], seq[(i + 1) % length]) in arcs for i in range(length))
+        for seq in itertools.permutations(range(1, n + 1), length)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bitmask_analysis_matches_oracle_on_every_arc_set(n):
+    # Every subset of the n(n-1) possible arcs: 4, 64 and 4,096 graphs,
+    # 2-cycles included.
+    possible = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
+    for chosen in itertools.product((False, True), repeat=len(possible)):
+        arcs = frozenset(itertools.compress(possible, chosen))
+        g = MajorityGraph(n, arcs)
+        assert analyze(g).to_json_dict() == naive_analysis(n, arcs), sorted(arcs)
+        for length in range(2, n + 1):
+            assert has_l_cycle(g, length) == naive_has_l_cycle(n, arcs, length), (
+                sorted(arcs), length
+            )
+
+
+def test_graph_route_never_calls_the_tally_core(monkeypatch):
+    """Criteria 4 and 7 lean on the threshold route being independent of rules' core."""
+
+    def graph_route():
+        out = []
+        for fixture_id in sorted(fixtures._FIXED):
+            p = fixtures.fixture_profile(fixture_id)
+            for mu in range(minimal_threshold(p.h), p.h + 1):
+                g = majority_graph(p, mu)
+                out.append((g.arcs, dominant_set(p, mu), analyze(g).to_json_dict()))
+            out.append((profile_threshold(p), rules.minimax_threshold(p)))
+        return out
+
+    want = graph_route()
+
+    def core(*args, **kwargs):
+        raise AssertionError("the graph route reached the rules tally core")
+
+    for name in ("minimax_defeats", "upper_tally"):
+        original = getattr(rules, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "votebias" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, core)
+    for rule in rules.TALLY_RULES:
+        monkeypatch.setitem(rules.TALLY_RULES, rule, core)
+    with pytest.raises(AssertionError, match="tally core"):
+        rules.minimax_direct(fixtures.fixture_profile("intro-6-4"))
+    assert graph_route() == want
 
 
 class TestDot:

@@ -452,6 +452,18 @@ class TestFindWitness:
             with pytest.raises(RuntimeError, match="disagree on 1 profiles"):
                 find_witness(h, n, 3)
 
+    def test_cells_past_the_size_bound_raise_before_any_count(self, monkeypatch):
+        # 2000! has more digits than Python will format; the bound comes first.
+        def count(*args):
+            raise AssertionError("a space was counted")
+
+        monkeypatch.setattr(search, "anonymous_count", count)
+        monkeypatch.setattr(search, "neutral_count", count)
+        for h, n in [(2, 21), (2, 2000), (201, 3), (1, 3)]:
+            with pytest.raises(ValueError, match=r"need 2 <= h <= 200 and 2 <= n <= 20"):
+                find_witness(h, n, 3)
+        assert (search.MAX_H, search.MAX_N) == (200, 20)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             find_witness(3, 3, 4)
