@@ -15,7 +15,6 @@ from .construct import (
     construct_witness_odd,
     constructive_witness,
     has_constructive_witness,
-    smallest_cycle_length,
 )
 from .fixtures import Fixture, fixture_ids, fixture_profile, load
 from .graphs import (
@@ -44,17 +43,14 @@ from .properties import property_violations
 from .rules import (
     RULES,
     borda,
-    borda_scores,
     condorcet_loser,
     condorcet_winner,
     copeland,
-    copeland_scores,
     minimax_direct,
     minimax_threshold,
     worst_defeats,
 )
 from .search import (
-    BudgetExceededError,
     CertificationError,
     SearchResult,
     SearchStrategy,
@@ -75,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiasReport",
-    "BudgetExceededError",
     "CertificationError",
     "ComponentInfo",
     "ConstructionError",
@@ -97,7 +92,6 @@ __all__ = [
     "audit_profile",
     "bias_flags",
     "borda",
-    "borda_scores",
     "certify_witness",
     "condorcet_loser",
     "condorcet_winner",
@@ -106,7 +100,6 @@ __all__ = [
     "construct_witness_odd",
     "constructive_witness",
     "copeland",
-    "copeland_scores",
     "dominant_set",
     "enumerate_anonymous",
     "export_dot",
@@ -131,6 +124,5 @@ __all__ = [
     "sample_profile",
     "scan_minimax",
     "serialize_profile",
-    "smallest_cycle_length",
     "worst_defeats",
 ]

@@ -6,17 +6,16 @@ with the same flags and seed produce byte-identical bytes.  Wall-clock
 timings appear only in the human tables.
 
 Exit codes: 0 success/consistent, 1 usage or input error, 2 a verification
-cell contradicts the expected classification, 3 no contradiction but at
-least one cell or comparison stayed inconclusive.
+cell contradicts the expected classification or a comparison's difference is
+not confirmed, 3 no contradiction but at least one cell or comparison stayed
+inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .graphs import (
     profile_threshold,
 )
 from .prefs import Profile, ProfileParseError, parse_profile, serialize_profile
-from .rules import TALLY_RULES, condorcet_loser, condorcet_winner, upper_tally
+from .rules import RULES, TALLY_RULES, condorcet_loser, condorcet_winner, upper_tally
 from .search import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
@@ -48,11 +47,14 @@ from .search import (
     OUTCOME_WITNESS,
     SearchResult,
     SearchStrategy,
-    all_rankings,
+    anonymous_count,
     find_witness,
+    profile_from_indices,
     resolve_workers,
     sample_profile,
+    scan_minimax,
     search_exhaustive,
+    table_refusal,
 )
 
 LONG_RUN_BUDGET = 300_000_000
@@ -154,10 +156,12 @@ def _check_mu(h: int, mu: int) -> None:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     profile = _read_profile(args.profile)
-    rules = [r.strip() for r in args.rules.split(",") if r.strip()]
+    rules = [r.strip() for r in args.rules.split(",")]
     for r in rules:
         if r not in TALLY_RULES:
             raise _CliError(f"unknown rule {r!r}; choose from {sorted(TALLY_RULES)}")
+    if len(set(rules)) < len(rules):
+        raise _CliError(f"--rules names a rule twice: {args.rules!r}")
     audited = {rep.rule: rep for rep in audit_profile(profile)}
     reports = [audited[r] for r in rules]
     minimax = audited["minimax"]
@@ -409,6 +413,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """First profile on which two rules select differently, or proof that none does.
+
+    Exhaustive mode is one serial kernel scan with the pair as its rule.  Both rules
+    are anonymous and a multiset's sorted arrangement is its least in product order,
+    so the first differing profile in product order is the kernel's first differing
+    representative, at position examined (a neutrality cut would change which one).
+    The profile-level RULES re-derive the selections of a difference before it prints.
+    """
     first, _, second = args.pair.partition("-")
     if first not in TALLY_RULES or second not in TALLY_RULES or first == second:
         raise _CliError(
@@ -417,38 +429,45 @@ def cmd_compare(args: argparse.Namespace) -> int:
     h, n = args.h, args.n
     if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
         raise _CliError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}")
-    space = math.factorial(n) ** h
+    space = anonymous_count(h, n)
     budget = args.budget if args.budget is not None else DEFAULT_EXHAUSTIVE_BUDGET
+    refusal = table_refusal(n)
     method = args.strategy
     if method == "auto":
-        method = "exhaustive" if space <= budget else "sampled"
-    core_a, core_b = TALLY_RULES[first], TALLY_RULES[second]
-    verdict = "inconclusive"
+        method = "exhaustive" if space <= budget and not refusal else "sampled"
     examined = 0
     difference: Profile | None = None
     note = ""
-    candidates = ()
-    if method == "exhaustive":
-        if space > budget:
-            note = f"space holds {space} profiles, over budget {budget}"
-        else:
-            candidates = map(Profile, itertools.product(all_rankings(n), repeat=h))
-    else:
+    if method == "sampled":
         sample_budget = args.budget if args.budget is not None else DEFAULT_SAMPLE_BUDGET
-        candidates = (sample_profile(h, n, args.seed, i) for i in range(sample_budget))
-    for profile in candidates:
-        examined += 1
-        u = upper_tally(profile)
-        selections = core_a(u, h, n)[0], core_b(u, h, n)[0]
-        if selections[0] != selections[1]:
-            difference = profile
-            verdict = "different"
-            break
-    else:
-        if method == "sampled":
+        core_a, core_b = TALLY_RULES[first], TALLY_RULES[second]
+        for index in range(sample_budget):
+            examined = index + 1
+            profile = sample_profile(h, n, args.seed, index)
+            u = upper_tally(profile)
+            if core_a(u, h, n)[0] != core_b(u, h, n)[0]:
+                difference = profile
+                break
+        else:
             note = f"selections agreed on {sample_budget} samples; not a proof"
-        elif space <= budget:
-            verdict = "identical"
+    elif space > budget:
+        note = f"space holds {space} representatives, over budget {budget}"
+    elif refusal:
+        note = refusal
+    else:
+        report = scan_minimax(h, n, want=(1,), stop_early=True, workers=1, rule=(first, second))
+        examined = report.examined
+        if report.firsts[1] is not None:
+            difference = profile_from_indices(n, report.firsts[1])
+    if difference is not None:
+        selections = sorted(RULES[first](difference)), sorted(RULES[second](difference))
+        if selections[0] == selections[1]:
+            raise _CliError(
+                f"the tally core found {first} and {second} different, but both select "
+                f"{selections[0]} on {serialize_profile(difference)!r}",
+                EXIT_CONTRADICTION,
+            )
+    verdict = "different" if difference else "inconclusive" if note else "identical"
     payload = {
         "pair": [first, second],
         "h": h,
@@ -464,7 +483,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         payload["note"] = note
     if difference is not None:
         payload["profile"] = serialize_profile(difference)
-        payload["selections"] = {first: list(selections[0]), second: list(selections[1])}
+        payload["selections"] = {first: selections[0], second: selections[1]}
     code = EXIT_OK if verdict in ("identical", "different") else EXIT_INCONCLUSIVE
     if args.json:
         _emit_json(payload)
@@ -499,7 +518,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
             })
         families = [
             {"pattern": f"{name}(k)", "domain": dom, "description": desc}
-            for name, (_, dom, desc) in sorted(_FAMILIES.items())
+            for name, (_, dom, desc, _) in sorted(_FAMILIES.items())
         ]
         if args.json:
             _emit_json({"fixed": fixed, "families": families})

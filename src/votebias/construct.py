@@ -70,14 +70,6 @@ def construct_cycle_profile(l: int, mu: int, h: int, n: int | None = None) -> Pr
     return profile
 
 
-def smallest_cycle_length(h: int, n: int, mu: int) -> int | None:
-    """Smallest l <= n admitting an l-cycle at threshold mu, if any."""
-    for l in range(3, n + 1):
-        if mu * l <= (l - 1) * h:
-            return l
-    return None
-
-
 def _extend_top_bottom(cycle: Profile, extra: int, top_count: int) -> Profile:
     """Insert a new alternative at the top of the first voters, bottom of the rest."""
     columns = []

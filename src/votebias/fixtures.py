@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .prefs import Profile, Ranking, parse_profile
+from .search import MAX_H, MAX_N
 
 
 @dataclass(frozen=True)
@@ -229,22 +230,26 @@ _FIXED = {
 }
 
 _FAMILIES = {
-    "tm2-3-n": (_tm2_3_n, "n >= 4", "3 voters, n alternatives"),
-    "tm3-2-n": (_tm3_2_n, "n >= 3", "2 voters, n alternatives"),
-    "tm3-h-3": (_tm3_h_3, "h >= 2, h != 3", "h voters, 3 alternatives"),
+    "tm2-3-n": (_tm2_3_n, "n >= 4", "3 voters, n alternatives", MAX_N),
+    "tm3-2-n": (_tm3_2_n, "n >= 3", "2 voters, n alternatives", MAX_N),
+    "tm3-h-3": (_tm3_h_3, "h >= 2, h != 3", "h voters, 3 alternatives", MAX_H),
 }
 
-_FAMILY_ID = re.compile(r"^([a-z0-9-]+?)\((\d+)\)$")
+_FAMILY_ID = re.compile(r"([a-z0-9-]+?)\(([0-9]+)\)")
 
 
 def load(fixture_id: str) -> Fixture:
-    """Look up a fixture by id, e.g. ``tm2-5-4`` or ``tm3-h-3(8)``."""
+    """Look up a fixture by id, e.g. ``tm2-5-4`` or ``tm3-h-3(8)``; a family
+    parameter past MAX_N (n-families) or MAX_H (h-families) is refused unbuilt."""
     if fixture_id in _FIXED:
         return _FIXED[fixture_id]()
-    m = _FAMILY_ID.match(fixture_id)
+    m = _FAMILY_ID.fullmatch(fixture_id)
     if m and m.group(1) in _FAMILIES:
-        builder = _FAMILIES[m.group(1)][0]
-        return builder(int(m.group(2)))
+        builder, _, _, bound = _FAMILIES[m.group(1)]
+        k = int(m.group(2))
+        if k > bound:
+            raise ValueError(f"fixture {fixture_id!r}: parameter {k} is over the limit of {bound}")
+        return builder(k)
     raise ValueError(f"unknown fixture id {fixture_id!r}; see fixture_ids()")
 
 
@@ -256,5 +261,5 @@ def fixture_profile(fixture_id: str) -> Profile:
 def fixture_ids() -> list[str]:
     """All addressable ids; families appear with their parameter domain."""
     fixed = sorted(_FIXED)
-    families = [f"{name}(k) for {dom}" for name, (_, dom, _) in sorted(_FAMILIES.items())]
+    families = [f"{name}(k) for {dom}" for name, (_, dom, _, _) in sorted(_FAMILIES.items())]
     return fixed + families

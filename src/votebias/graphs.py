@@ -256,13 +256,12 @@ def has_l_cycle(graph: MajorityGraph, length: int) -> bool:
     return any(extend(s, s, 1 << s, 1) for s in range(graph.n))
 
 
-def export_dot(graph: MajorityGraph, labels: dict[int, str] | None = None) -> str:
+def export_dot(graph: MajorityGraph) -> str:
     """Deterministic DOT rendering: vertices ascending, arcs in sorted order."""
-    name = {x: (labels or {}).get(x, str(x)) for x in graph.vertices()}
     lines = ["digraph majority {"]
     for x in graph.vertices():
-        lines.append(f'  "{name[x]}";')
+        lines.append(f'  "{x}";')
     for x, y in sorted(graph.arcs):
-        lines.append(f'  "{name[x]}" -> "{name[y]}";')
+        lines.append(f'  "{x}" -> "{y}";')
     lines.append("}")
     return "\n".join(lines)

@@ -34,6 +34,7 @@ def property_violations(profile: Profile) -> list[str]:
 
     prev_arcs: frozenset | None = None
     prev_dominant: set | None = None
+    at: dict[int, tuple] = {}  # mu -> (dominant set, analysis), reread at mu_p
     for mu in range(mu0, h + 1):
         graph = majority_graph(profile, mu)
         graph_rev = majority_graph(reversed_profile, mu)
@@ -85,18 +86,19 @@ def property_violations(profile: Profile) -> list[str]:
             if not prev_dominant <= dom:
                 out.append(f"mu={mu}: raising the threshold dropped a dominant vertex")
         prev_arcs, prev_dominant = arcs, dom
+        at[mu] = dom, info
 
     mu_p = profile_threshold(profile)
     mu_pr = profile_threshold(reversed_profile)
     # The tally core reads the reversal's threshold off p's transposed tally.
     if (mu_p, mu_pr) != minimax_defeats(upper_tally(profile), h, n)[2:]:
         out.append("graph-route thresholds differ from the tally core's")
-    selection = dominant_set(profile, mu_p)
+    selection, info_p = at[mu_p]
     if not selection:
         out.append("empty dominant set at the profile threshold")
     if selection != minimax_direct(profile):
         out.append("threshold and direct minimax routes disagree")
-    if mu_p >= mu_acyclic and not analyze(majority_graph(profile, mu_p)).acyclic:
+    if mu_p >= mu_acyclic and not info_p.acyclic:
         out.append("cycle at the profile threshold despite the acyclicity bound")
 
     winner = condorcet_winner(profile)

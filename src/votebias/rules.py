@@ -123,18 +123,8 @@ def minimax_threshold(profile: Profile) -> frozenset[int]:
     return dominant_set(profile, profile_threshold(profile))
 
 
-def borda_scores(profile: Profile) -> dict[int, int]:
-    """Positional scores: an alternative ranked j-th by a voter earns n - j."""
-    return dict(enumerate(_borda_scores(upper_tally(profile), profile.h, profile.n), start=1))
-
-
 def borda(profile: Profile) -> frozenset[int]:
     return frozenset(_top(_borda_scores(upper_tally(profile), profile.h, profile.n)))
-
-
-def copeland_scores(profile: Profile) -> dict[int, int]:
-    """Out-degree minus in-degree in the simple-majority graph."""
-    return dict(enumerate(_copeland_scores(upper_tally(profile), profile.h, profile.n), start=1))
 
 
 def copeland(profile: Profile) -> frozenset[int]:

@@ -9,7 +9,9 @@ for counting.
 
 Exhaustive scans for every rule go through one entry, ``scan_minimax``,
 which checks its visit count against the closed form; ``search_exhaustive``
-alone decides which scan a cell gets, for ``find_witness`` and ``verify``.
+alone decides which scan a cell gets, for ``find_witness`` and ``verify``,
+and ``compare`` scans with a pair of rules for the first multiset on which
+their selections differ.
 The kernel keeps a running upper-triangle tally while walking the multiset
 tree and evaluates each leaf through the tally-level core in ``rules``.
 """
@@ -43,14 +45,6 @@ MAX_H, MAX_N = 200, 20
 OUTCOME_WITNESS = "witness-found"
 OUTCOME_IMMUNE = "certified-immune"
 OUTCOME_INCONCLUSIVE = "inconclusive"
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration refused because the space exceeds the allowed budget."""
-
-    def __init__(self, message: str, count: int):
-        super().__init__(message)
-        self.count = count
 
 
 class CertificationError(RuntimeError):
@@ -199,24 +193,11 @@ def neutral_count(h: int, n: int) -> int:
     return math.comb(math.factorial(n) + h - 2, h - 1)
 
 
-def enumerate_anonymous(
-    h: int,
-    n: int,
-    visitor: Callable[[Profile], None],
-    budget: int | None = None,
-) -> int:
+def enumerate_anonymous(h: int, n: int, visitor: Callable[[Profile], None]) -> int:
     """Visit one representative profile per multiset, in lexicographic order.
 
-    Returns the number of representatives visited.  Refuses up front when the
-    space exceeds the budget.
+    Returns the number of representatives visited.
     """
-    total = anonymous_count(h, n)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"anonymous space for (h={h}, n={n}) holds {total} representatives, "
-            f"over the budget of {budget}",
-            total,
-        )
     count = 0
     for columns in itertools.combinations_with_replacement(all_rankings(n), h):
         visitor(Profile(columns))
@@ -303,9 +284,10 @@ class KernelReport:
     condorcet_loser_selections: int = 0
 
 
-def _leaf_verdict(tally: list[int], h: int, n: int, rule: str, track_condorcet: bool) -> int:
+def _leaf_verdict(tally: list[int], h: int, n: int, rule, track_condorcet: bool) -> int:
     """One leaf's verdict bits: the three type flags, the dual-route mismatch
-    and, for minimax with track_condorcet, the two Condorcet counters."""
+    and, for minimax with track_condorcet, the two Condorcet counters; for a
+    pair of rules, bit 1 alone, set when their selections differ."""
     rng_n = range(n)
     bits = 0
     if rule == "minimax":
@@ -333,6 +315,9 @@ def _leaf_verdict(tally: list[int], h: int, n: int, rule: str, track_condorcet: 
                 bits |= _PRINCIPLE
             if loser >= 0 and wd[loser] < mu_p:
                 bits |= _LOSER
+    elif isinstance(rule, tuple):
+        first, second = rule
+        return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
     else:
         sel, selr, _, _ = TALLY_RULES[rule](tally, h, n)
         selr_size = len(selr)
@@ -350,7 +335,7 @@ def _scan(
     stop_early: bool = False,
     track_condorcet: bool = False,
     prefixes: tuple[tuple[int, ...], ...] = ((),),
-    rule: str = "minimax",
+    rule: str | tuple[str, str] = "minimax",
 ) -> KernelReport:
     """Walk nondecreasing ranking-index tuples below each prefix, in order.
 
@@ -460,17 +445,19 @@ def scan_minimax(
     track_condorcet: bool = False,
     workers: int | None = None,
     neutral_cut: bool = False,
-    rule: str = "minimax",
+    rule: str | tuple[str, str] = "minimax",
 ) -> KernelReport:
     """Scan the representative space for a rule's bias flags: the one kernel entry.
 
-    With workers > 1 the two deepest prefix levels are striped across a
-    process pool, one _scan (and one verdict cache) per worker; parallel runs
-    never stop early, so counts stay exact and the reported first witness is
-    the one earliest in enumeration order.  A visit count other than
-    neutral_count/anonymous_count raises RuntimeError, unless the scan stopped
-    early after finding every wanted type; n past MAX_SCAN_RANKINGS rankings
-    raises ValueError before any table is built.
+    A rule given as a pair of TALLY_RULES names counts, as type 1, the
+    representatives on which their selections differ.  With workers > 1 the
+    two deepest prefix levels are striped across a process pool, one _scan
+    (and one verdict cache) per worker; parallel runs never stop early, so
+    counts stay exact and the reported first witness is the one earliest in
+    enumeration order.  A visit count other than neutral_count/anonymous_count
+    raises RuntimeError, unless the scan stopped early after finding every
+    wanted type; n past MAX_SCAN_RANKINGS rankings raises ValueError before any
+    table is built.
     """
     refusal = table_refusal(n)
     if refusal:

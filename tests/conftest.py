@@ -7,13 +7,17 @@ always checked against independently derived values, never against itself.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from votebias import Profile, Ranking, anonymous_count, scan_minimax
+from votebias import Profile, Ranking, anonymous_count, rules, scan_minimax
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 GRID_H = range(2, 13)
 GRID_N = range(2, 9)
 EXHAUSTIVE_CAP = 5_000_000
@@ -79,6 +83,28 @@ def naive_copeland(profile: Profile) -> set[int]:
     return {x for x, v in scores.items() if v == best}
 
 
+def borda_scores(profile: Profile) -> dict[int, int]:
+    """The library's Borda scores, read off its tally core."""
+    return _core_scores(rules._borda_scores, profile)
+
+
+def copeland_scores(profile: Profile) -> dict[int, int]:
+    """The library's Copeland scores, read off its tally core."""
+    return _core_scores(rules._copeland_scores, profile)
+
+
+def _core_scores(scores, profile: Profile) -> dict[int, int]:
+    return dict(enumerate(scores(rules.upper_tally(profile), profile.h, profile.n), start=1))
+
+
+def smallest_cycle_length(h: int, n: int, mu: int) -> int | None:
+    """Smallest l <= n admitting an l-cycle at threshold mu, if any."""
+    for l in range(3, n + 1):
+        if mu * l <= (l - 1) * h:
+            return l
+    return None
+
+
 def naive_dominant(profile: Profile, mu: int) -> set[int]:
     return {
         x
@@ -128,3 +154,13 @@ def kernel_scans():
         (h, n): scan_minimax(h, n, want=(1, 2, 3), track_condorcet=True)
         for (h, n) in exhaustive_grid_cells()
     }
+
+
+@pytest.fixture()
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path as the benchmark runner loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -17,11 +17,14 @@ from hypothesis import given
 
 import votebias.cli
 from votebias import (
+    Profile,
+    Ranking,
     borda,
     condorcet_loser,
     condorcet_winner,
     copeland,
     SearchStrategy,
+    anonymous_count,
     export_dot,
     find_witness,
     fixture_profile,
@@ -32,10 +35,16 @@ from votebias import (
 )
 from votebias.cli import main
 
-from conftest import profiles
+from conftest import naive_borda, naive_copeland, naive_minimax, profiles
+
+NAIVE_RULES = {"minimax": naive_minimax, "borda": naive_borda, "copeland": naive_copeland}
+PAIRS = ("minimax-borda", "minimax-copeland", "borda-copeland")
+# Every cell whose n!^h ordered profiles the naive product loop below can walk.
+ORACLE_CELLS = [
+    (h, n) for n in range(2, 6) for h in range(2, 16) if math.factorial(n) ** h <= 50_000
+]
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -102,6 +111,18 @@ class TestAudit:
         code, out, err = run(capsys, "audit", profile_file("tm2-5-4"), "--rules", "veto")
         assert code == 1 and out == ""
         assert "unknown rule" in err
+
+    def test_rules_are_one_list_of_distinct_rules(self, capsys, profile_file):
+        path = profile_file("tm2-5-4")
+        for spec, message in ((",", "unknown rule ''"), ("minimax,", "unknown rule ''"),
+                              ("minimax,minimax", "names a rule twice"),
+                              ("borda, minimax,borda", "names a rule twice")):
+            code, out, err = run(capsys, "audit", path, "--rules", spec)
+            assert code == 1 and out == ""
+            assert message in err
+        code, out, _ = run(capsys, "audit", path, "--rules", "copeland, minimax", "--json")
+        assert code == 0
+        assert [b["rule"] for b in json.loads(out)["bias"]] == ["copeland", "minimax"]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "audit", "/nonexistent/profile.txt")
@@ -305,12 +326,8 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_matches_the_frozen_grid_reference(self, capsys, monkeypatch):
+    def test_matches_the_frozen_grid_reference(self, capsys, workloads):
         # Every reference row, i.e. the default grid: plain and cut scans, constructive cells.
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
         table = json.loads(workloads.GRID_REFERENCE.read_text())
         code, out, _ = run(capsys, "verify", "--j", "2,3", "--json")
         assert code == 0
@@ -397,7 +414,42 @@ class TestVerify:
         assert err == "votebias: error: VOTEBIAS_WORKERS must be an integer, got 'many'\n"
 
 
+def naive_first_differences(h: int, n: int) -> dict:
+    """Per pair, the first ordered profile on which the naive rules differ, as
+    (profile text, selections), or None; a plain product loop over permutations."""
+    rankings = [Ranking(order) for order in itertools.permutations(range(1, n + 1))]
+    found = dict.fromkeys(PAIRS)
+    for columns in itertools.product(rankings, repeat=h):
+        profile = Profile(columns)
+        selections = {rule: sorted(select(profile)) for rule, select in NAIVE_RULES.items()}
+        for pair in PAIRS:
+            first, second = pair.split("-")
+            if found[pair] is None and selections[first] != selections[second]:
+                found[pair] = (serialize_profile(profile), {
+                    first: selections[first], second: selections[second]
+                })
+        if all(found.values()):
+            break
+    return found
+
+
 class TestCompare:
+    @pytest.mark.parametrize("h, n", ORACLE_CELLS)
+    def test_matches_a_naive_product_order_loop(self, capsys, h, n):
+        for pair, expected in naive_first_differences(h, n).items():
+            code, out, _ = run(
+                capsys, "compare", "--pair", pair, "--h", str(h), "--n", str(n), "--json"
+            )
+            payload = json.loads(out)
+            assert code == 0 and payload["method"] == "exhaustive"
+            assert payload["space"] == anonymous_count(h, n)
+            if expected is None:
+                assert payload["verdict"] == "identical"
+                assert payload["examined"] == payload["space"]
+            else:
+                assert payload["verdict"] == "different"
+                assert (payload["profile"], payload["selections"]) == expected
+
     def test_minimax_equals_copeland_on_three_by_three(self, capsys):
         code, out, _ = run(
             capsys, "compare", "--pair", "minimax-copeland", "--h", "3", "--n", "3", "--json"
@@ -405,7 +457,7 @@ class TestCompare:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "identical"
-        assert payload["examined"] == payload["space"] == 216
+        assert payload["examined"] == payload["space"] == anonymous_count(3, 3) == 56
         assert "profile" not in payload
 
     def test_minimax_differs_from_borda(self, capsys):
@@ -463,6 +515,49 @@ class TestCompare:
             assert code == 1
             assert "bad pair" in err
 
+    def test_over_budget_exhaustive_is_inconclusive(self, capsys):
+        code, out, _ = run(
+            capsys, "compare", "--pair", "minimax-borda", "--h", "4", "--n", "4",
+            "--strategy", "exhaustive", "--budget", "17549", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["examined"] == 0
+        assert payload["note"] == "space holds 17550 representatives, over budget 17549"
+
+    def test_ten_alternatives_never_reach_the_kernel(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"ranking table built for n={n}")
+
+        monkeypatch.setattr(votebias.search, "_pair_tables", refuse)
+        budget = str(anonymous_count(2, 10))
+        code, out, _ = run(
+            capsys, "compare", "--pair", "minimax-borda", "--h", "2", "--n", "10",
+            "--strategy", "exhaustive", "--budget", budget, "--json",
+        )
+        payload = json.loads(out)
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["note"].startswith("ranking table holds 3628800 rankings")
+        code, out, _ = run(
+            capsys, "compare", "--pair", "minimax-borda", "--h", "2", "--n", "10",
+            "--budget", budget, "--json",
+        )
+        payload = json.loads(out)
+        assert payload["method"] == "sampled"
+        assert code == 0 and payload["verdict"] == "different"
+
+    def test_an_unconfirmed_difference_is_a_contradiction(self, capsys, monkeypatch):
+        # The profile-level rules re-derive the selections; here they agree.
+        monkeypatch.setitem(votebias.cli.RULES, "borda", votebias.cli.RULES["minimax"])
+        for strategy in ("exhaustive", "sampled"):
+            code, out, err = run(
+                capsys, "compare", "--pair", "minimax-borda", "--h", "3", "--n", "3",
+                "--strategy", strategy,
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("votebias: error: the tally core found minimax and borda")
+            assert "Traceback" not in err
+
 
 class TestFixtures:
     def test_list_human(self, capsys):
@@ -498,6 +593,14 @@ class TestFixtures:
         code, _, err = run(capsys, "fixtures", "emit", "nope")
         assert code == 1
         assert "unknown fixture id" in err
+
+    def test_emit_refuses_non_ascii_and_oversized_parameters(self, capsys):
+        for fixture_id, message in (("tm3-h-3(\u0661\u0662)", "unknown fixture id"),
+                                    ("tm3-h-3(201)", "parameter 201 is over the limit of 200"),
+                                    ("tm2-3-n(21)", "parameter 21 is over the limit of 20")):
+            code, out, err = run(capsys, "fixtures", "emit", fixture_id)
+            assert code == 1 and out == ""
+            assert err.startswith("votebias: error: ") and message in err
 
 
 class TestThresholds:
@@ -568,7 +671,7 @@ class TestUsageErrors:
             "--budget", "1", "--json",
         )
         assert code in (0, 3)
-        assert json.loads(out)["space"] == math.factorial(20) ** 200
+        assert json.loads(out)["space"] == anonymous_count(200, 20)
 
     def test_closed_pipe_prints_no_traceback(self):
         # About 320 KB of JSON: more than a pipe buffer, so writes go on after the close.

@@ -19,10 +19,9 @@ from votebias import (
     minimal_threshold,
     minimax_direct,
     profile_threshold,
-    smallest_cycle_length,
 )
 
-from conftest import GRID_H, GRID_N
+from conftest import GRID_H, GRID_N, smallest_cycle_length
 
 
 class TestCycleProfile:

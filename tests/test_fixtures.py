@@ -7,7 +7,6 @@ import pytest
 from votebias import (
     audit_profile,
     borda,
-    borda_scores,
     fixture_ids,
     fixture_profile,
     load,
@@ -15,6 +14,9 @@ from votebias import (
     minimax_threshold,
     profile_threshold,
 )
+from votebias import fixtures
+
+from conftest import borda_scores
 
 FIXED_IDS = ["intro-6-4", "tm2-5-4", "tm2-5-5", "tm2-7-4", "tm3-4-4", "confronto1-3-3"]
 
@@ -86,9 +88,27 @@ def test_family_domain_errors():
 
 
 def test_unknown_ids():
-    for bad in ("nope", "tm3-h-3", "tm3-h-3(x)", "tm2-3-n()"):
+    for bad in ("nope", "tm3-h-3", "tm3-h-3(x)", "tm2-3-n()", "tm3-h-3(\u0661\u0662)",
+                "tm3-h-3(８)", "tm3-h-3(8)\n"):
         with pytest.raises(ValueError, match="unknown fixture id"):
             load(bad)
+
+
+def test_family_parameters_are_bounded_before_building(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def refuse(k):
+        raise Built(k)
+
+    for name, (_, domain, description, bound) in list(fixtures._FAMILIES.items()):
+        monkeypatch.setitem(fixtures._FAMILIES, name, (refuse, domain, description, bound))
+    for name, bound in (("tm2-3-n", 20), ("tm3-2-n", 20), ("tm3-h-3", 200)):
+        with pytest.raises(Built):
+            load(f"{name}({bound})")
+        for k in (bound + 1, 200_000):
+            with pytest.raises(ValueError, match=f"parameter {k} is over the limit of {bound}"):
+                load(f"{name}({k})")
 
 
 def test_fixture_ids_lists_everything():

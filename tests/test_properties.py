@@ -12,10 +12,9 @@ from votebias import (
     enumerate_anonymous,
     fixture_profile,
     property_violations,
-    smallest_cycle_length,
 )
 
-from conftest import profiles, random_profile
+from conftest import profiles, random_profile, smallest_cycle_length
 
 FIXTURE_IDS = [
     "intro-6-4",

@@ -6,11 +6,9 @@ from hypothesis import given
 
 from votebias import (
     borda,
-    borda_scores,
     condorcet_loser,
     condorcet_winner,
     copeland,
-    copeland_scores,
     minimal_threshold,
     minimax_direct,
     minimax_threshold,
@@ -21,6 +19,8 @@ from votebias import (
 from votebias.rules import TALLY_RULES, upper_pairs, upper_tally
 
 from conftest import (
+    borda_scores,
+    copeland_scores,
     naive_borda,
     naive_borda_scores,
     naive_copeland,

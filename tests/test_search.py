@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from votebias import (
-    BudgetExceededError,
     CertificationError,
     Profile,
     SearchStrategy,
@@ -100,12 +99,6 @@ class TestEnumerateAnonymous:
         for p in seen:
             idx = [order[q.order] for q in p.columns]
             assert idx == sorted(idx)
-
-    def test_budget_refusal_is_exact(self):
-        with pytest.raises(BudgetExceededError) as info:
-            enumerate_anonymous(4, 4, lambda p: None, budget=17_549)
-        assert info.value.count == 17_550
-        assert enumerate_anonymous(4, 4, lambda p: None, budget=17_550) == 17_550
 
 
 class TestSampling:
