@@ -31,7 +31,7 @@ from typing import Callable
 from .bias import audit_profile, bias_flags
 from .graphs import profile_threshold
 from .prefs import Profile, Ranking, serialize_profile
-from .rules import RULES, TALLY_RULES, minimax_defeats, upper_pairs
+from .rules import RULES, TALLY_RULES, minimax_defeats, minimax_thresholds, upper_pairs
 
 DEFAULT_EXHAUSTIVE_BUDGET = 5_000_000
 DEFAULT_SAMPLE_BUDGET = 100_000
@@ -230,9 +230,9 @@ def resolve_workers(workers: int | None = None) -> int:
 # The kernel holds one upper-triangle vector per ranking; 10! of them would
 # take several GB, so larger n never reaches it.
 MAX_SCAN_RANKINGS = math.factorial(9)
-# Distinct tallies a scan remembers before it starts its verdict cache afresh:
-# about 80 MB at the 76 bytes per entry measured at (4,5).  No cell within
-# the default budget has that many; long runs such as (5,5) do.
+# Entries each verdict cache of a scan holds before it starts afresh: about
+# 80 MB at the 76 bytes per entry measured at (4,5).  No cell within the
+# default budget has that many; long runs such as (5,5) do.
 VERDICT_CACHE_LIMIT = 1 << 20
 
 # Bits of a leaf verdict; bit j (1..3) is the type-j flag.
@@ -267,6 +267,29 @@ def _packed_rows(n: int, h: int) -> tuple[int, ...]:
     return tuple(sum(itertools.compress(weights, vec)) for vec in _pair_tables(n))
 
 
+@lru_cache(maxsize=None)
+def _mask_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]:
+    """Tight-rival mask layout: (rows, pair bits, LOW, GUARD).
+
+    2n blocks of n + 1 bits: block x for x's defeats, n + x for its victories;
+    bit y is rival y, bit n the guard.  rows[r] is M_r: block x holds the
+    rivals ranking r puts above x, block n + x those below.  Pair (x, y) has
+    bits (x, y, d_xy, d_yx, v_xy, v_yx): d_xy is y in block x, v_xy y in n + x.
+    """
+    width = n + 1
+    bits = tuple(
+        (x, y, 1 << x * width + y, 1 << y * width + x,
+         1 << (n + x) * width + y, 1 << (n + y) * width + x)
+        for x, y in upper_pairs(n)
+    )
+    # vec[k] = 0: y above x, so d_xy and v_yx; vec[k] = 1 flips them to d_yx and v_xy.
+    base = sum(d_xy | v_yx for _, _, d_xy, _, _, v_yx in bits)
+    flips = [(d_yx | v_xy) - (d_xy | v_yx) for _, _, d_xy, d_yx, v_xy, v_yx in bits]
+    rows = tuple(base + sum(itertools.compress(flips, vec)) for vec in _pair_tables(n))
+    blocks = [b * width for b in range(2 * n)]
+    return rows, bits, sum(((1 << n) - 1) << s for s in blocks), sum(1 << s + n for s in blocks)
+
+
 @dataclass
 class KernelReport:
     """Aggregate of one scan over (part of) the multiset tree.
@@ -284,48 +307,81 @@ class KernelReport:
     condorcet_loser_selections: int = 0
 
 
-def _leaf_verdict(tally: list[int], h: int, n: int, rule, track_condorcet: bool) -> int:
-    """One leaf's verdict bits: the three type flags, the dual-route mismatch
-    and, for minimax with track_condorcet, the two Condorcet counters; for a
-    pair of rules, bit 1 alone, set when their selections differ."""
+def _type_bits(ls: int, lsr: int, meets: bool, n: int) -> int:
+    """Type-flag bits from the selection sizes on p and its reversal and whether they meet."""
+    return (ls == 1 and lsr == 1) << 1 | (ls == 1) << 2 | (ls < n) << 3 if meets else 0
+
+
+def _minimax_bits(wd: list[int], wdr: list[int], h: int, n: int, track_condorcet: bool) -> int:
+    """A minimax leaf's verdict bits from its worst defeats on p and on its
+    reversal: the type flags, the dual-route mismatch and, with
+    track_condorcet, the two Condorcet counters."""
     rng_n = range(n)
-    bits = 0
+    mu_p, mu_pr = minimax_thresholds(wd, wdr, h)
+    sel = [x for x in rng_n if wd[x] < mu_p]
+    m1 = min(wd)
+    bits = _MISMATCH if sel != [x for x in rng_n if wd[x] == m1] else 0
+    selr = [x for x in rng_n if wdr[x] < mu_pr]
+    if track_condorcet:
+        cw_bound = h - (h // 2 + 1)
+        winner = max((x for x in rng_n if wd[x] <= cw_bound), default=-1)
+        loser = max((x for x in rng_n if wdr[x] <= cw_bound), default=-1)
+        if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
+            bits |= _PRINCIPLE
+        if loser >= 0 and wd[loser] < mu_p:
+            bits |= _LOSER
+    return bits | _type_bits(len(sel), len(selr), any(wd[x] < mu_p for x in selr), n)
+
+
+def _leaf_verdict(tally: list[int], h: int, n: int, rule, track_condorcet: bool) -> int:
+    """One leaf's verdict bits from its tally: _minimax_bits for minimax; for a
+    pair of rules, bit 1 alone, set when their selections differ."""
     if rule == "minimax":
-        wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
-        sel = [x for x in rng_n if wd[x] < mu_p]
-        m1 = min(wd)
-        if sel != [x for x in rng_n if wd[x] == m1]:
-            bits |= _MISMATCH
-        selr_size = 0
-        meets = False
-        for x in rng_n:
-            if wdr[x] < mu_pr:
-                selr_size += 1
-                if wd[x] < mu_p:
-                    meets = True
-        if track_condorcet:
-            cw_bound = h - (h // 2 + 1)
-            winner = loser = -1
-            for x in rng_n:
-                if wd[x] <= cw_bound:
-                    winner = x
-                if wdr[x] <= cw_bound:
-                    loser = x
-            if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
-                bits |= _PRINCIPLE
-            if loser >= 0 and wd[loser] < mu_p:
-                bits |= _LOSER
-    elif isinstance(rule, tuple):
+        wd, wdr, _, _ = minimax_defeats(tally, h, n)
+        return _minimax_bits(wd, wdr, h, n, track_condorcet)
+    if isinstance(rule, tuple):
         first, second = rule
         return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
-    else:
-        sel, selr, _, _ = TALLY_RULES[rule](tally, h, n)
-        selr_size = len(selr)
-        meets = not set(sel).isdisjoint(selr)
-    if meets:
-        ls = len(sel)
-        bits |= (ls == 1 and selr_size == 1) << 1 | (ls == 1) << 2 | (ls < n) << 3
-    return bits
+    sel, selr, _, _ = TALLY_RULES[rule](tally, h, n)
+    return _type_bits(len(sel), len(selr), not set(sel).isdisjoint(selr), n)
+
+
+def _tight_verdicts(
+    u: list[int], h: int, n: int, track_condorcet: bool, shared: dict
+) -> Callable[[int], int]:
+    """Minimax verdict of parent tally u (h - 1 voters) plus ranking r, per r.
+
+    See _scan for the lemma.  T holds y in block x when y's defeat of x is
+    wd[x], in block n + x when x's victory over y is wdr[x].  Block b's guard
+    bit in ((M_r & T) + LOW) & GUARD is set iff block b of M_r & T is non-zero
+    (no block carries: it holds at most 2^(n+1) - 2).  shared maps (wd, wdr)
+    to a tag and tagged keys to verdicts, for one parent's leaves at a time.
+    """
+    rows, pair_bits, low, guard = _mask_table(n)
+    wd, wdr, _, _ = minimax_defeats(u, h - 1, n)
+    tight = 0
+    for (x, y, d_xy, d_yx, v_xy, v_yx), a in zip(pair_bits, u):
+        b = h - 1 - a
+        tight |= (b == wd[x]) * d_xy | (a == wd[y]) * d_yx
+        tight |= (a == wdr[x]) * v_xy | (b == wdr[y]) * v_yx
+    if len(shared) >= VERDICT_CACHE_LIMIT:
+        shared.clear()
+    # len(shared) grows with every entry, so no two defeat pairs get one tag.
+    tag = shared.setdefault((*wd, *wdr), len(shared) << 2 * n * (n + 1))
+    get = shared.get
+
+    def verdict(r: int) -> int:
+        key = tag | ((rows[r] & tight) + low) & guard
+        bits = get(key)
+        if bits is None:
+            rises = [key >> s & 1 for s in range(n, 2 * n * (n + 1), n + 1)]
+            bits = shared[key] = _minimax_bits(
+                list(map(add, wd, rises[:n])), list(map(add, wdr, rises[n:])),
+                h, n, track_condorcet,
+            )
+        return bits
+
+    return verdict
 
 
 def _scan(
@@ -343,7 +399,9 @@ def _scan(
     many rank pair k's smaller alternative above its larger one; each
     internal level adds its voter's vector into a fresh list and its packed
     row into the packed tally.  A leaf costs one int add and one lookup in a
-    verdict cache keyed by the packed tally; only a miss runs _leaf_verdict.
+    verdict cache keyed by the packed tally.  On a miss, minimax asks the
+    parent's _tight_verdicts (built on the parent's first miss); other rules
+    run _leaf_verdict.
 
     Soundness of the cache: _leaf_verdict reads the tally u, h, n, rule and
     track_condorcet and nothing else (no ranking index), and all but u are
@@ -353,7 +411,18 @@ def _scan(
     every digit of the sum is at most h < h + 1, no digit carries, and the
     key's base-(h + 1) digits are exactly u.  Verdicts are still applied leaf
     by leaf, so examined, counts, firsts and every counter stay exact per
-    profile.  The cache lives for this call only.
+    profile.  The caches live for this call only.
+
+    The tight-rival lemma: a leaf's tally is its parent's (h - 1 voters) plus
+    the last voter r's 0/1 vector.  So x's worst defeat is the parent's wd[x]
+    plus one iff r ranks above x a rival y tight for x (y's defeat of x is
+    wd[x]; any other rival's stays below wd[x] + 1), else wd[x]; x's greatest
+    victory is wdr[x] plus one iff r ranks below x a rival tight for it.
+    Soundness of the per-parent key: _minimax_bits reads the leaf's worst
+    defeats and victories, h, n and track_condorcet; by the lemma these are
+    the parent's wd/wdr, h, n, track_condorcet and the two rise masks, all
+    but the masks fixed for one parent (or one (wd, wdr) pair), and the key's
+    guard bits are the masks, so equal keys have equal verdicts.
     """
     vecs = _pair_tables(n)
     packed = _packed_rows(n, h)
@@ -364,6 +433,7 @@ def _scan(
     hunting = set(want)
     verdicts: dict[int, int] = {}
     get = verdicts.get
+    shared: dict = {}
     stack: list[int] = []
 
     def hit(bits: int, last: int) -> bool:
@@ -384,15 +454,20 @@ def _scan(
 
     def rec(depth: int, lo: int, u: list[int], key: int) -> bool:
         if depth == h - 1:
+            below = None
             for r in range(lo, K):
                 leaf = key + packed[r]
                 bits = get(leaf)
                 if bits is None:
                     if len(verdicts) >= VERDICT_CACHE_LIMIT:
                         verdicts.clear()
-                    bits = verdicts[leaf] = _leaf_verdict(
-                        list(map(add, u, vecs[r])), h, n, rule, track_condorcet
-                    )
+                    if rule != "minimax":
+                        tally = list(map(add, u, vecs[r]))
+                        bits = _leaf_verdict(tally, h, n, rule, track_condorcet)
+                    else:
+                        below = below or _tight_verdicts(u, h, n, track_condorcet, shared)
+                        bits = below(r)
+                    verdicts[leaf] = bits
                 if bits and not hit(bits, r):
                     report.examined += r - lo + 1
                     return False

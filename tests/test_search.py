@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from collections import Counter
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -245,15 +248,22 @@ class TestScanKernel:
         split = [u for u in leaves if len(set(real(u, h, n)[0])) > 1]
         target = max(split, key=leaves.__getitem__)
         assert leaves[target] > 1
+        # The kernel reads a leaf's verdict off its worst defeats, so a skew keyed
+        # by the target's defeats reaches every leaf that has them.
+        defeats = real(target, h, n)[:2]
+        skewed_leaves = sum(c for u, c in leaves.items() if real(u, h, n)[:2] == defeats)
+        assert skewed_leaves >= leaves[target]
+        thresholds = search.minimax_thresholds
 
-        def skewed(u, h, n):
-            wd, wdr, mu_p, mu_pr = real(u, h, n)
-            if tuple(u) == target:
+        def skewed(wd, wdr, h):
+            mu_p, mu_pr = thresholds(wd, wdr, h)
+            if (wd, wdr) == defeats:
                 mu_p = h + 1  # the threshold route selects everyone, the argmin does not
-            return wd, wdr, mu_p, mu_pr
+            return mu_p, mu_pr
 
-        monkeypatch.setattr(search, "minimax_defeats", skewed)
-        assert scan_minimax(h, n).kramer_mismatches == leaves[target]
+        monkeypatch.setattr(search, "minimax_thresholds", skewed)
+        assert scan_minimax(h, n).kramer_mismatches == skewed_leaves
+        assert search._leaf_verdict(list(target), h, n, "minimax", False) & 1
 
     def test_a_full_verdict_cache_starts_afresh(self, monkeypatch):
         plain = scan_minimax(4, 4, track_condorcet=True)
@@ -339,6 +349,45 @@ class TestScanKernel:
         assert res.outcome == OUTCOME_INCONCLUSIVE
         assert res.examined == 0
         assert res.note == note
+
+
+@pytest.mark.parametrize("track_condorcet", [False, True])
+@pytest.mark.parametrize(
+    "h, n", [(h, 3) for h in range(2, 9)] + [(h, 4) for h in range(2, 6)] + [(2, 5)]
+)
+def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, track_condorcet):
+    """Every parent of h - 1 voters times every last voter, through the helper _scan calls."""
+    vecs = search._pair_tables(n)
+    plain: dict[tuple[int, ...], int] = {}
+    shared: dict = {}
+    checked = 0
+    for parent in itertools.combinations_with_replacement(range(len(vecs)), h - 1):
+        u = [sum(col) for col in zip(*(vecs[r] for r in parent))]
+        verdict = search._tight_verdicts(u, h, n, track_condorcet, shared)
+        for r, vec in enumerate(vecs):
+            leaf = tuple(map(add, u, vec))
+            if leaf not in plain:
+                plain[leaf] = search._leaf_verdict(list(leaf), h, n, "minimax", track_condorcet)
+            assert verdict(r) == plain[leaf], (parent, r)
+            checked += 1
+    assert checked == math.comb(len(vecs) + h - 2, h - 1) * len(vecs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mask_rows_hold_the_rivals_above_and_below(n):
+    rows, _, low, guard = search._mask_table(n)
+    width = n + 1
+    assert low == sum(((1 << n) - 1) << b * width for b in range(2 * n))
+    assert guard == sum(1 << b * width + n for b in range(2 * n))
+    for ranking, row in zip(all_rankings(n), rows, strict=True):
+        place = {x: i for i, x in enumerate(ranking.order)}
+        for x in range(n):
+            above = {y for y in range(n) if place[y + 1] < place[x + 1]}
+            below = set(range(n)) - above - {x}
+            for block, rivals in ((x, above), (n + x, below)):
+                bits = row >> block * width & (1 << width) - 1
+                assert bits == sum(1 << y for y in rivals), (ranking.order, block)
+        assert row & guard == 0
 
 
 @given(st.integers(2, 6), st.integers(2, 60), st.data())
