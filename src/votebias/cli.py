@@ -35,7 +35,7 @@ from .graphs import (
     profile_threshold,
 )
 from .prefs import Profile, ProfileParseError, parse_profile, serialize_profile
-from .rules import RULES, TALLY_RULES, condorcet_loser, condorcet_winner, upper_tally
+from .rules import RULES, TALLY_RULES, condorcet_loser, condorcet_winner
 from .search import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
@@ -51,9 +51,10 @@ from .search import (
     find_witness,
     profile_from_indices,
     resolve_workers,
-    sample_profile,
     scan_minimax,
+    scan_samples,
     search_exhaustive,
+    search_sampled,
     table_refusal,
 )
 
@@ -312,7 +313,7 @@ def _verify_group(
     js: list[int],
     strategy: str,
     ex_budget: int,
-    sample_budget: int | None,
+    sample_budget: int,
     seed: int,
     workers: int,
 ) -> list[VerificationCell]:
@@ -322,6 +323,7 @@ def _verify_group(
     scan for all of js, so examined counts and hit totals do not depend on
     the worker count.  Only auto falls back, per type, to a constructive or
     sampled search, and only when the exhaustive search was inconclusive.
+    Both searches report a dual-route mismatch in the result, never raise it.
     """
     started = time.perf_counter()
     if strategy in ("auto", "exhaustive"):
@@ -336,10 +338,9 @@ def _verify_group(
         if strategy == "constructive" or (
             strategy == "auto" and not expected and has_constructive_witness(h, n, j)
         ):
-            mode = SearchStrategy("constructive")
+            result = find_witness(h, n, j, "minimax", SearchStrategy("constructive"))
         else:
-            mode = SearchStrategy("sampled", budget=sample_budget, seed=seed)
-        result = find_witness(h, n, j, "minimax", mode)
+            result = search_sampled(h, n, j, "minimax", sample_budget, seed)
         cells.append(VerificationCell(result, expected, time.perf_counter() - started))
     return cells
 
@@ -360,8 +361,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for n in n_values:
             cells.extend(
                 _verify_group(
-                    h, n, j_values, args.strategy, ex_budget, args.budget,
-                    args.seed, workers,
+                    h, n, j_values, args.strategy, ex_budget,
+                    args.budget or DEFAULT_SAMPLE_BUDGET, args.seed, workers,
                 )
             )
     contradicted = sum(1 for c in cells if c.consistent is False)
@@ -439,16 +440,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     difference: Profile | None = None
     note = ""
     if method == "sampled":
-        sample_budget = args.budget if args.budget is not None else DEFAULT_SAMPLE_BUDGET
-        core_a, core_b = TALLY_RULES[first], TALLY_RULES[second]
-        for index in range(sample_budget):
-            examined = index + 1
-            profile = sample_profile(h, n, args.seed, index)
-            u = upper_tally(profile)
-            if core_a(u, h, n)[0] != core_b(u, h, n)[0]:
-                difference = profile
-                break
-        else:
+        sample_budget = args.budget or DEFAULT_SAMPLE_BUDGET
+        examined, difference, _ = scan_samples(h, n, 1, (first, second), sample_budget, args.seed)
+        if difference is None:
             note = f"selections agreed on {sample_budget} samples; not a proof"
     elif space > budget:
         note = f"space holds {space} representatives, over budget {budget}"

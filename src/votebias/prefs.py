@@ -36,12 +36,6 @@ class Ranking:
     def n(self) -> int:
         return len(self.order)
 
-    def rank_of(self, x: int) -> int:
-        """1-based position of alternative x (1 = best, n = worst)."""
-        if not 1 <= x <= self.n:
-            raise ValueError(f"alternative {x} not in 1..{self.n}")
-        return self.order.index(x) + 1
-
     def reverse(self) -> "Ranking":
         """The reversed ranking: position j goes to position n+1-j."""
         return Ranking(self.order[::-1])
@@ -90,12 +84,6 @@ class TallyMatrix:
                         f"tally entries for pair ({x + 1},{y + 1}) must be "
                         f"nonnegative and sum to h={self.h}, got {a}+{b}"
                     )
-
-    def count(self, x: int, y: int) -> int:
-        """Number of voters ranking x strictly above y."""
-        if x == y or not (1 <= x <= self.n and 1 <= y <= self.n):
-            raise ValueError(f"need distinct alternatives in 1..{self.n}, got ({x},{y})")
-        return self.counts[x - 1][y - 1]
 
     def reverse(self) -> "TallyMatrix":
         """Tally of the reversed profile: every entry flips to h - t[x][y]."""

@@ -14,6 +14,8 @@ and ``compare`` scans with a pair of rules for the first multiset on which
 their selections differ.
 The kernel keeps a running upper-triangle tally while walking the multiset
 tree and evaluates each leaf through the tally-level core in ``rules``.
+Sampled searches (``search_sampled``, and ``compare`` through ``scan_samples``)
+judge each seeded sample's tally by the same leaf verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from operator import add, lt
 from typing import Callable
 
-from .bias import audit_profile, bias_flags
+from .bias import bias_flags
 from .graphs import profile_threshold
 from .prefs import Profile, Ranking, serialize_profile
 from .rules import RULES, TALLY_RULES, minimax_defeats, minimax_thresholds, upper_pairs
@@ -155,7 +157,8 @@ class SearchResult:
     space is anonymous_count(h, n) in every mode, also under the neutrality
     cut.  hits is the exact number of biased representatives, set only by an
     exhaustive scan that did not stop early; mismatches counts the profiles on
-    which the two minimax routes disagreed during an exhaustive scan.
+    which the two minimax routes disagreed, among those an exhaustive scan
+    visited or a sampled search drew.
     """
 
     h: int
@@ -205,11 +208,16 @@ def enumerate_anonymous(h: int, n: int, visitor: Callable[[Profile], None]) -> i
     return count
 
 
-def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
-    """The index-th seeded random profile; independent of worker layout."""
+def _draw_orders(h: int, n: int, seed: int, index: int) -> list[tuple[int, ...]]:
+    """The h orders of the index-th seeded sample: one rng.sample of 1..n per voter."""
     rng = random.Random(f"{seed}:{index}")
     alts = list(range(1, n + 1))
-    return Profile(tuple(Ranking(tuple(rng.sample(alts, n))) for _ in range(h)))
+    return [tuple(rng.sample(alts, n)) for _ in range(h)]
+
+
+def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
+    """The index-th seeded random profile; independent of worker layout."""
+    return Profile(tuple(map(Ranking, _draw_orders(h, n, seed, index))))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -247,17 +255,22 @@ def table_refusal(n: int) -> str:
     return f"ranking table holds {size} rankings, over the limit of {MAX_SCAN_RANKINGS}"
 
 
+def _upper_row(order: tuple[int, ...]) -> bytes:
+    """An order's upper-triangle 0/1 vector, its own tally with h = 1: entry k
+    is 1 iff it ranks pair k's smaller alternative first (combinations of the
+    places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n."""
+    places = sorted(range(len(order)), key=order.__getitem__)
+    return bytes(itertools.starmap(lt, itertools.combinations(places, 2)))
+
+
+# Sized for all 8! orders, the most a default verify cell samples; larger n misses.
+_order_row = lru_cache(maxsize=math.factorial(8))(_upper_row)
+
+
 @lru_cache(maxsize=None)
 def _pair_tables(n: int) -> tuple[bytes, ...]:
-    """Per ranking, in all_rankings order, its upper-triangle 0/1 vector: its
-    own tally with h = 1."""
-    xs, ys = zip(*upper_pairs(n))
-    alternatives = range(n)
-    vecs = []
-    for order in itertools.permutations(alternatives):
-        place = sorted(alternatives, key=order.__getitem__).__getitem__
-        vecs.append(bytes(map(lt, map(place, xs), map(place, ys))))
-    return tuple(vecs)
+    """Per ranking, in all_rankings order, its _upper_row."""
+    return tuple(map(_upper_row, itertools.permutations(range(n))))
 
 
 @lru_cache(maxsize=None)
@@ -583,6 +596,10 @@ def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
 # --- witness search ----------------------------------------------------------
 
 
+def _disagreement(mismatches: int) -> str:
+    return f"direct and threshold minimax disagree on {mismatches} profiles"
+
+
 def search_exhaustive(
     h: int,
     n: int,
@@ -625,9 +642,7 @@ def search_exhaustive(
     )
     notes = [f"neutrality cut: {cut_space} representatives cover the space"] if cut else []
     if report.kramer_mismatches:
-        notes.append(
-            f"direct and threshold minimax disagree on {report.kramer_mismatches} profiles"
-        )
+        notes.append(_disagreement(report.kramer_mismatches))
     results = []
     for j in js:
         witness = None
@@ -643,6 +658,44 @@ def search_exhaustive(
     return results
 
 
+def sample_tally(h: int, n: int, seed: int, index: int) -> list[int]:
+    """upper_tally(sample_profile(h, n, seed, index)), summed from cached per-order rows."""
+    return list(map(sum, zip(*map(_order_row, _draw_orders(h, n, seed, index)))))
+
+
+def scan_samples(
+    h: int, n: int, bit: int, rule, budget: int, seed: int
+) -> tuple[int, Profile | None, int]:
+    """Judge samples 0, 1, ... by _leaf_verdict on their sample_tally until one
+    sets bit, at most budget: (examined, the hit's sample_profile or None, the
+    examined samples with the dual-route mismatch bit).  Only a hit becomes a
+    Profile."""
+    mismatches = 0
+    for index in range(budget):
+        bits = _leaf_verdict(sample_tally(h, n, seed, index), h, n, rule, False)
+        mismatches += bits & _MISMATCH
+        if bits >> bit & 1:
+            return index + 1, sample_profile(h, n, seed, index), mismatches
+    return budget, None, mismatches
+
+
+def search_sampled(h: int, n: int, j: int, rule: str, budget: int, seed: int) -> SearchResult:
+    """Sampled search for bias type j at (h, n), for verify and find_witness:
+    scan_samples, then certify_witness on a hit.  A miss is inconclusive; a
+    dual-route mismatch is counted and named in the note, never raised here."""
+    examined, profile, mismatches = scan_samples(h, n, j, rule, budget, seed)
+    witness = certify_witness(profile, j, rule, "sampled", seed) if profile else None
+    notes = [] if witness else [f"no witness in {budget} samples; sampling cannot certify immunity"]
+    if mismatches:
+        notes.append(_disagreement(mismatches))
+    return SearchResult(
+        h=h, n=n, j=j, rule=rule, method="sampled",
+        outcome=OUTCOME_WITNESS if witness else OUTCOME_INCONCLUSIVE,
+        examined=examined, space=anonymous_count(h, n), witness=witness, seed=seed,
+        note="; ".join(notes), mismatches=mismatches,
+    )
+
+
 def find_witness(
     h: int,
     n: int,
@@ -656,8 +709,9 @@ def find_witness(
     Exhaustive mode is search_exhaustive for j alone, stopping at the first
     hit: it certifies immunity when the whole space (or the neutrality cut)
     is swept without a hit, yields an inconclusive result for a space larger
-    than the budget, never a silent truncation, and raises RuntimeError when
-    the two minimax routes disagreed, ValueError past MAX_H or MAX_N.
+    than the budget, never a silent truncation, and raises ValueError past
+    MAX_H or MAX_N.  Sampled mode is search_sampled.  Both raise RuntimeError
+    when the two minimax routes disagreed.
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
@@ -668,36 +722,13 @@ def find_witness(
         (result,) = search_exhaustive(
             h, n, (j,), rule, strategy.effective_budget, workers, stop_early=True
         )
-        if result.mismatches:
-            raise RuntimeError(
-                f"direct and threshold minimax disagree on {result.mismatches} profiles"
-            )
-        return result
-    if strategy.mode == "sampled":
-        return _find_sampled(h, n, j, rule, strategy)
-    return _find_constructive(h, n, j, rule)
-
-
-def _find_sampled(h: int, n: int, j: int, rule: str, strategy: SearchStrategy) -> SearchResult:
-    budget = strategy.effective_budget
-    space = anonymous_count(h, n)
-    for index in range(budget):
-        profile = sample_profile(h, n, strategy.seed, index)
-        report = audit_profile(profile, rules=(rule,))[0]
-        if (report.type1, report.type2, report.type3)[j - 1]:
-            witness = certify_witness(
-                profile, j, rule, method="sampled", seed=strategy.seed
-            )
-            return SearchResult(
-                h=h, n=n, j=j, rule=rule, method="sampled",
-                outcome=OUTCOME_WITNESS, examined=index + 1, space=space,
-                witness=witness, seed=strategy.seed,
-            )
-    return SearchResult(
-        h=h, n=n, j=j, rule=rule, method="sampled",
-        outcome=OUTCOME_INCONCLUSIVE, examined=budget, space=space, seed=strategy.seed,
-        note=f"no witness in {budget} samples; sampling cannot certify immunity",
-    )
+    elif strategy.mode == "sampled":
+        result = search_sampled(h, n, j, rule, strategy.effective_budget, strategy.seed)
+    else:
+        return _find_constructive(h, n, j, rule)
+    if result.mismatches:
+        raise RuntimeError(_disagreement(result.mismatches))
+    return result
 
 
 def _find_constructive(h: int, n: int, j: int, rule: str) -> SearchResult:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from votebias import Profile, Ranking, anonymous_count, rules, scan_minimax
+from votebias import Profile, Ranking, TallyMatrix, anonymous_count, rules, scan_minimax
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 GRID_H = range(2, 13)
@@ -39,8 +39,18 @@ def expected_immune(j: int, h: int, n: int) -> bool:
 # --- naive rule oracles ------------------------------------------------------
 
 
+def rank(q: Ranking, x: int) -> int:
+    """1-based position of alternative x in q (1 = best)."""
+    return q.order.index(x) + 1
+
+
+def count(t: TallyMatrix, x: int, y: int) -> int:
+    """Voters ranking x above y, read off the tally's 1-based cell."""
+    return t.counts[x - 1][y - 1]
+
+
 def naive_tally(profile: Profile, x: int, y: int) -> int:
-    return sum(1 for q in profile.columns if q.rank_of(x) < q.rank_of(y))
+    return sum(1 for q in profile.columns if rank(q, x) < rank(q, y))
 
 
 def naive_worst_defeat(profile: Profile, x: int) -> int:
@@ -55,7 +65,7 @@ def naive_minimax(profile: Profile) -> set[int]:
 
 def naive_borda_scores(profile: Profile) -> dict[int, int]:
     return {
-        x: sum(q.n - q.rank_of(x) for q in profile.columns)
+        x: sum(q.n - rank(q, x) for q in profile.columns)
         for x in range(1, profile.n + 1)
     }
 

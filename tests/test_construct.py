@@ -21,7 +21,7 @@ from votebias import (
     profile_threshold,
 )
 
-from conftest import GRID_H, GRID_N, smallest_cycle_length
+from conftest import GRID_H, GRID_N, count, smallest_cycle_length
 
 
 class TestCycleProfile:
@@ -40,7 +40,7 @@ class TestCycleProfile:
         t = p.tally()
         for x in (1, 2, 3):
             for y in (4, 5, 6):
-                assert t.count(x, y) == 5
+                assert count(t, x, y) == 5
 
     @pytest.mark.parametrize(
         "l, mu, h",
