@@ -58,7 +58,6 @@ from .search import (
     table_refusal,
 )
 
-LONG_RUN_BUDGET = 300_000_000
 MAX_RANGE_VALUES = 10_000
 
 EXIT_OK = 0
@@ -349,9 +348,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h_values = _parse_values(args.h, "h", 2, MAX_H)
     n_values = _parse_values(args.n, "n", 2, MAX_N)
     j_values = _parse_values(args.j, "j", 1, 3)
-    ex_budget = args.budget if args.budget is not None else (
-        LONG_RUN_BUDGET if args.long_run else DEFAULT_EXHAUSTIVE_BUDGET
-    )
+    ex_budget = args.budget if args.budget is not None else DEFAULT_EXHAUSTIVE_BUDGET
     try:
         workers = resolve_workers(None)
     except ValueError as exc:
@@ -615,10 +612,6 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument("--budget", type=_positive_int, help="profile budget per cell")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument(
-        "--long-run", action="store_true",
-        help=f"raise the exhaustive budget to {LONG_RUN_BUDGET}",
-    )
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true")
     group.add_argument("--csv", action="store_true")

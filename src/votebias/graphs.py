@@ -177,11 +177,7 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def analyze(graph: MajorityGraph) -> GraphAnalysis:
-    """Full structural analysis, computed once per graph and cached."""
-    try:
-        return graph._analysis  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
+    """Full structural analysis of the graph."""
     outs, ins = _adjacency(graph)
     full = (1 << graph.n) - 1
     maximal = frozenset(x for x, m in enumerate(ins, start=1) if not m)
@@ -208,7 +204,7 @@ def analyze(graph: MajorityGraph) -> GraphAnalysis:
             tuple(v + 1 for v in _members(comp)), not comp & cyclic
         ))
 
-    analysis = GraphAnalysis(
+    return GraphAnalysis(
         maximal=maximal,
         minimal=minimal,
         isolated=maximal & minimal,
@@ -217,8 +213,6 @@ def analyze(graph: MajorityGraph) -> GraphAnalysis:
         components=tuple(components),
         acyclic=not cyclic,
     )
-    object.__setattr__(graph, "_analysis", analysis)
-    return analysis
 
 
 def _cyclic_core(mask: int, outs: list[int]) -> int:

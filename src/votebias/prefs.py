@@ -85,15 +85,6 @@ class TallyMatrix:
                         f"nonnegative and sum to h={self.h}, got {a}+{b}"
                     )
 
-    def reverse(self) -> "TallyMatrix":
-        """Tally of the reversed profile: every entry flips to h - t[x][y]."""
-        n, h = self.n, self.h
-        rows = tuple(
-            tuple(0 if x == y else h - self.counts[x][y] for y in range(n))
-            for x in range(n)
-        )
-        return TallyMatrix(n, h, rows)
-
 
 @dataclass(frozen=True)
 class Profile:

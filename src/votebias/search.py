@@ -240,11 +240,11 @@ def resolve_workers(workers: int | None = None) -> int:
 MAX_SCAN_RANKINGS = math.factorial(9)
 # Entries each verdict cache of a scan holds before it starts afresh: about
 # 80 MB at the 76 bytes per entry measured at (4,5).  No cell within the
-# default budget has that many; long runs such as (5,5) do.
+# default budget has that many; a plain scan of (5,5) does.
 VERDICT_CACHE_LIMIT = 1 << 20
 
-# Bits of a leaf verdict; bit j (1..3) is the type-j flag.
-_MISMATCH, _PRINCIPLE, _LOSER = 1, 16, 32
+# Bit 0 of a leaf verdict is the dual-route mismatch; bit j (1..3) the type-j flag.
+_MISMATCH = 1
 
 
 def table_refusal(n: int) -> str:
@@ -307,7 +307,7 @@ def _mask_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], i
 class KernelReport:
     """Aggregate of one scan over (part of) the multiset tree.
 
-    kramer_mismatches and the Condorcet counters stay 0 for Borda and Copeland.
+    kramer_mismatches stays 0 for Borda and Copeland.
     """
 
     h: int
@@ -316,8 +316,6 @@ class KernelReport:
     counts: dict = field(default_factory=lambda: {1: 0, 2: 0, 3: 0})
     firsts: dict = field(default_factory=lambda: {1: None, 2: None, 3: None})
     kramer_mismatches: int = 0
-    condorcet_principle_violations: int = 0
-    condorcet_loser_selections: int = 0
 
 
 def _type_bits(ls: int, lsr: int, meets: bool, n: int) -> int:
@@ -325,33 +323,24 @@ def _type_bits(ls: int, lsr: int, meets: bool, n: int) -> int:
     return (ls == 1 and lsr == 1) << 1 | (ls == 1) << 2 | (ls < n) << 3 if meets else 0
 
 
-def _minimax_bits(wd: list[int], wdr: list[int], h: int, n: int, track_condorcet: bool) -> int:
+def _minimax_bits(wd: list[int], wdr: list[int], h: int, n: int) -> int:
     """A minimax leaf's verdict bits from its worst defeats on p and on its
-    reversal: the type flags, the dual-route mismatch and, with
-    track_condorcet, the two Condorcet counters."""
+    reversal: the type flags and the dual-route mismatch."""
     rng_n = range(n)
     mu_p, mu_pr = minimax_thresholds(wd, wdr, h)
     sel = [x for x in rng_n if wd[x] < mu_p]
     m1 = min(wd)
     bits = _MISMATCH if sel != [x for x in rng_n if wd[x] == m1] else 0
     selr = [x for x in rng_n if wdr[x] < mu_pr]
-    if track_condorcet:
-        cw_bound = h - (h // 2 + 1)
-        winner = max((x for x in rng_n if wd[x] <= cw_bound), default=-1)
-        loser = max((x for x in rng_n if wdr[x] <= cw_bound), default=-1)
-        if winner >= 0 and (len(sel) != 1 or sel[0] != winner):
-            bits |= _PRINCIPLE
-        if loser >= 0 and wd[loser] < mu_p:
-            bits |= _LOSER
     return bits | _type_bits(len(sel), len(selr), any(wd[x] < mu_p for x in selr), n)
 
 
-def _leaf_verdict(tally: list[int], h: int, n: int, rule, track_condorcet: bool) -> int:
+def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
     """One leaf's verdict bits from its tally: _minimax_bits for minimax; for a
     pair of rules, bit 1 alone, set when their selections differ."""
     if rule == "minimax":
         wd, wdr, _, _ = minimax_defeats(tally, h, n)
-        return _minimax_bits(wd, wdr, h, n, track_condorcet)
+        return _minimax_bits(wd, wdr, h, n)
     if isinstance(rule, tuple):
         first, second = rule
         return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
@@ -359,9 +348,7 @@ def _leaf_verdict(tally: list[int], h: int, n: int, rule, track_condorcet: bool)
     return _type_bits(len(sel), len(selr), not set(sel).isdisjoint(selr), n)
 
 
-def _tight_verdicts(
-    u: list[int], h: int, n: int, track_condorcet: bool, shared: dict
-) -> Callable[[int], int]:
+def _tight_verdicts(u: list[int], h: int, n: int, shared: dict) -> Callable[[int], int]:
     """Minimax verdict of parent tally u (h - 1 voters) plus ranking r, per r.
 
     See _scan for the lemma.  T holds y in block x when y's defeat of x is
@@ -389,8 +376,7 @@ def _tight_verdicts(
         if bits is None:
             rises = [key >> s & 1 for s in range(n, 2 * n * (n + 1), n + 1)]
             bits = shared[key] = _minimax_bits(
-                list(map(add, wd, rises[:n])), list(map(add, wdr, rises[n:])),
-                h, n, track_condorcet,
+                list(map(add, wd, rises[:n])), list(map(add, wdr, rises[n:])), h, n
             )
         return bits
 
@@ -402,7 +388,6 @@ def _scan(
     n: int,
     want: tuple[int, ...] = (1, 2, 3),
     stop_early: bool = False,
-    track_condorcet: bool = False,
     prefixes: tuple[tuple[int, ...], ...] = ((),),
     rule: str | tuple[str, str] = "minimax",
 ) -> KernelReport:
@@ -416,14 +401,14 @@ def _scan(
     parent's _tight_verdicts (built on the parent's first miss); other rules
     run _leaf_verdict.
 
-    Soundness of the cache: _leaf_verdict reads the tally u, h, n, rule and
-    track_condorcet and nothing else (no ranking index), and all but u are
-    fixed for one call, so leaves with equal u have equal verdicts.  The key
+    Soundness of the cache: _leaf_verdict reads the tally u, h, n and rule
+    and nothing else (no ranking index), and all but u are fixed for one
+    call, so leaves with equal u have equal verdicts.  The key
     determines u: digit k of a packed row is that ranking's u[k] (0 or 1) in
     base h + 1, and a leaf's key is the sum of the rows of its h voters, so
     every digit of the sum is at most h < h + 1, no digit carries, and the
     key's base-(h + 1) digits are exactly u.  Verdicts are still applied leaf
-    by leaf, so examined, counts, firsts and every counter stay exact per
+    by leaf, so examined, counts, firsts and kramer_mismatches stay exact per
     profile.  The caches live for this call only.
 
     The tight-rival lemma: a leaf's tally is its parent's (h - 1 voters) plus
@@ -432,10 +417,10 @@ def _scan(
     wd[x]; any other rival's stays below wd[x] + 1), else wd[x]; x's greatest
     victory is wdr[x] plus one iff r ranks below x a rival tight for it.
     Soundness of the per-parent key: _minimax_bits reads the leaf's worst
-    defeats and victories, h, n and track_condorcet; by the lemma these are
-    the parent's wd/wdr, h, n, track_condorcet and the two rise masks, all
-    but the masks fixed for one parent (or one (wd, wdr) pair), and the key's
-    guard bits are the masks, so equal keys have equal verdicts.
+    defeats and victories, h and n; by the lemma these are the parent's
+    wd/wdr, h, n and the two rise masks, all but the masks fixed for one
+    parent (or one (wd, wdr) pair), and the key's guard bits are the masks,
+    so equal keys have equal verdicts.
     """
     vecs = _pair_tables(n)
     packed = _packed_rows(n, h)
@@ -453,10 +438,6 @@ def _scan(
         """Apply a non-zero verdict; False once a stop-early scan has all it wants."""
         if bits & _MISMATCH:
             report.kramer_mismatches += 1
-        if bits & _PRINCIPLE:
-            report.condorcet_principle_violations += 1
-        if bits & _LOSER:
-            report.condorcet_loser_selections += 1
         for j in want:
             if bits >> j & 1:
                 counts[j] += 1
@@ -476,9 +457,9 @@ def _scan(
                         verdicts.clear()
                     if rule != "minimax":
                         tally = list(map(add, u, vecs[r]))
-                        bits = _leaf_verdict(tally, h, n, rule, track_condorcet)
+                        bits = _leaf_verdict(tally, h, n, rule)
                     else:
-                        below = below or _tight_verdicts(u, h, n, track_condorcet, shared)
+                        below = below or _tight_verdicts(u, h, n, shared)
                         bits = below(r)
                     verdicts[leaf] = bits
                 if bits and not hit(bits, r):
@@ -515,8 +496,6 @@ def _merge(h: int, n: int, want: tuple[int, ...], parts) -> KernelReport:
     for part in parts:
         merged.examined += part.examined
         merged.kramer_mismatches += part.kramer_mismatches
-        merged.condorcet_principle_violations += part.condorcet_principle_violations
-        merged.condorcet_loser_selections += part.condorcet_loser_selections
         for j in want:
             merged.counts[j] += part.counts[j]
             first = part.firsts[j]
@@ -530,7 +509,6 @@ def scan_minimax(
     n: int,
     want: tuple[int, ...] = (1, 2, 3),
     stop_early: bool = False,
-    track_condorcet: bool = False,
     workers: int | None = None,
     neutral_cut: bool = False,
     rule: str | tuple[str, str] = "minimax",
@@ -556,18 +534,12 @@ def scan_minimax(
     base_prefix = (0,) if neutral_cut else ()
     if workers <= 1 or h - len(base_prefix) < 3 or space < 50_000:
         report = _scan(
-            h,
-            n,
-            want=want,
-            stop_early=stop_early,
-            track_condorcet=track_condorcet,
-            prefixes=(base_prefix,),
-            rule=rule,
+            h, n, want=want, stop_early=stop_early, prefixes=(base_prefix,), rule=rule
         )
     else:
         prefixes = [(r1, r2) for r1 in base_prefix or range(K) for r2 in range(r1, K)]
         chunks = [prefixes[w::workers] for w in range(workers)]
-        tasks = [(h, n, want, False, track_condorcet, chunk, rule) for chunk in chunks if chunk]
+        tasks = [(h, n, want, False, chunk, rule) for chunk in chunks if chunk]
         with multiprocessing.Pool(processes=len(tasks)) as pool:
             report = _merge(h, n, want, pool.starmap(_scan, tasks))
     found_all = stop_early and all(report.firsts[j] is not None for j in want)
@@ -672,7 +644,7 @@ def scan_samples(
     Profile."""
     mismatches = 0
     for index in range(budget):
-        bits = _leaf_verdict(sample_tally(h, n, seed, index), h, n, rule, False)
+        bits = _leaf_verdict(sample_tally(h, n, seed, index), h, n, rule)
         mismatches += bits & _MISMATCH
         if bits >> bit & 1:
             return index + 1, sample_profile(h, n, seed, index), mismatches

@@ -157,11 +157,11 @@ def exhaustive_grid_cells() -> list[tuple[int, int]]:
 def kernel_scans():
     """Full scans of every cap-feasible grid cell, shared across criteria.
 
-    Each value is a KernelReport with exact bias counts for all three types,
-    the dual-route mismatch counter, and Condorcet statistics.
+    Each value is a KernelReport with exact bias counts for all three types
+    and the dual-route mismatch counter.
     """
     return {
-        (h, n): scan_minimax(h, n, want=(1, 2, 3), track_condorcet=True)
+        (h, n): scan_minimax(h, n, want=(1, 2, 3))
         for (h, n) in exhaustive_grid_cells()
     }
 

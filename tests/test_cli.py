@@ -644,6 +644,7 @@ class TestUsageErrors:
             ["verify", "--budget", "0"],
             ["compare", "--pair", "minimax-borda", "--h", "3", "--n", "3", "--budget", "0"],
             ["fixtures"],
+            ["verify", "--long-run"],
         ):
             with pytest.raises(SystemExit) as info:
                 main(argv)

@@ -55,10 +55,9 @@ class TestTallyMatrix:
         with pytest.raises(ValueError):
             TallyMatrix(2, 3, ((1, 2), (1, 0)))
 
-    def test_count_and_reverse(self):
+    def test_count(self):
         t = TallyMatrix(2, 3, ((0, 2), (1, 0)))
         assert count(t, 1, 2) == 2
-        assert count(t.reverse(), 1, 2) == 1
 
 
 class TestProfile:
@@ -78,7 +77,7 @@ class TestProfile:
 
     @given(profiles())
     def test_reversal_tally_is_the_flipped_tally(self, p):
-        assert p.reverse().tally() == p.tally().reverse()
+        assert p.reverse().tally() == TallyMatrix(p.n, p.h, tuple(zip(*p.tally().counts)))
 
     @given(profiles())
     def test_tally_rows_sum_to_h(self, p):

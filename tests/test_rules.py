@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
+import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from votebias import (
     borda,
@@ -16,7 +20,7 @@ from votebias import (
     profile_threshold,
     worst_defeats,
 )
-from votebias.rules import TALLY_RULES, upper_pairs, upper_tally
+from votebias.rules import TALLY_RULES, minimax_tally, upper_pairs, upper_tally
 
 from conftest import (
     borda_scores,
@@ -168,3 +172,54 @@ class TestTallyCore:
         for q, mu in ((p, mu_p), (pr, mu_pr)):
             admissible = range(p.h // 2 + 1, p.h + 1)
             assert mu == min(m for m in admissible if naive_dominant(q, m))
+
+
+def condorcet_selected_alone(u, h: int, n: int) -> bool:
+    """Assert minimax_tally's Condorcet property on one tally; True iff p has a
+    Condorcet winner.  Worst defeats are read pair by pair off u, not through
+    rules.minimax_defeats."""
+    index = {pair: k for k, pair in enumerate(upper_pairs(n))}
+
+    def over(y, x):  # voters ranking y above x
+        return u[index[y, x]] if y < x else h - u[index[x, y]]
+
+    wd = [max(over(y, x) for y in range(n) if y != x) for x in range(n)]
+    wdr = [max(over(x, y) for y in range(n) if y != x) for x in range(n)]
+    bound = h - (h // 2 + 1)
+    sel_p, sel_pr, _, _ = minimax_tally(u, h, n)
+    for x in range(n):
+        if wd[x] <= bound:
+            assert sel_p == (x + 1,), (u, h, n)
+        if wdr[x] <= bound:
+            assert sel_pr == (x + 1,), (u, h, n)
+    return min(wd) <= bound
+
+
+class TestCondorcetOnTallies:
+    """A Condorcet winner (worst defeat at most h - (h // 2 + 1)) is the
+    minimax selection alone, on p and, through the best victories, on its
+    reversal.  The tallies range over all of [0, h]^(n(n-1)/2), most of which
+    no profile produces, so every leaf tally a scan can meet is among them.
+
+    No scan needs to count Condorcet losers that minimax selects: suppose p
+    selects a Condorcet loser L.  L is the Condorcet winner of the reversal pr,
+    so by this property pr selects {L} alone.  pr's own reversal is p, which
+    still selects L, so pr shows type-2 bias.  Criterion 2 certifies zero
+    type-2 hits over the whole space of every type-2-immune cell, pr included,
+    so no profile there selects its Condorcet loser.
+    """
+
+    @pytest.mark.parametrize("n, top", [(3, 12), (4, 5)])
+    def test_every_tally(self, n, top):
+        for h in range(2, top + 1):
+            cells = itertools.product(range(h + 1), repeat=n * (n - 1) // 2)
+            with_winner = sum(condorcet_selected_alone(u, h, n) for u in cells)
+            assert 0 < with_winner < (h + 1) ** (n * (n - 1) // 2), (h, n)
+
+    @given(st.data())
+    def test_arbitrary_tallies(self, data):
+        h = data.draw(st.integers(2, 60))
+        n = data.draw(st.integers(2, 8))
+        size = n * (n - 1) // 2
+        u = data.draw(st.lists(st.integers(0, h), min_size=size, max_size=size))
+        condorcet_selected_alone(u, h, n)

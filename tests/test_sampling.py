@@ -75,7 +75,7 @@ def test_sample_tally_and_verdict_match_the_object_path(h, n):
         profile = sample_profile(h, n, 271828, index)
         assert u == upper_tally(profile), index
         for report in audit_profile(profile):
-            bits = search._leaf_verdict(u, h, n, report.rule, False)
+            bits = search._leaf_verdict(u, h, n, report.rule)
             assert bits == 2 * report.type1 | 4 * report.type2 | 8 * report.type3, index
 
 

@@ -20,12 +20,9 @@ from votebias import (
     anonymous_count,
     audit_profile,
     certify_witness,
-    condorcet_loser,
-    condorcet_winner,
     enumerate_anonymous,
     find_witness,
     fixture_profile,
-    minimax_direct,
     neutral_count,
     parse_profile,
     profile_from_indices,
@@ -190,12 +187,11 @@ class TestCertifyWitness:
         assert d["selection_pr"] == [1, 3, 4]
 
 
-def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, tuple[int, int], int]:
-    """Independent bias counts, first-hit indices, Condorcet counters and the
-    number of distinct tallies, via the plain audit path."""
+def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, int]:
+    """Independent bias counts, first-hit indices and the number of distinct
+    tallies, via the plain audit path."""
     counts = {1: 0, 2: 0, 3: 0}
     firsts: dict[int, tuple[int, ...] | None] = {1: None, 2: None, 3: None}
-    condorcet = [0, 0]
     tallies = set()
     order = {q.order: i for i, q in enumerate(all_rankings(n))}
 
@@ -208,14 +204,10 @@ def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, tup
                 counts[j] += 1
                 if firsts[j] is None:
                     firsts[j] = idx
-        if rule == "minimax":
-            winner, loser, selected = condorcet_winner(p), condorcet_loser(p), minimax_direct(p)
-            condorcet[0] += winner is not None and selected != {winner}
-            condorcet[1] += loser is not None and loser in selected
         tallies.add(tuple(upper_tally(p)))
 
     enumerate_anonymous(h, n, visit)
-    return counts, firsts, tuple(condorcet), len(tallies)
+    return counts, firsts, len(tallies)
 
 
 class TestScanKernel:
@@ -228,17 +220,13 @@ class TestScanKernel:
         ],
     )
     def test_counts_and_firsts_match_plain_audit(self, h, n, rule):
-        expected_counts, expected_firsts, condorcet, distinct = brute_counts(h, n, rule)
-        report = scan_minimax(h, n, want=(1, 2, 3), track_condorcet=True, rule=rule)
+        expected_counts, expected_firsts, distinct = brute_counts(h, n, rule)
+        report = scan_minimax(h, n, want=(1, 2, 3), rule=rule)
         # Leaves share tallies here, so most of them are answered by the verdict cache.
         assert distinct < report.examined == anonymous_count(h, n)
         assert report.counts == expected_counts
         assert report.firsts == expected_firsts
         assert report.kramer_mismatches == 0
-        assert (
-            report.condorcet_principle_violations,
-            report.condorcet_loser_selections,
-        ) == condorcet
 
     def test_a_mismatch_counts_every_leaf_of_its_tally(self, monkeypatch):
         h, n = 4, 3
@@ -263,12 +251,12 @@ class TestScanKernel:
 
         monkeypatch.setattr(search, "minimax_thresholds", skewed)
         assert scan_minimax(h, n).kramer_mismatches == skewed_leaves
-        assert search._leaf_verdict(list(target), h, n, "minimax", False) & 1
+        assert search._leaf_verdict(list(target), h, n, "minimax") & 1
 
     def test_a_full_verdict_cache_starts_afresh(self, monkeypatch):
-        plain = scan_minimax(4, 4, track_condorcet=True)
+        plain = scan_minimax(4, 4)
         monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 3)
-        assert scan_minimax(4, 4, track_condorcet=True) == plain
+        assert scan_minimax(4, 4) == plain
 
     def test_stop_early_agrees_on_the_first_hit(self):
         full = scan_minimax(4, 3, want=(3,))
@@ -278,14 +266,12 @@ class TestScanKernel:
 
     def test_parallel_equals_sequential(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        seq = scan_minimax(5, 4, want=(1, 2, 3), track_condorcet=True, workers=1)
-        par = scan_minimax(5, 4, want=(1, 2, 3), track_condorcet=True, workers=3)
+        seq = scan_minimax(5, 4, want=(1, 2, 3), workers=1)
+        par = scan_minimax(5, 4, want=(1, 2, 3), workers=3)
         assert par.examined == seq.examined == anonymous_count(5, 4)
         assert par.counts == seq.counts
         assert par.firsts == seq.firsts
         assert par.kramer_mismatches == seq.kramer_mismatches == 0
-        assert par.condorcet_principle_violations == 0
-        assert par.condorcet_loser_selections == seq.condorcet_loser_selections
 
     def test_parallel_scan_keeps_the_rule(self, monkeypatch):
         # Minimax has type-2 and type-3 hits at (5,4); a worker running it would count them.
@@ -351,23 +337,28 @@ class TestScanKernel:
         assert res.note == note
 
 
-@pytest.mark.parametrize("track_condorcet", [False, True])
+@pytest.mark.parametrize("cleared", [False, True])
 @pytest.mark.parametrize(
     "h, n", [(h, 3) for h in range(2, 9)] + [(h, 4) for h in range(2, 6)] + [(2, 5)]
 )
-def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, track_condorcet):
-    """Every parent of h - 1 voters times every last voter, through the helper _scan calls."""
+def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypatch):
+    """Every parent of h - 1 voters times every last voter, through the helper _scan calls.
+
+    One shared dict serves the cell.  With cleared, VERDICT_CACHE_LIMIT is 1, so
+    every parent build after the first clears the dict and restarts the tags at 0."""
+    if cleared:
+        monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 1)
     vecs = search._pair_tables(n)
     plain: dict[tuple[int, ...], int] = {}
     shared: dict = {}
     checked = 0
     for parent in itertools.combinations_with_replacement(range(len(vecs)), h - 1):
         u = [sum(col) for col in zip(*(vecs[r] for r in parent))]
-        verdict = search._tight_verdicts(u, h, n, track_condorcet, shared)
+        verdict = search._tight_verdicts(u, h, n, shared)
         for r, vec in enumerate(vecs):
             leaf = tuple(map(add, u, vec))
             if leaf not in plain:
-                plain[leaf] = search._leaf_verdict(list(leaf), h, n, "minimax", track_condorcet)
+                plain[leaf] = search._leaf_verdict(list(leaf), h, n, "minimax")
             assert verdict(r) == plain[leaf], (parent, r)
             checked += 1
     assert checked == math.comb(len(vecs) + h - 2, h - 1) * len(vecs)
