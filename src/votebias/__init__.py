@@ -11,10 +11,8 @@ from .bias import BiasReport, audit_profile, bias_flags, in_table
 from .construct import (
     ConstructionError,
     construct_cycle_profile,
-    construct_witness_even,
-    construct_witness_odd,
+    construct_type1_witness,
     constructive_witness,
-    has_constructive_witness,
 )
 from .fixtures import Fixture, fixture_ids, fixture_profile, load
 from .graphs import (
@@ -48,7 +46,6 @@ from .rules import (
     copeland,
     minimax_direct,
     minimax_threshold,
-    worst_defeats,
 )
 from .search import (
     CertificationError,
@@ -96,8 +93,7 @@ __all__ = [
     "condorcet_loser",
     "condorcet_winner",
     "construct_cycle_profile",
-    "construct_witness_even",
-    "construct_witness_odd",
+    "construct_type1_witness",
     "constructive_witness",
     "copeland",
     "dominant_set",
@@ -107,7 +103,6 @@ __all__ = [
     "fixture_ids",
     "fixture_profile",
     "greenberg_threshold",
-    "has_constructive_witness",
     "has_l_cycle",
     "in_table",
     "load",
@@ -124,5 +119,4 @@ __all__ = [
     "sample_profile",
     "scan_minimax",
     "serialize_profile",
-    "worst_defeats",
 ]

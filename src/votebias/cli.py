@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .bias import audit_profile, in_table
-from .construct import has_constructive_witness
+from .construct import constructive_witness
 from .fixtures import _FAMILIES, _FIXED, load
 from .graphs import (
     acyclicity_threshold,
@@ -46,9 +46,7 @@ from .search import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_WITNESS,
     SearchResult,
-    SearchStrategy,
     anonymous_count,
-    find_witness,
     profile_from_indices,
     resolve_workers,
     scan_minimax,
@@ -100,29 +98,29 @@ def _read_profile(path: str) -> Profile:
 
 
 def _parse_values(spec: str, name: str, minimum: int, maximum: int | None = None) -> list[int]:
-    """Parse 'A..B', 'A,B,C' or a mix; values are validated and deduplicated."""
+    """Parse 'A..B', 'A,B,C' or a mix; values are validated and deduplicated.
+
+    The whole spec holds at most MAX_RANGE_VALUES values, counted before
+    deduplication, and is refused before the list grows past that.
+    """
     values: list[int] = []
     for token in spec.split(","):
         token = token.strip()
-        if ".." in token:
-            lo_text, _, hi_text = token.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise _CliError(f"bad {name} range {token!r}; expected A..B") from None
-            if lo > hi:
-                raise _CliError(f"empty {name} range {token!r}")
-            if hi - lo + 1 > MAX_RANGE_VALUES:
-                raise _CliError(
-                    f"{name} range {token!r} holds {hi - lo + 1} values, "
-                    f"over the limit of {MAX_RANGE_VALUES}"
-                )
-            values.extend(range(lo, hi + 1))
-        else:
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise _CliError(f"bad {name} value {token!r}") from None
+        lo_text, dots, hi_text = token.partition("..")
+        try:
+            lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        except ValueError:
+            bad = f"range {token!r}; expected A..B" if dots else f"value {token!r}"
+            raise _CliError(f"bad {name} {bad}") from None
+        if lo > hi:
+            raise _CliError(f"empty {name} range {token!r}")
+        total = len(values) + hi - lo + 1
+        if total > MAX_RANGE_VALUES:
+            where = f"spec {spec!r}" if values else f"range {token!r}"
+            raise _CliError(
+                f"{name} {where} holds {total} values, over the limit of {MAX_RANGE_VALUES}"
+            )
+        values.extend(range(lo, hi + 1))
     out = sorted(set(values))
     if not out or out[0] < minimum:
         raise _CliError(f"{name} values must be >= {minimum}, got {spec!r}")
@@ -320,9 +318,11 @@ def _verify_group(
 
     The auto and exhaustive strategies run search_exhaustive, one complete
     scan for all of js, so examined counts and hit totals do not depend on
-    the worker count.  Only auto falls back, per type, to a constructive or
-    sampled search, and only when the exhaustive search was inconclusive.
-    Both searches report a dual-route mismatch in the result, never raise it.
+    the worker count.  Only auto falls back, per type, and only when the
+    exhaustive search was inconclusive: to constructive_witness, and where
+    that gives None (always on an expected-immune cell) to search_sampled.
+    The exhaustive and sampled searches report a dual-route mismatch in the
+    result, never raise it.
     """
     started = time.perf_counter()
     if strategy in ("auto", "exhaustive"):
@@ -334,10 +334,14 @@ def _verify_group(
     for j in js:
         expected = in_table(j, h, n)
         started = time.perf_counter()
-        if strategy == "constructive" or (
-            strategy == "auto" and not expected and has_constructive_witness(h, n, j)
-        ):
-            result = find_witness(h, n, j, "minimax", SearchStrategy("constructive"))
+        witness = None if strategy == "sampled" else constructive_witness(h, n, j)
+        if witness or strategy == "constructive":
+            result = SearchResult(
+                h=h, n=n, j=j, rule="minimax", method="constructive",
+                outcome=OUTCOME_WITNESS if witness else OUTCOME_INCONCLUSIVE,
+                examined=1 if witness else 0, space=anonymous_count(h, n), witness=witness,
+                note="" if witness else "no constructive recipe applies at this (h, n)",
+            )
         else:
             result = search_sampled(h, n, j, "minimax", sample_budget, seed)
         cells.append(VerificationCell(result, expected, time.perf_counter() - started))

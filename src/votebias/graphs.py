@@ -78,9 +78,6 @@ class MajorityGraph:
             if not (1 <= x <= self.n and 1 <= y <= self.n):
                 raise ValueError(f"arc ({x},{y}) outside 1..{self.n}")
 
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
 
 @dataclass(frozen=True)
 class ComponentInfo:
@@ -253,7 +250,7 @@ def has_l_cycle(graph: MajorityGraph, length: int) -> bool:
 def export_dot(graph: MajorityGraph) -> str:
     """Deterministic DOT rendering: vertices ascending, arcs in sorted order."""
     lines = ["digraph majority {"]
-    for x in graph.vertices():
+    for x in range(1, graph.n + 1):
         lines.append(f'  "{x}";')
     for x, y in sorted(graph.arcs):
         lines.append(f'  "{x}" -> "{y}";')

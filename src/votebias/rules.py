@@ -111,16 +111,10 @@ TALLY_RULES = {
 
 
 def minimax_direct(profile: Profile) -> frozenset[int]:
-    """Alternatives whose greatest pairwise defeat is smallest."""
-    scores = worst_defeats(profile)
-    best = min(scores.values())
-    return frozenset(x for x, s in scores.items() if s == best)
-
-
-def worst_defeats(profile: Profile) -> dict[int, int]:
-    """Greatest pairwise defeat per alternative: max over rivals of t[y][x]."""
+    """Alternatives whose greatest pairwise defeat, max over rivals y of t[y][x], is smallest."""
     wd = minimax_defeats(upper_tally(profile), profile.h, profile.n)[0]
-    return dict(enumerate(wd, start=1))
+    best = min(wd)
+    return frozenset(x + 1 for x, d in enumerate(wd) if d == best)
 
 
 def minimax_threshold(profile: Profile) -> frozenset[int]:

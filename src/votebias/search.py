@@ -66,7 +66,7 @@ class SearchStrategy:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "sampled", "constructive"):
+        if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.budget is not None and self.budget <= 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
@@ -310,8 +310,6 @@ class KernelReport:
     kramer_mismatches stays 0 for Borda and Copeland.
     """
 
-    h: int
-    n: int
     examined: int = 0
     counts: dict = field(default_factory=lambda: {1: 0, 2: 0, 3: 0})
     firsts: dict = field(default_factory=lambda: {1: None, 2: None, 3: None})
@@ -425,7 +423,7 @@ def _scan(
     vecs = _pair_tables(n)
     packed = _packed_rows(n, h)
     K = len(vecs)
-    report = KernelReport(h=h, n=n)
+    report = KernelReport()
     counts = report.counts
     firsts = report.firsts
     hunting = set(want)
@@ -487,12 +485,12 @@ def _scan(
     return report
 
 
-def _merge(h: int, n: int, want: tuple[int, ...], parts) -> KernelReport:
+def _merge(want: tuple[int, ...], parts) -> KernelReport:
     """Sum reports over disjoint prefixes.
 
     Enumeration order is lexicographic on index tuples, so the least first hit
     is the earliest one."""
-    merged = KernelReport(h=h, n=n)
+    merged = KernelReport()
     for part in parts:
         merged.examined += part.examined
         merged.kramer_mismatches += part.kramer_mismatches
@@ -541,7 +539,7 @@ def scan_minimax(
         chunks = [prefixes[w::workers] for w in range(workers)]
         tasks = [(h, n, want, False, chunk, rule) for chunk in chunks if chunk]
         with multiprocessing.Pool(processes=len(tasks)) as pool:
-            report = _merge(h, n, want, pool.starmap(_scan, tasks))
+            report = _merge(want, pool.starmap(_scan, tasks))
     found_all = stop_early and all(report.firsts[j] is not None for j in want)
     if report.examined != space and not found_all:
         raise RuntimeError(f"scan visited {report.examined} of {space} representatives")
@@ -694,26 +692,8 @@ def find_witness(
         (result,) = search_exhaustive(
             h, n, (j,), rule, strategy.effective_budget, workers, stop_early=True
         )
-    elif strategy.mode == "sampled":
-        result = search_sampled(h, n, j, rule, strategy.effective_budget, strategy.seed)
     else:
-        return _find_constructive(h, n, j, rule)
+        result = search_sampled(h, n, j, rule, strategy.effective_budget, strategy.seed)
     if result.mismatches:
         raise RuntimeError(_disagreement(result.mismatches))
     return result
-
-
-def _find_constructive(h: int, n: int, j: int, rule: str) -> SearchResult:
-    from .construct import constructive_witness  # deferred: construct imports Witness
-
-    space = anonymous_count(h, n)
-    if rule != "minimax":
-        witness, note = None, f"no constructive recipe for rule {rule!r}"
-    else:
-        witness = constructive_witness(h, n, j)
-        note = "" if witness else "no constructive recipe applies at this (h, n)"
-    return SearchResult(
-        h=h, n=n, j=j, rule=rule, method="constructive",
-        outcome=OUTCOME_WITNESS if witness else OUTCOME_INCONCLUSIVE,
-        examined=1 if witness else 0, space=space, witness=witness, note=note,
-    )

@@ -311,6 +311,24 @@ class TestVerify:
         assert cell["consistent"] is True
         assert cell["witness"]["h"] == 8 and cell["witness"]["n"] == 5
 
+    def test_constructive_mode(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--h", "8", "--n", "4", "--j", "1",
+            "--strategy", "constructive", "--json",
+        )
+        assert code == 0
+        cell = json.loads(out)["cells"][0]
+        assert (cell["outcome"], cell["examined"]) == ("witness-found", 1)
+        assert cell["witness"]["strategy"] == "constructive"
+        code, out, _ = run(
+            capsys, "verify", "--h", "3", "--n", "3", "--j", "1",
+            "--strategy", "constructive", "--json",
+        )
+        assert code == 3
+        cell = json.loads(out)["cells"][0]
+        assert (cell["outcome"], cell["examined"]) == ("inconclusive", 0)
+        assert cell["note"] == "no constructive recipe applies at this (h, n)"
+
     def test_auto_engages_the_neutrality_cut(self, capsys):
         code, out, _ = run(capsys, "verify", "--h", "2", "--n", "7", "--j", "3", "--json")
         assert code == 0
@@ -377,6 +395,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--h", "2..10002")
         assert code == 1 and out == ""
         assert "holds 10001 values, over the limit of 10000" in err
+        # The bound holds for the whole spec, counted before deduplication.
+        with pytest.raises(votebias.cli._CliError, match="holds 10001 values"):
+            votebias.cli._parse_values("1..10000,10001", "h", 1)
+        code, out, err = run(capsys, "thresholds", "--h", "2..6001,6002..12002", "--n", "2")
+        assert code == 1 and out == ""
+        assert "holds 12001 values, over the limit of 10000" in err
 
     @pytest.mark.parametrize(
         "h, n, budget",

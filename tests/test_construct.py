@@ -7,12 +7,11 @@ import pytest
 from votebias import (
     ConstructionError,
     audit_profile,
+    construct,
     construct_cycle_profile,
-    construct_witness_even,
-    construct_witness_odd,
+    construct_type1_witness,
     constructive_witness,
     greenberg_threshold,
-    has_constructive_witness,
     has_l_cycle,
     in_table,
     majority_graph,
@@ -20,6 +19,7 @@ from votebias import (
     minimax_direct,
     profile_threshold,
 )
+from votebias.search import MAX_H, MAX_N
 
 from conftest import GRID_H, GRID_N, count, smallest_cycle_length
 
@@ -108,9 +108,11 @@ class TestSmallestCycleLength:
 
 
 class TestParityConstructors:
+    """The one type-1 recipe at odd h (cycle at mu0 + 1) and at even h (cycle at mu0)."""
+
     @pytest.mark.parametrize("h, n", [(9, 4), (7, 5), (5, 6), (5, 7), (11, 4), (9, 9)])
     def test_odd_witnesses(self, h, n):
-        w = construct_witness_odd(h, n)
+        w = construct_type1_witness(h, n)
         p = w.profile
         mu0 = minimal_threshold(h)
         assert profile_threshold(p) == mu0
@@ -120,7 +122,7 @@ class TestParityConstructors:
 
     @pytest.mark.parametrize("h, n", [(6, 4), (4, 5), (8, 4), (4, 8), (10, 4), (12, 8)])
     def test_even_witnesses(self, h, n):
-        w = construct_witness_even(h, n)
+        w = construct_type1_witness(h, n)
         p = w.profile
         mu0 = minimal_threshold(h)
         assert profile_threshold(p) == mu0
@@ -129,34 +131,31 @@ class TestParityConstructors:
         assert w.flags == (True, True, True)
 
     def test_odd_domain_errors(self):
-        with pytest.raises(ConstructionError, match="odd"):
-            construct_witness_odd(6, 5)
         with pytest.raises(ConstructionError, match="n >= 4"):
-            construct_witness_odd(9, 3)
-        with pytest.raises(ConstructionError, match="no such witness"):
-            construct_witness_odd(5, 4)
-        with pytest.raises(ConstructionError, match="no such witness"):
-            construct_witness_odd(7, 4)
+            construct_type1_witness(9, 3)
+        with pytest.raises(ConstructionError, match=r"3\(n-1\); no such witness"):
+            construct_type1_witness(5, 4)
+        with pytest.raises(ConstructionError, match=r"3\(n-1\); no such witness"):
+            construct_type1_witness(7, 4)
 
     def test_even_domain_errors(self):
-        with pytest.raises(ConstructionError, match="even"):
-            construct_witness_even(5, 5)
         with pytest.raises(ConstructionError, match="n >= 4"):
-            construct_witness_even(4, 3)
-        with pytest.raises(ConstructionError, match="no such witness"):
-            construct_witness_even(4, 4)
-        with pytest.raises(ConstructionError, match="no such witness"):
-            construct_witness_even(2, 4)
+            construct_type1_witness(4, 3)
+        with pytest.raises(ConstructionError, match=r"2\(n-1\); no such witness"):
+            construct_type1_witness(4, 4)
+        with pytest.raises(ConstructionError, match=r"2\(n-1\); no such witness"):
+            construct_type1_witness(2, 4)
 
 
 class TestDispatch:
     def test_domain_predicate_complements_the_immunity_region(self):
-        # On the whole working grid the recipes cover exactly the cells the
-        # classification marks as vulnerable.
-        for h in GRID_H:
-            for n in GRID_N:
+        # Inside the CLI bounds the recipes cover exactly the cells the
+        # classification marks as vulnerable, so verify may ask for a witness
+        # on any cell: constructive_witness answers None where no recipe applies.
+        for h in range(2, MAX_H + 1):
+            for n in range(2, MAX_N + 1):
                 for j in (1, 2, 3):
-                    assert has_constructive_witness(h, n, j) == (not in_table(j, h, n))
+                    assert (construct._recipe(h, n, j) is None) == in_table(j, h, n), (h, n, j)
 
     def test_immune_cells_return_none(self):
         assert constructive_witness(3, 5, 1) is None
@@ -182,4 +181,4 @@ class TestDispatch:
         with pytest.raises(ValueError):
             constructive_witness(4, 4, 0)
         with pytest.raises(ValueError):
-            has_constructive_witness(4, 4, 4)
+            constructive_witness(4, 4, 4)

@@ -18,9 +18,8 @@ from votebias import (
     minimax_threshold,
     parse_profile,
     profile_threshold,
-    worst_defeats,
 )
-from votebias.rules import TALLY_RULES, minimax_tally, upper_pairs, upper_tally
+from votebias.rules import TALLY_RULES, minimax_defeats, minimax_tally, upper_pairs, upper_tally
 
 from conftest import (
     borda_scores,
@@ -39,9 +38,9 @@ from conftest import (
 
 class TestMinimax:
     @given(profiles())
-    def test_worst_defeats_against_oracle(self, p):
-        wd = worst_defeats(p)
-        assert wd == {x: naive_worst_defeat(p, x) for x in range(1, p.n + 1)}
+    def test_minimax_defeats_against_oracle(self, p):
+        wd = minimax_defeats(upper_tally(p), p.h, p.n)[0]
+        assert wd == [naive_worst_defeat(p, x) for x in range(1, p.n + 1)]
 
     @given(profiles())
     def test_direct_route_against_oracle(self, p):
@@ -56,7 +55,7 @@ class TestMinimax:
     @given(profiles())
     def test_threshold_formula(self, p):
         mu0 = minimal_threshold(p.h)
-        least_defeat = min(worst_defeats(p).values())
+        least_defeat = min(minimax_defeats(upper_tally(p), p.h, p.n)[0])
         assert profile_threshold(p) == max(mu0, least_defeat + 1)
 
     def test_unanimous_profile(self):

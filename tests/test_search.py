@@ -1,4 +1,4 @@
-"""Enumeration, the scan kernel, and the three witness-search modes."""
+"""Enumeration, the scan kernel, and the two witness-search modes."""
 
 from __future__ import annotations
 
@@ -139,8 +139,9 @@ class TestResolveWorkers:
 
 class TestStrategy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchStrategy(mode="best-effort")
+        for mode in ("best-effort", "constructive"):
+            with pytest.raises(ValueError):
+                SearchStrategy(mode=mode)
         with pytest.raises(ValueError):
             SearchStrategy(budget=0)
 
@@ -439,19 +440,6 @@ class TestFindWitness:
         assert miss.outcome == OUTCOME_INCONCLUSIVE
         assert miss.examined == 50
         assert "cannot certify immunity" in miss.note
-
-    def test_constructive_mode(self):
-        res = find_witness(8, 4, 1, strategy=SearchStrategy(mode="constructive"))
-        assert res.outcome == OUTCOME_WITNESS
-        assert res.examined == 1
-        assert res.witness.method == "constructive"
-
-        immune = find_witness(3, 3, 1, strategy=SearchStrategy(mode="constructive"))
-        assert immune.outcome == OUTCOME_INCONCLUSIVE
-
-        other = find_witness(4, 4, 3, rule="borda", strategy=SearchStrategy(mode="constructive"))
-        assert other.outcome == OUTCOME_INCONCLUSIVE
-        assert "borda" in other.note
 
     def test_borda_and_copeland_are_immune_exhaustively(self, monkeypatch):
         # Reversal complements Borda scores and negates Copeland scores, so

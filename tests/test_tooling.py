@@ -1,12 +1,17 @@
-"""The pytest configuration itself: a failing test is reported, never fatal."""
+"""Tooling: a failing test is reported, never fatal, and the package's imports form a DAG."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 PAIR = '''
 from hypothesis import given, strategies as st
@@ -33,3 +38,22 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout.splitlines()[-1], run.stdout[-2000:]
+
+
+def test_package_imports_form_a_dag():
+    # Every relative import counts, also one inside a function: a cycle could
+    # only load through such a deferred import, and this keeps them out.
+    graph = {}
+    for path in sorted((ROOT / "src" / "votebias").glob("*.py")):
+        deps = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.partition(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+    assert {"cli", "construct", "search"} <= graph.keys()
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
