@@ -546,6 +546,11 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     h_values = _parse_values(args.h, "h", 2)
     n_values = _parse_values(args.n, "n", 2)
+    total = len(h_values) * len(n_values)
+    if total > MAX_RANGE_VALUES:
+        raise _CliError(
+            f"thresholds grid holds {total} rows, over the limit of {MAX_RANGE_VALUES}"
+        )
     rows = []
     for h in h_values:
         for n in n_values:

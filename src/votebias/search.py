@@ -209,15 +209,47 @@ def enumerate_anonymous(h: int, n: int, visitor: Callable[[Profile], None]) -> i
 
 
 def _draw_orders(h: int, n: int, seed: int, index: int) -> list[tuple[int, ...]]:
-    """The h orders of the index-th seeded sample: one rng.sample of 1..n per voter."""
-    rng = random.Random(f"{seed}:{index}")
-    alts = list(range(1, n + 1))
-    return [tuple(rng.sample(alts, n)) for _ in range(h)]
+    """The h orders of the index-th seeded sample: what h calls of
+    rng.sample(range(1, n + 1), n) on random.Random(f"{seed}:{index}") return,
+    replayed on the generator's getrandbits.
+
+    Soundness: asked for all n of n values, Random.sample takes its pool
+    branch, since n is at most its setsize (21 for n <= 5, and
+    21 + 4^ceil(log4 3n) > n above).
+    That branch draws j = _randbelow(m) for m = n, n - 1, ..., 1, takes
+    pool[j] and moves pool[m - 1] into its place; _randbelow is
+    _randbelow_with_getrandbits, which draws getrandbits(m.bit_length())
+    until the value is below m.  The loop below does the same, the m = 1
+    step included: it always yields 0 but consumes generator words that
+    later voters would otherwise get.  Both facts are CPython internals;
+    tests/data/sampled_stream.json, test_sample_profile_keeps_its_definition
+    and test_draw_orders_replay_rng_sample guard them.
+    """
+    bits = random.Random(f"{seed}:{index}").getrandbits
+    steps = [(m, m.bit_length()) for m in range(n, 0, -1)]
+    orders = []
+    for _ in range(h):
+        pool = list(range(1, n + 1))
+        order = []
+        for m, k in steps:
+            r = bits(k)
+            while r >= m:
+                r = bits(k)
+            order.append(pool[r])
+            pool[r] = pool[m - 1]
+        orders.append(tuple(order))
+    return orders
+
+
+# A Ranking is a frozen value and Profile.tally caches on the Profile, so
+# samples may share them.  Every order of up to 6 alternatives fits; above
+# that, sampled orders rarely repeat and a larger cache would only hold memory.
+_ranking = lru_cache(maxsize=math.factorial(6))(Ranking)
 
 
 def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
     """The index-th seeded random profile; independent of worker layout."""
-    return Profile(tuple(map(Ranking, _draw_orders(h, n, seed, index))))
+    return Profile(tuple(map(_ranking, _draw_orders(h, n, seed, index))))
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -657,6 +657,15 @@ class TestThresholds:
         assert code == 0
         assert "mu0" in out and "muG" in out
 
+    def test_row_count_is_bounded(self, capsys):
+        # Each spec fits its own bound; their product is refused before any row.
+        code, out, err = run(capsys, "thresholds", "--h", "2..101", "--n", "2..102")
+        assert code == 1 and out == ""
+        assert "thresholds grid holds 10100 rows, over the limit of 10000" in err
+        code, out, _ = run(capsys, "thresholds", "--h", "2..101", "--n", "2..101", "--csv")
+        assert code == 0
+        assert len(out.splitlines()) == 10_001
+
 
 class TestUsageErrors:
     def test_argparse_errors_exit_one(self, capsys):

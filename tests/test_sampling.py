@@ -4,7 +4,11 @@ tests/data/sampled_stream.json was captured from the object-path sampler that
 built, tallied and audited a Profile for every sample: the stdout and exit
 code of sampled verify and compare runs, and a sha256 over each cell's first
 500 serialized samples.  The sampler now tallies each sample from cached
-per-order rows; these runs hold it to the old stream and output byte for byte.
+per-order rows, draws its orders by replaying random.sample on the
+generator's getrandbits, and shares Ranking objects between samples; these
+runs hold it to the old stream and output byte for byte.  The replay rests on
+two CPython internals, random.sample's pool branch and _randbelow; the replay
+sweep and the interpreter guard below name them when they change.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from votebias import search, serialize_profile
 from votebias.cli import main
 from votebias.rules import minimax_defeats, upper_tally
 
-from conftest import random_profile
+from conftest import naive_tally, random_profile
 
 PINNED = json.loads((Path(__file__).resolve().parent / "data" / "sampled_stream.json").read_text())
 
@@ -53,6 +57,44 @@ def test_sample_profile_keeps_its_definition(h, n, seed, index):
     # The profile of the string-seeded stream: h rng.sample draws of 1..n.
     expected = random_profile(random.Random(f"{seed}:{index}"), h, n)
     assert sample_profile(h, n, seed, index) == expected
+
+
+def test_draw_orders_replay_rng_sample():
+    # One sample draws all its voters from one generator, so a replay that
+    # consumes the wrong number of words shows in a later voter's order.
+    for seed in (271828, 7, -5):
+        for h in range(2, 13):
+            for n in range(2, search.MAX_N + 1):
+                for index in range(25):
+                    rng = random.Random(f"{seed}:{index}")
+                    expected = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(h)]
+                    assert search._draw_orders(h, n, seed, index) == expected, (h, n, seed, index)
+
+
+def test_the_replayed_randbelow_is_the_getrandbits_loop():
+    # _draw_orders replays this method's rejection loop; an interpreter that
+    # binds _randbelow to anything else draws a different stream.
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+@pytest.mark.parametrize("h, n", [(5, 5), (2, 10)])
+def test_shared_rankings_stay_values(h, n):
+    search._ranking.cache_clear()
+    profiles = [sample_profile(h, n, 271828, i) for i in range(300)]
+    first: dict = {}
+    for profile in profiles:
+        for q in profile.columns:
+            assert first.setdefault(q.order, q) is q
+        counts = profile.tally().counts
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                if x != y:
+                    assert counts[x - 1][y - 1] == naive_tally(profile, x, y)
+    if n == 5:
+        assert len(first) < h * len(profiles)  # orders did repeat across samples
+    for index in range(300):
+        u = search.sample_tally(h, n, 271828, index)
+        assert u == upper_tally(sample_profile(h, n, 271828, index)), index
 
 
 def _beats_upper(order: tuple[int, ...]) -> list[int]:
