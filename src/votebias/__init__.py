@@ -14,7 +14,7 @@ from .construct import (
     construct_type1_witness,
     constructive_witness,
 )
-from .fixtures import Fixture, fixture_ids, fixture_profile, load
+from .fixtures import Fixture, fixture_ids, load
 from .graphs import (
     ComponentInfo,
     GraphAnalysis,
@@ -33,7 +33,6 @@ from .prefs import (
     Profile,
     ProfileParseError,
     Ranking,
-    TallyMatrix,
     parse_profile,
     serialize_profile,
 )
@@ -50,7 +49,6 @@ from .rules import (
 from .search import (
     CertificationError,
     SearchResult,
-    SearchStrategy,
     Witness,
     all_rankings,
     anonymous_count,
@@ -79,8 +77,6 @@ __all__ = [
     "RULES",
     "Ranking",
     "SearchResult",
-    "SearchStrategy",
-    "TallyMatrix",
     "Witness",
     "acyclicity_threshold",
     "all_rankings",
@@ -101,7 +97,6 @@ __all__ = [
     "export_dot",
     "find_witness",
     "fixture_ids",
-    "fixture_profile",
     "greenberg_threshold",
     "has_l_cycle",
     "in_table",

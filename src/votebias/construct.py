@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .bias import in_table
-from .fixtures import fixture_profile
+from .fixtures import load
 from .graphs import has_l_cycle, majority_graph, minimal_threshold
 from .prefs import Profile, Ranking
 from .search import Witness, certify_witness
@@ -113,16 +113,16 @@ def _recipe(h: int, n: int, j: int) -> Callable[[], Profile] | None:
         return lambda: construct_type1_witness(h, n).profile
     if j >= 2:
         if h == 3 and n >= 4:
-            return lambda: fixture_profile(f"tm2-3-n({n})")
+            return lambda: load(f"tm2-3-n({n})").profile
         if (h, n) in ((5, 4), (7, 4), (5, 5)):
-            return lambda: fixture_profile(f"tm2-{h}-{n}")
+            return lambda: load(f"tm2-{h}-{n}").profile
     if j == 3:
         if h == 2 and n >= 3:
-            return lambda: fixture_profile(f"tm3-2-n({n})")
+            return lambda: load(f"tm3-2-n({n})").profile
         if n == 3 and h != 3:
-            return lambda: fixture_profile(f"tm3-h-3({h})")
+            return lambda: load(f"tm3-h-3({h})").profile
         if (h, n) == (4, 4):
-            return lambda: fixture_profile("tm3-4-4")
+            return lambda: load("tm3-4-4").profile
     return None
 
 

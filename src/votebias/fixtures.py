@@ -253,11 +253,6 @@ def load(fixture_id: str) -> Fixture:
     raise ValueError(f"unknown fixture id {fixture_id!r}; see fixture_ids()")
 
 
-def fixture_profile(fixture_id: str) -> Profile:
-    """The profile of a cataloged fixture."""
-    return load(fixture_id).profile
-
-
 def fixture_ids() -> list[str]:
     """All addressable ids; families appear with their parameter domain."""
     fixed = sorted(_FIXED)

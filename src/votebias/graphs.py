@@ -59,15 +59,12 @@ def _check_threshold(h: int, mu: int) -> None:
 class MajorityGraph:
     """A directed graph on the alternatives 1..n.
 
-    ``mu`` records the threshold when the graph came from a profile; graphs
-    built directly (for analysis tests) may leave it as None.  Profile-derived
-    graphs never contain a 2-cycle, but the constructor does not force that,
-    so synthetic graphs can exercise every definition.
+    Profile-derived graphs never contain a 2-cycle, but the constructor does
+    not force that, so synthetic graphs can exercise every definition.
     """
 
     n: int
     arcs: frozenset[tuple[int, int]]
-    mu: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -131,9 +128,9 @@ def majority_graph(profile: Profile, mu: int) -> MajorityGraph:
     """The mu-majority graph of a profile."""
     _check_threshold(profile.h, mu)
     # The diagonal is 0 < mu, so it never yields an arc.
-    t = profile.tally()
-    arcs = frozenset(compress(_cells(t.n), map(mu.__le__, chain.from_iterable(t.counts))))
-    return MajorityGraph(t.n, arcs, mu)
+    n = profile.n
+    arcs = frozenset(compress(_cells(n), map(mu.__le__, chain.from_iterable(profile.tally()))))
+    return MajorityGraph(n, arcs)
 
 
 def dominant_set(profile: Profile, mu: int) -> frozenset[int]:
@@ -142,7 +139,7 @@ def dominant_set(profile: Profile, mu: int) -> frozenset[int]:
     Equals the maximal set of the mu-majority graph.
     """
     _check_threshold(profile.h, mu)
-    worst = map(max, zip(*profile.tally().counts))
+    worst = map(max, zip(*profile.tally()))
     return frozenset(x for x, w in enumerate(worst, start=1) if w < mu)
 
 

@@ -58,35 +58,6 @@ def _beats(order: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class TallyMatrix:
-    """Pairwise comparison counts: counts[x-1][y-1] voters rank x above y.
-
-    Off-diagonal entries of a valid tally satisfy t[x][y] + t[y][x] = h;
-    the diagonal is zero.
-    """
-
-    n: int
-    h: int
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.h < 2:
-            raise ValueError(f"tally needs n >= 2 and h >= 2, got n={self.n}, h={self.h}")
-        if len(self.counts) != self.n or any(len(row) != self.n for row in self.counts):
-            raise ValueError("tally matrix is not n x n")
-        for x in range(self.n):
-            if self.counts[x][x] != 0:
-                raise ValueError(f"tally diagonal at {x + 1} must be 0")
-            for y in range(x + 1, self.n):
-                a, b = self.counts[x][y], self.counts[y][x]
-                if a < 0 or b < 0 or a + b != self.h:
-                    raise ValueError(
-                        f"tally entries for pair ({x + 1},{y + 1}) must be "
-                        f"nonnegative and sum to h={self.h}, got {a}+{b}"
-                    )
-
-
-@dataclass(frozen=True)
 class Profile:
     """An ordered tuple of rankings, one per voter, all on the same 1..n."""
 
@@ -112,18 +83,22 @@ class Profile:
         """Columnwise reversal: every voter's ranking is turned upside down."""
         return Profile(tuple(q.reverse() for q in self.columns))
 
-    def tally(self) -> TallyMatrix:
-        """Pairwise tally matrix, computed once and cached."""
+    def tally(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n pairwise tally, computed once and cached: t[x-1][y-1] voters
+        rank x above y.
+
+        Every column is a validated Ranking, which ranks each pair of distinct
+        alternatives exactly one way and no alternative above itself, so the
+        diagonal is zero and t[x][y] + t[y][x] = h without a further check.
+        """
         try:
             return self._tally  # type: ignore[attr-defined]
         except AttributeError:
             pass
-        n, h = self.n, self.h
         flat = iter(map(sum, zip(*(q.beats() for q in self.columns))))
-        rows = tuple(zip(*[flat] * n))
-        t = TallyMatrix(n, h, rows)
-        object.__setattr__(self, "_tally", t)
-        return t
+        rows = tuple(zip(*[flat] * self.n))
+        object.__setattr__(self, "_tally", rows)
+        return rows
 
 
 def parse_profile(text: str) -> Profile:

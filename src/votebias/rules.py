@@ -27,7 +27,7 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def upper_tally(profile: Profile) -> list[int]:
     """The upper triangle u of the profile's tally, indexed like upper_pairs."""
-    counts = profile.tally().counts
+    counts = profile.tally()
     return [counts[x][y] for x, y in upper_pairs(profile.n)]
 
 

@@ -54,31 +54,6 @@ class CertificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SearchStrategy:
-    """How find_witness is allowed to spend effort.
-
-    budget bounds the representatives examined (exhaustive) or samples drawn
-    (sampled).
-    """
-
-    mode: str = "exhaustive"
-    budget: int | None = None
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
-
-    @property
-    def effective_budget(self) -> int:
-        if self.budget is not None:
-            return self.budget
-        return DEFAULT_SAMPLE_BUDGET if self.mode == "sampled" else DEFAULT_EXHAUSTIVE_BUDGET
-
-
-@dataclass(frozen=True)
 class Witness:
     """A profile certified to exhibit bias type j for a rule.
 
@@ -703,29 +678,36 @@ def find_witness(
     n: int,
     j: int,
     rule: str = "minimax",
-    strategy: SearchStrategy | None = None,
+    mode: str = "exhaustive",
+    budget: int | None = None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> SearchResult:
     """Search for a type-j reversal-bias witness for a rule at (h, n).
 
-    Exhaustive mode is search_exhaustive for j alone, stopping at the first
-    hit: it certifies immunity when the whole space (or the neutrality cut)
-    is swept without a hit, yields an inconclusive result for a space larger
-    than the budget, never a silent truncation, and raises ValueError past
-    MAX_H or MAX_N.  Sampled mode is search_sampled.  Both raise RuntimeError
-    when the two minimax routes disagreed.
+    budget bounds the representatives examined (mode "exhaustive") or the
+    samples drawn (mode "sampled"); None means DEFAULT_EXHAUSTIVE_BUDGET or
+    DEFAULT_SAMPLE_BUDGET.  Exhaustive mode is search_exhaustive for j alone,
+    stopping at the first hit: it certifies immunity when the whole space (or
+    the neutrality cut) is swept without a hit, yields an inconclusive result
+    for a space larger than the budget, never a silent truncation, and raises
+    ValueError past MAX_H or MAX_N.  Sampled mode is search_sampled.  Both
+    raise RuntimeError when the two minimax routes disagreed.
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; choose from {sorted(RULES)}")
-    strategy = strategy or SearchStrategy()
-    if strategy.mode == "exhaustive":
-        (result,) = search_exhaustive(
-            h, n, (j,), rule, strategy.effective_budget, workers, stop_early=True
-        )
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown search mode {mode!r}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+    if mode == "exhaustive":
+        budget = DEFAULT_EXHAUSTIVE_BUDGET if budget is None else budget
+        (result,) = search_exhaustive(h, n, (j,), rule, budget, workers, stop_early=True)
     else:
-        result = search_sampled(h, n, j, rule, strategy.effective_budget, strategy.seed)
+        budget = DEFAULT_SAMPLE_BUDGET if budget is None else budget
+        result = search_sampled(h, n, j, rule, budget, seed)
     if result.mismatches:
         raise RuntimeError(_disagreement(result.mismatches))
     return result

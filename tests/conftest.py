@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from votebias import Profile, Ranking, TallyMatrix, anonymous_count, rules, scan_minimax
+from votebias import Profile, Ranking, anonymous_count, rules, scan_minimax
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 GRID_H = range(2, 13)
@@ -44,9 +44,9 @@ def rank(q: Ranking, x: int) -> int:
     return q.order.index(x) + 1
 
 
-def count(t: TallyMatrix, x: int, y: int) -> int:
+def count(t: tuple[tuple[int, ...], ...], x: int, y: int) -> int:
     """Voters ranking x above y, read off the tally's 1-based cell."""
-    return t.counts[x - 1][y - 1]
+    return t[x - 1][y - 1]
 
 
 def naive_tally(profile: Profile, x: int, y: int) -> int:

@@ -22,9 +22,9 @@ from votebias import (
     construct_cycle_profile,
     copeland,
     enumerate_anonymous,
-    fixture_profile,
     greenberg_threshold,
     has_l_cycle,
+    load,
     majority_graph,
     minimal_threshold,
     minimax_direct,
@@ -66,7 +66,7 @@ def test_criterion_1_fixture_reproduction():
         started = time.perf_counter()
 
         def mm(fid):
-            p = fixture_profile(fid)
+            p = load(fid).profile
             return (
                 profile_threshold(p),
                 set(minimax_direct(p)),

@@ -23,11 +23,10 @@ from votebias import (
     condorcet_loser,
     condorcet_winner,
     copeland,
-    SearchStrategy,
     anonymous_count,
     export_dot,
     find_witness,
-    fixture_profile,
+    load,
     majority_graph,
     minimax_direct,
     profile_threshold,
@@ -57,7 +56,7 @@ def run(capsys, *argv):
 def profile_file(tmp_path):
     def write(fixture_id, name="profile.txt"):
         path = tmp_path / name
-        path.write_text(serialize_profile(fixture_profile(fixture_id)) + "\n")
+        path.write_text(serialize_profile(load(fixture_id).profile) + "\n")
         return str(path)
 
     return write
@@ -92,7 +91,7 @@ class TestAudit:
                 assert "arcs" in entry and "maximal" in entry and "acyclic" in entry
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        text = serialize_profile(fixture_profile("tm3-4-4"))
+        text = serialize_profile(load("tm3-4-4").profile)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, "audit", "-", "--json")
         assert code == 0
@@ -204,7 +203,7 @@ class TestGraph:
         )
         assert code == 0
         assert f"dot file written to {dot_path}" in out
-        expected = export_dot(majority_graph(fixture_profile("tm2-5-4"), 3))
+        expected = export_dot(majority_graph(load("tm2-5-4").profile, 3))
         assert dot_path.read_text() == expected
 
     def test_human_output(self, capsys, profile_file):
@@ -423,7 +422,7 @@ class TestVerify:
             "--budget", str(budget), "--json",
         )
         for cell in json.loads(out)["cells"]:
-            res = find_witness(h, n, cell["j"], strategy=SearchStrategy(budget=budget))
+            res = find_witness(h, n, cell["j"], budget=budget)
             assert (cell["outcome"], cell["space"], cell.get("note", "")) == (
                 res.outcome, res.space, res.note
             )
@@ -604,14 +603,14 @@ class TestFixtures:
     def test_emit_stdout(self, capsys):
         code, out, _ = run(capsys, "fixtures", "emit", "tm3-4-4")
         assert code == 0
-        assert out.strip() == serialize_profile(fixture_profile("tm3-4-4"))
+        assert out.strip() == serialize_profile(load("tm3-4-4").profile)
 
     def test_emit_family_member_to_file(self, capsys, tmp_path):
         target = tmp_path / "p.txt"
         code, out, _ = run(capsys, "fixtures", "emit", "tm3-h-3(8)", "--out", str(target))
         assert code == 0
         assert f"written to {target}" in out
-        assert target.read_text() == serialize_profile(fixture_profile("tm3-h-3(8)")) + "\n"
+        assert target.read_text() == serialize_profile(load("tm3-h-3(8)").profile) + "\n"
 
     def test_emit_unknown(self, capsys):
         code, _, err = run(capsys, "fixtures", "emit", "nope")

@@ -8,7 +8,6 @@ from votebias import (
     audit_profile,
     borda,
     fixture_ids,
-    fixture_profile,
     load,
     minimax_direct,
     minimax_threshold,
@@ -74,7 +73,6 @@ def test_every_fixture_round_trips_through_load():
     for fid in FIXED_IDS:
         fx = load(fid)
         assert fx.fixture_id == fid
-        assert fixture_profile(fid).columns == fx.profile.columns
         assert fx.description
 
 

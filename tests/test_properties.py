@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from votebias import (
     construct_cycle_profile,
     enumerate_anonymous,
-    fixture_profile,
+    load,
     property_violations,
 )
 
@@ -31,7 +31,7 @@ FIXTURE_IDS = [
 
 @pytest.mark.parametrize("fid", FIXTURE_IDS)
 def test_fixtures_are_clean(fid):
-    assert property_violations(fixture_profile(fid)) == []
+    assert property_violations(load(fid).profile) == []
 
 
 @pytest.mark.parametrize("h, n", [(3, 3), (4, 4)])
@@ -77,4 +77,4 @@ def test_cyclic_profiles_are_clean():
 
 def test_reversal_of_a_clean_profile_is_clean():
     for fid in FIXTURE_IDS:
-        assert property_violations(fixture_profile(fid).reverse()) == []
+        assert property_violations(load(fid).profile.reverse()) == []

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votebias import Ranking, SearchStrategy, audit_profile, find_witness, sample_profile
+from votebias import Ranking, audit_profile, find_witness, sample_profile
 from votebias import search, serialize_profile
 from votebias.cli import main
 from votebias.rules import minimax_defeats, upper_tally
@@ -85,7 +85,7 @@ def test_shared_rankings_stay_values(h, n):
     for profile in profiles:
         for q in profile.columns:
             assert first.setdefault(q.order, q) is q
-        counts = profile.tally().counts
+        counts = profile.tally()
         for x in range(1, n + 1):
             for y in range(1, n + 1):
                 if x != y:
@@ -151,4 +151,4 @@ def test_a_sampled_mismatch_contradicts_the_cell_and_raises(capsys, monkeypatch)
     assert cell["note"] == clean["note"] + "; direct and threshold minimax disagree on 1 profiles"
     assert {**cell, "consistent": None, "note": clean["note"]} == clean
     with pytest.raises(RuntimeError, match="disagree on 1 profiles"):
-        find_witness(h, n, 1, strategy=SearchStrategy("sampled", budget=budget))
+        find_witness(h, n, 1, mode="sampled", budget=budget)

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from votebias import (
     CertificationError,
     Profile,
-    SearchStrategy,
     all_rankings,
     anonymous_count,
     audit_profile,
     certify_witness,
     enumerate_anonymous,
     find_witness,
-    fixture_profile,
+    load,
     neutral_count,
     parse_profile,
     profile_from_indices,
@@ -138,22 +137,27 @@ class TestResolveWorkers:
 
 
 class TestStrategy:
+    """find_witness's mode and budget arguments."""
+
     def test_validation(self):
         for mode in ("best-effort", "constructive"):
-            with pytest.raises(ValueError):
-                SearchStrategy(mode=mode)
-        with pytest.raises(ValueError):
-            SearchStrategy(budget=0)
+            with pytest.raises(ValueError, match="unknown search mode"):
+                find_witness(3, 3, 1, mode=mode)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            find_witness(3, 3, 1, budget=0)
 
-    def test_effective_budget_defaults(self):
-        assert SearchStrategy().effective_budget == 5_000_000
-        assert SearchStrategy(mode="sampled").effective_budget == 100_000
-        assert SearchStrategy(mode="sampled", budget=9).effective_budget == 9
+    def test_effective_budget_defaults(self, monkeypatch):
+        assert search.DEFAULT_EXHAUSTIVE_BUDGET == 5_000_000
+        assert "over budget 5000000" in find_witness(5, 5, 1).note
+        assert search.DEFAULT_SAMPLE_BUDGET == 100_000
+        monkeypatch.setattr(search, "DEFAULT_SAMPLE_BUDGET", 40)
+        assert find_witness(3, 3, 1, mode="sampled").examined == 40
+        assert find_witness(3, 3, 1, mode="sampled", budget=9).examined == 9
 
 
 class TestCertifyWitness:
     def test_accepts_a_true_witness(self):
-        p = fixture_profile("tm2-5-4")
+        p = load("tm2-5-4").profile
         w = certify_witness(p, 2, "minimax", method="fixture")
         assert w.flags == (False, True, True)
         assert w.selection_p == frozenset({1})
@@ -165,7 +169,7 @@ class TestCertifyWitness:
             certify_witness(p, 3, "minimax", method="fixture")
 
     def test_json_schema(self):
-        p = fixture_profile("tm3-4-4")
+        p = load("tm3-4-4").profile
         w = certify_witness(p, 3, "minimax", method="exhaustive", seed=None)
         d = w.to_json_dict()
         assert set(d) == {
@@ -415,28 +419,28 @@ class TestFindWitness:
         assert report.type3
 
     def test_exhaustive_respects_budget(self):
-        res = find_witness(4, 4, 1, strategy=SearchStrategy(budget=100))
+        res = find_witness(4, 4, 1, budget=100)
         assert res.outcome == OUTCOME_INCONCLUSIVE
         assert res.examined == 0
         assert "over budget 100" in res.note
 
     def test_exhaustive_with_neutral_cut(self):
         # A budget that fits only the cut scans under it.
-        res = find_witness(3, 4, 2, strategy=SearchStrategy(budget=neutral_count(3, 4)))
+        res = find_witness(3, 4, 2, budget=neutral_count(3, 4))
         assert res.outcome == OUTCOME_WITNESS
         assert res.space == anonymous_count(3, 4)
         assert res.examined <= neutral_count(3, 4)
         assert "neutrality cut" in res.note
 
     def test_sampled_hit_and_miss(self):
-        hit = find_witness(4, 4, 3, strategy=SearchStrategy(mode="sampled", seed=11))
+        hit = find_witness(4, 4, 3, mode="sampled", seed=11)
         assert hit.outcome == OUTCOME_WITNESS
         assert hit.seed == 11 and hit.witness.seed == 11
-        again = find_witness(4, 4, 3, strategy=SearchStrategy(mode="sampled", seed=11))
+        again = find_witness(4, 4, 3, mode="sampled", seed=11)
         assert again.examined == hit.examined
         assert again.witness.profile.columns == hit.witness.profile.columns
 
-        miss = find_witness(3, 3, 1, strategy=SearchStrategy(mode="sampled", budget=50))
+        miss = find_witness(3, 3, 1, mode="sampled", budget=50)
         assert miss.outcome == OUTCOME_INCONCLUSIVE
         assert miss.examined == 50
         assert "cannot certify immunity" in miss.note

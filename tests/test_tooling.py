@@ -1,5 +1,5 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
-and tools/benchpair.py summarizes paired benchmark runs."""
+tools/benchpair.py summarizes paired benchmark runs, and README's library quick start runs."""
 
 from __future__ import annotations
 
@@ -98,3 +98,14 @@ def test_benchpair_summary_of_synthetic_runs():
     assert grid["wall_s"]["parent"]["runs"] == 2
     assert grid["failed"] == {"parent": 0, "change": 1}
     assert grid["invalid_runs"] == ["change pair 2"]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["minimax", "borda", "copeland"]
+    assert lines[3].startswith("witness-found ") and lines[3].endswith(" of 98280")
+    assert "'j': 2" in lines[4]
