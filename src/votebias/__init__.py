@@ -14,7 +14,7 @@ from .construct import (
     construct_type1_witness,
     constructive_witness,
 )
-from .fixtures import Fixture, fixture_ids, load
+from .fixtures import Fixture, load
 from .graphs import (
     ComponentInfo,
     GraphAnalysis,
@@ -96,7 +96,6 @@ __all__ = [
     "enumerate_anonymous",
     "export_dot",
     "find_witness",
-    "fixture_ids",
     "greenberg_threshold",
     "has_l_cycle",
     "in_table",

@@ -6,9 +6,9 @@ alternative n, inserted at the top of the first (h+1)//2 voters and at the
 bottom of the rest; only its domain and the cycle's threshold depend on the
 parity of h.  Type-2 and type-3 cells outside that domain take their
 profile from the fixture catalogue.  The type-1 constructor certifies its
-profile and then holds the certified thresholds and selections to the ones
-claimed by design, so a bug here fails loudly instead of producing a bogus
-witness.
+profile for the requested bias type and then holds the certified thresholds
+and selections to the ones claimed by design, so a bug here fails loudly
+instead of producing a bogus witness.
 """
 
 from __future__ import annotations
@@ -78,14 +78,14 @@ def _check_witness_shape(witness: Witness, mu_p: int, mu_pr: int) -> Witness:
     return witness
 
 
-def construct_type1_witness(h: int, n: int) -> Witness:
+def construct_type1_witness(h: int, n: int, j: int = 1) -> Witness:
     """Type-1 witness: a cycle on 1..n-1 at threshold mu, alternative n split.
 
     Domain: n >= 4, h(n-3) >= k(n-1) with k = 3 for odd h and 2 for even h.
     mu is mu0 + 1 for odd h and mu0 for even h.  The first (h+1)//2 voters
     rank n first, the rest rank it last, so n's worst defeat and worst
     reversed defeat both stay strictly below everyone else's: the profile's
-    threshold is mu0 and its reversal's is mu.
+    threshold is mu0 and its reversal's is mu.  It is certified for type j.
     """
     if n < 4:
         raise ConstructionError(f"need n >= 4, got {n}")
@@ -101,28 +101,32 @@ def construct_type1_witness(h: int, n: int) -> Witness:
     profile = Profile(tuple(
         Ranking((n,) + col.order if i < top else col.order + (n,)) for i, col in enumerate(cycle)
     ))
-    witness = certify_witness(profile, j=1, rule="minimax", method="constructive")
+    witness = certify_witness(profile, j, rule="minimax", method="constructive")
     return _check_witness_shape(witness, mu_p=mu0, mu_pr=mu)
 
 
-def _recipe(h: int, n: int, j: int) -> Callable[[], Profile] | None:
-    """The profile builder of the recipe that covers (h, n, j), or None."""
+def _recipe(h: int, n: int, j: int) -> Callable[[], Witness] | None:
+    """The builder of the certified witness of the recipe that covers (h, n, j), or None."""
+    def fixture(fixture_id: str) -> Callable[[], Witness]:
+        return lambda: certify_witness(load(fixture_id).profile, j, rule="minimax",
+                                       method="constructive")
+
     if h < 2 or n < 2:
         return None
     if n >= 4 and h * (n - 3) >= (3 if h % 2 else 2) * (n - 1):  # the type-1 domain
-        return lambda: construct_type1_witness(h, n).profile
+        return lambda: construct_type1_witness(h, n, j)
     if j >= 2:
         if h == 3 and n >= 4:
-            return lambda: load(f"tm2-3-n({n})").profile
+            return fixture(f"tm2-3-n({n})")
         if (h, n) in ((5, 4), (7, 4), (5, 5)):
-            return lambda: load(f"tm2-{h}-{n}").profile
+            return fixture(f"tm2-{h}-{n}")
     if j == 3:
         if h == 2 and n >= 3:
-            return lambda: load(f"tm3-2-n({n})").profile
+            return fixture(f"tm3-2-n({n})")
         if n == 3 and h != 3:
-            return lambda: load(f"tm3-h-3({h})").profile
+            return fixture(f"tm3-h-3({h})")
         if (h, n) == (4, 4):
-            return lambda: load("tm3-4-4").profile
+            return fixture("tm3-4-4")
     return None
 
 
@@ -131,11 +135,9 @@ def constructive_witness(h: int, n: int, j: int) -> Witness | None:
 
     Cells inside the immunity region never get a witness.  A stronger bias
     type implies the weaker ones, so type-1 constructions also serve as
-    type-2 and type-3 witnesses; certify_witness re-checks the actual flag.
+    type-2 and type-3 witnesses; each is certified once, for type j.
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
     recipe = None if in_table(j, h, n) else _recipe(h, n, j)
-    if recipe is None:
-        return None
-    return certify_witness(recipe(), j, rule="minimax", method="constructive")
+    return None if recipe is None else recipe()

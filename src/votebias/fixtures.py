@@ -2,14 +2,15 @@
 
 Fixed entries are single profiles; family entries take one integer parameter
 and are addressed as, e.g., ``tm2-3-n(6)`` or ``tm3-h-3(8)``.  Each fixture
-carries the frozen expected outcome used by the regression suite and by the
-constructive witness dispatch.
+carries the frozen expected outcome that the regression suite checks; the
+constructive witness dispatch reads only its profile.
 """
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .prefs import Profile, Ranking, parse_profile
 from .search import MAX_H, MAX_N
@@ -20,19 +21,16 @@ class Fixture:
     fixture_id: str
     profile: Profile
     description: str
-    expected: dict = field(default_factory=dict)
+    expected: dict
 
 
-def _intro_6_4() -> Fixture:
-    p = parse_profile(
+# id -> (profile text, description, frozen expected outcome); load copies the outcome
+_FIXED = {
+    "intro-6-4": (
         "1 1 1 2 3 4\n"
         "2 3 4 3 4 2\n"
         "3 4 2 4 2 3\n"
-        "4 2 3 1 1 1"
-    )
-    return Fixture(
-        "intro-6-4",
-        p,
+        "4 2 3 1 1 1",
         "6 voters, 4 alternatives; minimax keeps the same single winner "
         "after reversal",
         {
@@ -40,19 +38,12 @@ def _intro_6_4() -> Fixture:
             "selection_pr": frozenset({1}),
             "fires": 1,
         },
-    )
-
-
-def _tm2_5_4() -> Fixture:
-    p = parse_profile(
+    ),
+    "tm2-5-4": (
         "1 1 1 2 3\n"
         "2 3 4 3 4\n"
         "3 4 2 4 2\n"
-        "4 2 3 1 1"
-    )
-    return Fixture(
-        "tm2-5-4",
-        p,
+        "4 2 3 1 1",
         "5 voters, 4 alternatives; the unique winner survives reversal",
         {
             "mu_p": 3,
@@ -61,20 +52,13 @@ def _tm2_5_4() -> Fixture:
             "selection_pr": frozenset({1, 2, 4}),
             "fires": 2,
         },
-    )
-
-
-def _tm2_5_5() -> Fixture:
-    p = parse_profile(
+    ),
+    "tm2-5-5": (
         "1 1 1 5 2\n"
         "2 3 4 2 3\n"
         "3 4 5 3 4\n"
         "4 5 2 4 5\n"
-        "5 2 3 1 1"
-    )
-    return Fixture(
-        "tm2-5-5",
-        p,
+        "5 2 3 1 1",
         "5 voters, 5 alternatives; the unique winner survives reversal",
         {
             "mu_p": 3,
@@ -83,22 +67,15 @@ def _tm2_5_5() -> Fixture:
             "selection_pr": frozenset({1, 5}),
             "fires": 2,
         },
-    )
-
-
-def _tm2_7_4() -> Fixture:
+    ),
     # Voter 4 swaps the two middle alternatives; with a plain duplicate of
     # voter 1 there, alternative 2 would lose its level-5 victory slack and
     # the reversal would keep only two survivors instead of three.
-    p = parse_profile(
+    "tm2-7-4": (
         "1 1 1 1 3 4 2\n"
         "2 3 4 3 4 2 3\n"
         "3 4 2 2 2 3 4\n"
-        "4 2 3 4 1 1 1"
-    )
-    return Fixture(
-        "tm2-7-4",
-        p,
+        "4 2 3 4 1 1 1",
         "7 voters, 4 alternatives; the unique winner survives reversal",
         {
             "mu_p": 4,
@@ -107,19 +84,12 @@ def _tm2_7_4() -> Fixture:
             "selection_pr": frozenset({1, 2, 4}),
             "fires": 2,
         },
-    )
-
-
-def _tm3_4_4() -> Fixture:
-    p = parse_profile(
+    ),
+    "tm3-4-4": (
         "1 1 4 4\n"
         "2 2 2 2\n"
         "3 3 3 3\n"
-        "4 4 1 1"
-    )
-    return Fixture(
-        "tm3-4-4",
-        p,
+        "4 4 1 1",
         "4 voters, 4 alternatives; proper selections meet after reversal",
         {
             "mu_p": 3,
@@ -128,25 +98,19 @@ def _tm3_4_4() -> Fixture:
             "selection_pr": frozenset({1, 3, 4}),
             "fires": 3,
         },
-    )
-
-
-def _confronto1_3_3() -> Fixture:
-    p = parse_profile(
+    ),
+    "confronto1-3-3": (
         "1 1 2\n"
         "2 2 3\n"
-        "3 3 1"
-    )
-    return Fixture(
-        "confronto1-3-3",
-        p,
+        "3 3 1",
         "3 voters, 3 alternatives; minimax and Borda disagree",
         {
             "minimax": frozenset({1}),
             "borda": frozenset({1, 2}),
             "borda_scores": {1: 4, 2: 4, 3: 1},
         },
-    )
+    ),
+}
 
 
 def _tm2_3_n(n: int) -> Fixture:
@@ -220,15 +184,6 @@ def _tm3_h_3(h: int) -> Fixture:
     )
 
 
-_FIXED = {
-    "intro-6-4": _intro_6_4,
-    "tm2-5-4": _tm2_5_4,
-    "tm2-5-5": _tm2_5_5,
-    "tm2-7-4": _tm2_7_4,
-    "tm3-4-4": _tm3_4_4,
-    "confronto1-3-3": _confronto1_3_3,
-}
-
 _FAMILIES = {
     "tm2-3-n": (_tm2_3_n, "n >= 4", "3 voters, n alternatives", MAX_N),
     "tm3-2-n": (_tm3_2_n, "n >= 3", "2 voters, n alternatives", MAX_N),
@@ -242,7 +197,8 @@ def load(fixture_id: str) -> Fixture:
     """Look up a fixture by id, e.g. ``tm2-5-4`` or ``tm3-h-3(8)``; a family
     parameter past MAX_N (n-families) or MAX_H (h-families) is refused unbuilt."""
     if fixture_id in _FIXED:
-        return _FIXED[fixture_id]()
+        text, description, expected = _FIXED[fixture_id]
+        return Fixture(fixture_id, parse_profile(text), description, copy.deepcopy(expected))
     m = _FAMILY_ID.fullmatch(fixture_id)
     if m and m.group(1) in _FAMILIES:
         builder, _, _, bound = _FAMILIES[m.group(1)]
@@ -250,11 +206,4 @@ def load(fixture_id: str) -> Fixture:
         if k > bound:
             raise ValueError(f"fixture {fixture_id!r}: parameter {k} is over the limit of {bound}")
         return builder(k)
-    raise ValueError(f"unknown fixture id {fixture_id!r}; see fixture_ids()")
-
-
-def fixture_ids() -> list[str]:
-    """All addressable ids; families appear with their parameter domain."""
-    fixed = sorted(_FIXED)
-    families = [f"{name}(k) for {dom}" for name, (_, dom, _, _) in sorted(_FAMILIES.items())]
-    return fixed + families
+    raise ValueError(f"unknown fixture id {fixture_id!r}; see 'votebias fixtures list'")

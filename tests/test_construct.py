@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from votebias import (
@@ -19,7 +21,7 @@ from votebias import (
     minimax_direct,
     profile_threshold,
 )
-from votebias.search import MAX_H, MAX_N
+from votebias.search import MAX_H, MAX_N, certify_witness
 
 from conftest import GRID_H, GRID_N, count, smallest_cycle_length
 
@@ -176,6 +178,26 @@ class TestDispatch:
                     assert w.profile.h == h and w.profile.n == n
                     report = audit_profile(w.profile, rules=("minimax",))[0]
                     assert (report.type1, report.type2, report.type3)[j - 1]
+
+    def test_each_witness_is_certified_once(self, monkeypatch):
+        certified = []
+
+        def certify(profile, j, **kwargs):
+            certified.append((profile.h, profile.n, j))
+            return certify_witness(profile, j, **kwargs)
+
+        monkeypatch.setattr(construct, "certify_witness", certify)
+        for h, n, j in ((6, 4, 1), (6, 4, 3), (9, 4, 2), (5, 4, 2), (4, 4, 3)):
+            assert constructive_witness(h, n, j).j == j
+        assert certified == [(6, 4, 1), (6, 4, 3), (9, 4, 2), (5, 4, 2), (4, 4, 3)]
+
+    def test_the_type1_witness_keeps_its_shape_check(self, monkeypatch):
+        def certify(profile, j, **kwargs):
+            return dataclasses.replace(certify_witness(profile, j, **kwargs), mu_pr=99)
+
+        monkeypatch.setattr(construct, "certify_witness", certify)
+        with pytest.raises(ConstructionError, match="sanity check failed"):
+            constructive_witness(6, 4, 2)
 
     def test_rejects_bad_type(self):
         with pytest.raises(ValueError):

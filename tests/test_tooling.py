@@ -1,16 +1,20 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
-tools/benchpair.py summarizes paired benchmark runs, and README's library quick start runs."""
+tools/benchpair.py summarizes paired benchmark runs, README's library quick start runs,
+and README's `votebias` commands parse."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import shlex
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
+
+from votebias import cli, load
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -109,3 +113,33 @@ def test_readme_library_quick_start_runs(capsys):
     assert [line.split()[0] for line in lines[:3]] == ["minimax", "borda", "copeland"]
     assert lines[3].startswith("witness-found ") and lines[3].endswith(" of 98280")
     assert "'j': 2" in lines[4]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every `votebias` command in README's sh blocks, pipelines split."""
+    blocks = (ROOT / "README.md").read_text().split("```sh\n")[1:]
+    commands = []
+    for block in blocks:
+        for line in block.split("```", 1)[0].splitlines():
+            command: list[str] = []
+            for token in [*shlex.split(line, comments=True), "|"]:
+                if token != "|":
+                    command.append(token)
+                    continue
+                if command[:1] == ["votebias"]:
+                    commands.append(command[1:])
+                command = []
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 23
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: votebias {shlex.join(argv)}")
+        if argv[:2] == ["fixtures", "emit"]:
+            load(args.id)
