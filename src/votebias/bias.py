@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .prefs import Profile
-from .rules import TALLY_RULES, upper_tally
+from .rules import TALLY_RULES, minimax_selections, tally_core
 
 
 def bias_flags(
@@ -88,14 +88,21 @@ def audit_profile(
     profile: Profile,
     rules: Iterable[str] = ("minimax", "borda", "copeland"),
 ) -> list[BiasReport]:
-    """Evaluate each rule on the profile's tally and its transpose and flag biases."""
-    u = upper_tally(profile)
+    """Evaluate each rule on the profile's tally and its transpose and flag biases.
+
+    Minimax is read off the profile's stored tally core, which equals
+    TALLY_RULES["minimax"] on its upper triangle.
+    """
+    u, *defeats = tally_core(profile)
     h, n = profile.h, profile.n
     reports = []
     for name in rules:
         if name not in TALLY_RULES:
             raise ValueError(f"unknown rule {name!r}; choose from {sorted(TALLY_RULES)}")
-        sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
+        if name == "minimax":
+            sel_p, sel_pr, mu_p, mu_pr = minimax_selections(*defeats)
+        else:
+            sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
         t1, t2, t3 = bias_flags(sel_p, sel_pr, n)
         reports.append(
             BiasReport(

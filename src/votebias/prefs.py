@@ -2,7 +2,7 @@
 
 Alternatives are the integers 1..n.  A ranking lists them best first; a
 profile is one ranking per voter.  Everything here is an immutable value:
-reversal and tallying return new objects.
+reversal returns a new profile, and equal rankings may be one shared object.
 """
 
 from __future__ import annotations
@@ -26,19 +26,26 @@ class Ranking:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.order)
+        # Caches are keyed by the order, so only a tuple of ints can serve them:
+        # (1.0, 2.0) and (True, 2) hash and compare equal to (1, 2).
+        order = self.order
+        if type(order) is not tuple or any(type(x) is not int for x in order):
+            raise ValueError(f"ranking order must be a tuple of int, got {order!r}")
+        n = len(order)
         if n < 2:
             raise ValueError(f"ranking needs at least 2 alternatives, got {n}")
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"ranking {self.order!r} is not a permutation of 1..{n}")
+        if sorted(order) != list(range(1, n + 1)):
+            raise ValueError(f"ranking {order!r} is not a permutation of 1..{n}")
 
     @property
     def n(self) -> int:
         return len(self.order)
 
     def reverse(self) -> "Ranking":
-        """The reversed ranking: position j goes to position n+1-j."""
-        return Ranking(self.order[::-1])
+        """The reversed ranking: position j goes to position n+1-j.  It is the
+        shared Ranking of the reversed order, so reversing every voter of many
+        profiles builds each reversed order once."""
+        return _ranking(self.order[::-1])
 
     def beats(self) -> tuple[int, ...]:
         """Flat 0/1 matrix b[(x-1)*n + (y-1)] = 1 iff x is ranked above y."""
@@ -57,9 +64,21 @@ def _beats(order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(flat)
 
 
+# A Ranking is a frozen value, and what is derived from it is cached by its
+# order, so equal rankings may be one object.  Every order of up to 6
+# alternatives (6! = 720) fits; above that, orders rarely repeat and a larger
+# cache would only hold memory.
+_ranking = lru_cache(maxsize=720)(Ranking)
+
+
 @dataclass(frozen=True)
 class Profile:
-    """An ordered tuple of rankings, one per voter, all on the same 1..n."""
+    """An ordered tuple of rankings, one per voter, all on the same 1..n.
+
+    A Profile is a frozen value of validated rankings, so every fact derived
+    from its tally is a function of the object: the tally, rules.tally_core
+    and the graph route's column maxima are worked out once and stored on it.
+    """
 
     columns: tuple[Ranking, ...]
 

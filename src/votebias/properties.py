@@ -20,7 +20,7 @@ from .graphs import (
     profile_threshold,
 )
 from .prefs import Profile
-from .rules import condorcet_loser, condorcet_winner, minimax_defeats, minimax_direct, upper_tally
+from .rules import condorcet_loser, condorcet_winner, minimax_direct, tally_core
 
 
 def property_violations(profile: Profile) -> list[str]:
@@ -91,7 +91,7 @@ def property_violations(profile: Profile) -> list[str]:
     mu_p = profile_threshold(profile)
     mu_pr = profile_threshold(reversed_profile)
     # The tally core reads the reversal's threshold off p's transposed tally.
-    if (mu_p, mu_pr) != minimax_defeats(upper_tally(profile), h, n)[2:]:
+    if (mu_p, mu_pr) != tally_core(profile)[3:]:
         out.append("graph-route thresholds differ from the tally core's")
     selection, info_p = at[mu_p]
     if not selection:

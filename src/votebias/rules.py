@@ -63,9 +63,31 @@ def minimax_thresholds(wd, wdr, h: int) -> tuple[int, int]:
 
 def minimax_tally(u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """Minimax on p and its reversal: (selection_p, selection_pr, mu_p, mu_pr)."""
-    wd, wdr, mu_p, mu_pr = minimax_defeats(u, h, n)
-    sel_p = tuple(x + 1 for x in range(n) if wd[x] < mu_p)
-    return sel_p, tuple(x + 1 for x in range(n) if wdr[x] < mu_pr), mu_p, mu_pr
+    return minimax_selections(*minimax_defeats(u, h, n))
+
+
+def minimax_selections(
+    wd, wdr, mu_p: int, mu_pr: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """minimax_tally's result, read off minimax_defeats' result."""
+    sel_p = tuple(x + 1 for x, d in enumerate(wd) if d < mu_p)
+    return sel_p, tuple(x + 1 for x, d in enumerate(wdr) if d < mu_pr), mu_p, mu_pr
+
+
+def tally_core(profile: Profile) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
+    """(u, wd, wdr, mu_p, mu_pr): the profile's upper triangle and its
+    minimax_defeats, as tuples, worked out once and stored on the profile,
+    which Profile's docstring shows sound.  A reversal is tallied from its own
+    columns."""
+    try:
+        return profile._core  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    u = tuple(upper_tally(profile))
+    wd, wdr, mu_p, mu_pr = minimax_defeats(u, profile.h, profile.n)
+    core = u, tuple(wd), tuple(wdr), mu_p, mu_pr
+    object.__setattr__(profile, "_core", core)
+    return core
 
 
 def _borda_scores(u, h: int, n: int) -> list[int]:
@@ -112,7 +134,7 @@ TALLY_RULES = {
 
 def minimax_direct(profile: Profile) -> frozenset[int]:
     """Alternatives whose greatest pairwise defeat, max over rivals y of t[y][x], is smallest."""
-    wd = minimax_defeats(upper_tally(profile), profile.h, profile.n)[0]
+    wd = tally_core(profile)[1]
     best = min(wd)
     return frozenset(x + 1 for x, d in enumerate(wd) if d == best)
 
@@ -133,7 +155,7 @@ def copeland(profile: Profile) -> frozenset[int]:
 def _condorcet(profile: Profile, side: int) -> int | None:
     # x beats every rival by simple majority iff its worst defeat is at most
     # h - mu0; the loser is the reversal's winner, read off the best victories.
-    defeats = minimax_defeats(upper_tally(profile), profile.h, profile.n)[side]
+    defeats = tally_core(profile)[1 + side]
     bound = profile.h - minimal_threshold(profile.h)
     return next((x + 1 for x, d in enumerate(defeats) if d <= bound), None)
 

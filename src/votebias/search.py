@@ -32,7 +32,7 @@ from typing import Callable
 
 from .bias import bias_flags
 from .graphs import profile_threshold
-from .prefs import Profile, Ranking, serialize_profile
+from .prefs import Profile, Ranking, _ranking, serialize_profile
 from .rules import RULES, TALLY_RULES, minimax_defeats, minimax_thresholds, upper_pairs
 
 DEFAULT_EXHAUSTIVE_BUDGET = 5_000_000
@@ -214,12 +214,6 @@ def _draw_orders(h: int, n: int, seed: int, index: int) -> list[tuple[int, ...]]
             pool[r] = pool[m - 1]
         orders.append(tuple(order))
     return orders
-
-
-# A Ranking is a frozen value and Profile.tally caches on the Profile, so
-# samples may share them.  Every order of up to 6 alternatives fits; above
-# that, sampled orders rarely repeat and a larger cache would only hold memory.
-_ranking = lru_cache(maxsize=math.factorial(6))(Ranking)
 
 
 def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:

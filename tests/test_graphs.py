@@ -22,7 +22,7 @@ from votebias import (
     profile_threshold,
 )
 
-from votebias import fixtures, rules
+from votebias import fixtures, graphs, rules
 
 from conftest import GRID_H, GRID_N, count, naive_dominant, profiles
 
@@ -251,10 +251,16 @@ def test_bitmask_analysis_matches_oracle_on_every_arc_set(n):
     # Every subset of the n(n-1) possible arcs: 4, 64 and 4,096 graphs,
     # 2-cycles included.
     possible = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
+    # Each graph is analyzed twice, the second time through a fresh equal graph
+    # built from a set, so the cached analysis meets the oracle too.
+    graphs._analysis.cache_clear()
     for chosen in itertools.product((False, True), repeat=len(possible)):
         arcs = frozenset(itertools.compress(possible, chosen))
         g = MajorityGraph(n, arcs)
-        assert analyze(g).to_json_dict() == naive_analysis(n, arcs), sorted(arcs)
+        first = analyze(g)
+        again = analyze(MajorityGraph(n, set(arcs)))
+        assert again is first
+        assert first.to_json_dict() == naive_analysis(n, arcs), sorted(arcs)
         for length in range(2, n + 1):
             assert has_l_cycle(g, length) == naive_has_l_cycle(n, arcs, length), (
                 sorted(arcs), length
@@ -279,7 +285,7 @@ def test_graph_route_never_calls_the_tally_core(monkeypatch):
     def core(*args, **kwargs):
         raise AssertionError("the graph route reached the rules tally core")
 
-    for name in ("minimax_defeats", "upper_tally"):
+    for name in ("minimax_defeats", "upper_tally", "tally_core"):
         original = getattr(rules, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "votebias" and getattr(module, name, None) is original:
@@ -288,6 +294,7 @@ def test_graph_route_never_calls_the_tally_core(monkeypatch):
         monkeypatch.setitem(rules.TALLY_RULES, rule, core)
     with pytest.raises(AssertionError, match="tally core"):
         rules.minimax_direct(fixtures.load("intro-6-4").profile)
+    graphs._analysis.cache_clear()  # so the patched run analyzes, not replays
     assert graph_route() == want
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,9 +24,20 @@ class TestRanking:
         assert rank(q, 2) == 3
 
     def test_rejects_non_permutations(self):
-        for bad in [(1, 1), (0, 1), (1, 3), (2,), ()]:
+        # Orders that compare equal to a permutation but are no tuple of ints
+        # would serve the wrong entry of an order-keyed cache, or none at all.
+        for bad in [(1, 1), (0, 1), (1, 3), (2,), (), [2, 1], (1.0, 2.0), (True, 2), (2, 1.0)]:
             with pytest.raises(ValueError):
                 Ranking(bad)
+
+    def test_reverse_is_the_shared_reversed_ranking(self):
+        for n in range(2, 6):
+            for order in itertools.permutations(range(1, n + 1)):
+                q = Ranking(order)
+                r = q.reverse()
+                assert r == Ranking(order[::-1])
+                assert q.reverse() is r
+                assert r.reverse() == q
 
     def test_reverse_flips_positions(self):
         q = Ranking((4, 2, 1, 3))

@@ -9,17 +9,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from votebias import (
+    Profile,
+    audit_profile,
     borda,
     condorcet_loser,
     condorcet_winner,
     copeland,
+    enumerate_anonymous,
     minimal_threshold,
     minimax_direct,
     minimax_threshold,
     parse_profile,
     profile_threshold,
+    sample_profile,
+    serialize_profile,
 )
-from votebias.rules import TALLY_RULES, minimax_defeats, minimax_tally, upper_pairs, upper_tally
+from votebias.rules import (
+    TALLY_RULES,
+    minimax_defeats,
+    minimax_tally,
+    tally_core,
+    upper_pairs,
+    upper_tally,
+)
 
 from conftest import (
     borda_scores,
@@ -171,6 +183,47 @@ class TestTallyCore:
         for q, mu in ((p, mu_p), (pr, mu_pr)):
             admissible = range(p.h // 2 + 1, p.h + 1)
             assert mu == min(m for m in admissible if naive_dominant(q, m))
+
+
+# perfbench's sweep cells.
+SWEEP_CELLS = ((3, 3), (4, 3), (6, 3), (3, 4), (2, 5))
+
+
+def check_stored_core(p: Profile, first: int) -> None:
+    """Read p's tally core through each of its readers, starting with readers[first],
+    and hold every answer to minimax_defeats on a fresh equal profile's upper triangle."""
+    h, n = p.h, p.n
+    u = upper_tally(Profile(p.columns))
+    wd, wdr, mu_p, mu_pr = minimax_defeats(u, h, n)
+    bound = h - minimal_threshold(h)
+
+    def audited():
+        r = audit_profile(p)[0]
+        return tuple(sorted(r.selection_p)), tuple(sorted(r.selection_pr)), r.mu_p, r.mu_pr
+
+    readers = [
+        (lambda: minimax_direct(p), frozenset(x + 1 for x, d in enumerate(wd) if d == min(wd))),
+        (lambda: condorcet_winner(p), next((x + 1 for x, d in enumerate(wd) if d <= bound), None)),
+        (lambda: condorcet_loser(p), next((x + 1 for x, d in enumerate(wdr) if d <= bound), None)),
+        (audited, minimax_tally(u, h, n)),
+        (lambda: tally_core(p)[3:], (mu_p, mu_pr)),
+    ]
+    for read, want in readers[first:] + readers[:first]:
+        assert read() == want, (serialize_profile(p), first)
+    core = tally_core(p)
+    assert core is tally_core(p)
+    assert core == (tuple(u), tuple(wd), tuple(wdr), mu_p, mu_pr)
+    assert all(type(part) is tuple for part in core[:3])
+
+
+def test_stored_tally_core_equals_a_fresh_one():
+    profiles_seen = []
+    for h, n in SWEEP_CELLS:
+        enumerate_anonymous(h, n, profiles_seen.append)
+    profiles_seen += [sample_profile(7, 5, 271828, i) for i in range(2000)]
+    assert len(profiles_seen) == 10_504 + 2000
+    for index, p in enumerate(profiles_seen):
+        check_stored_core(p, index % 5)
 
 
 def condorcet_selected_alone(u, h: int, n: int) -> bool:

@@ -24,7 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from votebias import Ranking, audit_profile, find_witness, sample_profile
-from votebias import search, serialize_profile
+from votebias import prefs, search, serialize_profile
 from votebias.cli import main
 from votebias.rules import minimax_defeats, upper_tally
 
@@ -79,7 +79,7 @@ def test_the_replayed_randbelow_is_the_getrandbits_loop():
 
 @pytest.mark.parametrize("h, n", [(5, 5), (2, 10)])
 def test_shared_rankings_stay_values(h, n):
-    search._ranking.cache_clear()
+    prefs._ranking.cache_clear()
     profiles = [sample_profile(h, n, 271828, i) for i in range(300)]
     first: dict = {}
     for profile in profiles:

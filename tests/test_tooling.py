@@ -1,11 +1,14 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
-tools/benchpair.py summarizes paired benchmark runs, README's library quick start runs,
-and README's `votebias` commands parse."""
+every package cache is bounded and cleared by perfbench, tools/benchpair.py
+summarizes paired benchmark runs, README's library quick start runs, and README's
+`votebias` commands parse."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import votebias
 from votebias import cli, load
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +67,46 @@ def test_package_imports_form_a_dag():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+# Tables with one entry per n (or per (n, h)), which the bounds on n keep small.
+PER_N_TABLES = {
+    "upper_pairs", "_cells", "all_rankings", "_pair_tables", "_packed_rows", "_mask_table",
+}
+
+
+def _package_caches() -> dict[str, object]:
+    """Every functools cache a votebias module holds, by the name it is defined under."""
+    for info in pkgutil.iter_modules(votebias.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"votebias.{info.name}")
+    caches: dict[int, tuple[str, object]] = {}
+    for name, module in sorted(sys.modules.items()):
+        if name == "votebias" or name.startswith("votebias."):
+            for key, value in vars(module).items():
+                if callable(getattr(value, "cache_info", None)):
+                    caches.setdefault(id(value), (key, value))
+    return dict(caches.values())
+
+
+def test_every_package_cache_is_bounded():
+    caches = _package_caches()
+    assert PER_N_TABLES <= caches.keys()
+    unbounded = sorted(k for k, c in caches.items() if c.cache_info().maxsize is None)
+    assert unbounded == sorted(PER_N_TABLES)
+
+
+def test_perfbench_clears_every_package_cache(workloads, monkeypatch):
+    monkeypatch.delenv("VOTEBIAS_WORKERS", raising=False)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    workload = workloads.WORKLOADS["sweep"](seed=1, tiny=True)
+    assert workload.check(workload.run()).problems == []
+    caches = _package_caches()
+    assert {k for k, c in caches.items() if c.cache_info().currsize} >= {"_analysis", "_ranking"}
+    run._clear_lazy_tables()
+    assert {k: c.cache_info().currsize for k, c in caches.items() if c.cache_info().currsize} == {}
 
 
 def _benchpair():
