@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, lt
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bias import bias_flags
 from .graphs import profile_threshold
@@ -268,17 +268,48 @@ def _upper_row(order: tuple[int, ...]) -> bytes:
 _order_row = lru_cache(maxsize=math.factorial(8))(_upper_row)
 
 
+def _linear_rows(n: int, weights: list[int]) -> Iterator[int]:
+    """Per ranking, in all_rankings order, the sum of weights[k] over the pairs
+    k its _upper_row sets.
+
+    A ranking of a set S that starts with f puts f above the rest of S, so its
+    sum is f's share, the weights of the pairs (f, z) with z in S and z > f,
+    plus the sum of its tail as a ranking of S without f; taking f in
+    increasing order keeps the lexicographic order.  The rows of the subsets
+    are built once each, size by size, holding two sizes at a time; the n
+    subsets of n - 1, each read once, and the top level stream.
+    """
+    weight = [[0] * n for _ in range(n)]
+    for (x, y), w in zip(upper_pairs(n), weights):
+        weight[x][y] = w
+    chain = itertools.chain.from_iterable
+
+    def blocks(alts: tuple[int, ...], tail: Callable) -> Iterator[Iterator[int]]:
+        for i, f in enumerate(alts):
+            share = sum(map(weight[f].__getitem__, alts[i + 1:]))
+            yield map(share.__add__, tail(alts[:i] + alts[i + 1:]))
+
+    rows = {(): [0]}
+    for size in range(1, n - 1):
+        rows = {
+            alts: list(chain(blocks(alts, rows.__getitem__)))
+            for alts in itertools.combinations(range(n), size)
+        }
+    return chain(blocks(tuple(range(n)), lambda rest: chain(blocks(rest, rows.__getitem__))))
+
+
 @lru_cache(maxsize=None)
 def _pair_tables(n: int) -> tuple[bytes, ...]:
-    """Per ranking, in all_rankings order, its _upper_row."""
-    return tuple(map(_upper_row, itertools.permutations(range(n))))
+    """Per ranking, in all_rankings order, its _upper_row: byte k is weight 256**k."""
+    size = n * (n - 1) // 2
+    rows = _linear_rows(n, [256**k for k in range(size)])
+    return tuple(map(int.to_bytes, rows, itertools.repeat(size), itertools.repeat("little")))
 
 
 @lru_cache(maxsize=None)
 def _packed_rows(n: int, h: int) -> tuple[int, ...]:
     """Per ranking, its vector as one integer: digit k is its u[k] in base h + 1."""
-    weights = [(h + 1) ** k for k in range(n * (n - 1) // 2)]
-    return tuple(sum(itertools.compress(weights, vec)) for vec in _pair_tables(n))
+    return tuple(_linear_rows(n, [(h + 1) ** k for k in range(n * (n - 1) // 2)]))
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +330,7 @@ def _mask_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], i
     # vec[k] = 0: y above x, so d_xy and v_yx; vec[k] = 1 flips them to d_yx and v_xy.
     base = sum(d_xy | v_yx for _, _, d_xy, _, _, v_yx in bits)
     flips = [(d_yx | v_xy) - (d_xy | v_yx) for _, _, d_xy, d_yx, v_xy, v_yx in bits]
-    rows = tuple(base + sum(itertools.compress(flips, vec)) for vec in _pair_tables(n))
+    rows = tuple(map(base.__add__, _linear_rows(n, flips)))
     blocks = [b * width for b in range(2 * n)]
     return rows, bits, sum(((1 << n) - 1) << s for s in blocks), sum(1 << s + n for s in blocks)
 
@@ -324,7 +355,17 @@ def _type_bits(ls: int, lsr: int, meets: bool, n: int) -> int:
 
 def _minimax_bits(wd: list[int], wdr: list[int], h: int, n: int) -> int:
     """A minimax leaf's verdict bits from its worst defeats on p and on its
-    reversal: the type flags and the dual-route mismatch."""
+    reversal: the type flags and the dual-route mismatch.
+
+    The mismatch bit is 0 on every u in [0,h]^(n(n-1)/2), so it is a
+    cross-check of this code, never a fact about a profile.  Let m1 = min(wd)
+    and mu0 = h // 2 + 1.  If m1 >= mu0, the threshold is m1 + 1 and its
+    selection is the argmin set by definition.  Otherwise the threshold is
+    mu0, which keeps every argmin x; suppose it also keeps some y with
+    m1 < wd[y] < mu0.  Then wd[x] + wd[y] < 2 * (h // 2) <= h.  But wd[x] is at
+    least y's tally over x and wd[y] at least x's tally over y, and those two
+    sum to h: a contradiction.  The same holds for wdr on the transposed tally.
+    """
     rng_n = range(n)
     mu_p, mu_pr = minimax_thresholds(wd, wdr, h)
     sel = [x for x in rng_n if wd[x] < mu_p]

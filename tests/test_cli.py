@@ -280,10 +280,11 @@ class TestVerify:
         assert "over budget 1000" in cell["note"]
 
     def test_n_past_the_table_limit_leaves_the_exhaustive_route(self, capsys, monkeypatch):
-        def refuse(n):
+        def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
         monkeypatch.setattr(votebias.search, "_pair_tables", refuse)
+        monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
         # neutral_count(2, 10) = 3,628,800 fits the default budget; the 10! table does not.
         code, out, _ = run(
             capsys, "verify", "--h", "2", "--n", "10", "--j", "3",
@@ -412,11 +413,12 @@ class TestVerify:
         ],
     )
     def test_matches_find_witness_cell_by_cell(self, capsys, monkeypatch, h, n, budget):
-        def refuse(n):
+        def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
         if n == 10:
             monkeypatch.setattr(votebias.search, "_pair_tables", refuse)
+            monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
         _, out, _ = run(
             capsys, "verify", "--h", str(h), "--n", str(n), "--strategy", "exhaustive",
             "--budget", str(budget), "--json",
@@ -549,10 +551,11 @@ class TestCompare:
         assert payload["note"] == "space holds 17550 representatives, over budget 17549"
 
     def test_ten_alternatives_never_reach_the_kernel(self, capsys, monkeypatch):
-        def refuse(n):
+        def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
         monkeypatch.setattr(votebias.search, "_pair_tables", refuse)
+        monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
         budget = str(anonymous_count(2, 10))
         code, out, _ = run(
             capsys, "compare", "--pair", "minimax-borda", "--h", "2", "--n", "10",

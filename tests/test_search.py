@@ -258,6 +258,16 @@ class TestScanKernel:
         assert scan_minimax(h, n).kramer_mismatches == skewed_leaves
         assert search._leaf_verdict(list(target), h, n, "minimax") & 1
 
+    @pytest.mark.parametrize("n, top", [(3, 12), (4, 5)])
+    def test_the_mismatch_bit_is_zero_on_every_tally(self, n, top):
+        # The cells TestCondorcetOnTallies covers; _minimax_bits' docstring proves it everywhere.
+        checked = 0
+        for h in range(2, top + 1):
+            for u in itertools.product(range(h + 1), repeat=n * (n - 1) // 2):
+                assert search._leaf_verdict(list(u), h, n, "minimax") & search._MISMATCH == 0, u
+                checked += 1
+        assert checked == sum((h + 1) ** (n * (n - 1) // 2) for h in range(2, top + 1))
+
     def test_a_full_verdict_cache_starts_afresh(self, monkeypatch):
         plain = scan_minimax(4, 4)
         monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 3)
@@ -327,11 +337,27 @@ class TestScanKernel:
         expected = [upper_tally(Profile((q, q))) for q in all_rankings(n)]
         assert [[2 * a for a in vec] for vec in search._pair_tables(n)] == expected
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_table_builder_matches_the_row_formulas(self, n):
+        # The formulas each table had before the shared builder, kept as oracles.
+        vecs = tuple(map(search._upper_row, itertools.permutations(range(n))))
+        assert search._pair_tables(n) == vecs
+        size = n * (n - 1) // 2
+        for h in (2, 3, 35, 36, search.MAX_H):
+            weights = [(h + 1) ** k for k in range(size)]
+            expected = tuple(sum(itertools.compress(weights, vec)) for vec in vecs)
+            assert search._packed_rows(n, h) == expected, h
+        rows, bits, _, _ = search._mask_table(n)
+        base = sum(d_xy | v_yx for _, _, d_xy, _, _, v_yx in bits)
+        flips = [(d_yx | v_xy) - (d_xy | v_yx) for _, _, d_xy, d_yx, v_xy, v_yx in bits]
+        assert rows == tuple(base + sum(itertools.compress(flips, vec)) for vec in vecs)
+
     def test_n_past_the_table_limit_never_builds_it(self, monkeypatch):
-        def refuse(n):
+        def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
         monkeypatch.setattr(search, "_pair_tables", refuse)
+        monkeypatch.setattr(search, "_linear_rows", refuse)
         note = "ranking table holds 3628800 rankings, over the limit of 362880"
         with pytest.raises(ValueError, match=note):
             scan_minimax(2, 10, neutral_cut=True)
