@@ -13,10 +13,11 @@ On any one profile, type 1 implies type 2 implies type 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .prefs import Profile
-from .rules import TALLY_RULES, minimax_selections, tally_core
+from .prefs import TALLY_CACHE_SIZE, Profile, tally_size
+from .rules import TALLY_RULES, _core, minimax_selections
 
 
 def bias_flags(
@@ -90,11 +91,23 @@ def audit_profile(
 ) -> list[BiasReport]:
     """Evaluate each rule on the profile's tally and its transpose and flag biases.
 
-    Minimax is read off the profile's stored tally core, which equals
-    TALLY_RULES["minimax"] on its upper triangle.
+    The reports are cached by the tally and the rule names; each call returns
+    a fresh list of them.
     """
-    u, *defeats = tally_core(profile)
-    h, n = profile.h, profile.n
+    return list(_reports(profile.tally(), tuple(rules)))
+
+
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tuple[BiasReport, ...]:
+    """audit_profile on a tally.  It reads only its key (see TALLY_CACHE_SIZE)
+    and returns a tuple of frozen reports, so equal keys may share one answer;
+    an unknown rule raises, and lru_cache stores no exception.
+
+    Minimax is read off the tally core, which equals TALLY_RULES["minimax"] on
+    its upper triangle.
+    """
+    u, *defeats = _core(tally)
+    h, n = tally_size(tally)
     reports = []
     for name in rules:
         if name not in TALLY_RULES:
@@ -118,4 +131,4 @@ def audit_profile(
                 mu_pr=mu_pr,
             )
         )
-    return reports
+    return tuple(reports)

@@ -57,6 +57,7 @@ from .search import (
 )
 
 MAX_RANGE_VALUES = 10_000
+MAX_SAMPLES = 10_000_000  # draws of a sampled compare, which stops only at a difference
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -442,6 +443,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     note = ""
     if method == "sampled":
         sample_budget = args.budget or DEFAULT_SAMPLE_BUDGET
+        if sample_budget > MAX_SAMPLES:
+            raise _CliError(
+                f"sampled compare draws at most {MAX_SAMPLES} samples, got budget {sample_budget}"
+            )
         examined, difference, _ = scan_samples(h, n, 1, (first, second), sample_budget, args.seed)
         if difference is None:
             note = f"selections agreed on {sample_budget} samples; not a proof"

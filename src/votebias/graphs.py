@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 
-from .prefs import Profile
+from .prefs import TALLY_CACHE_SIZE, Profile
 
 
 def minimal_threshold(h: int) -> int:
@@ -129,9 +129,16 @@ def _cells(n: int) -> tuple[tuple[int, int], ...]:
 def majority_graph(profile: Profile, mu: int) -> MajorityGraph:
     """The mu-majority graph of a profile."""
     _check_threshold(profile.h, mu)
+    return _graph(profile.tally(), mu)
+
+
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _graph(tally: tuple[tuple[int, ...], ...], mu: int) -> MajorityGraph:
+    """majority_graph on a tally: it reads only its key (see TALLY_CACHE_SIZE),
+    and a MajorityGraph is frozen, so equal keys may share one graph."""
     # The diagonal is 0 < mu, so it never yields an arc.
-    n = profile.n
-    arcs = frozenset(compress(_cells(n), map(mu.__le__, chain.from_iterable(profile.tally()))))
+    n = len(tally)
+    arcs = frozenset(compress(_cells(n), map(mu.__le__, chain.from_iterable(tally))))
     return MajorityGraph(n, arcs)
 
 
@@ -141,19 +148,16 @@ def dominant_set(profile: Profile, mu: int) -> frozenset[int]:
     Equals the maximal set of the mu-majority graph.
     """
     _check_threshold(profile.h, mu)
-    return frozenset(x for x, w in enumerate(_column_maxima(profile), start=1) if w < mu)
+    return frozenset(x for x, w in enumerate(_maxima(profile.tally()), start=1) if w < mu)
 
 
-def _column_maxima(profile: Profile) -> tuple[int, ...]:
-    """Per x, max over rivals y of t[y][x], read off the tally's columns once
-    and stored on the profile, which Profile's docstring shows sound."""
-    try:
-        return profile._column_maxima  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    worst = tuple(map(max, zip(*profile.tally())))
-    object.__setattr__(profile, "_column_maxima", worst)
-    return worst
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _maxima(tally: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Per x, max over rivals y of t[y][x], read off the tally's columns.  It
+    reads only its key (see TALLY_CACHE_SIZE) and returns a tuple, so equal
+    tallies may share it.  A cache of the graph route's own, apart from the
+    rules' tally core, which this route never reaches."""
+    return tuple(map(max, zip(*tally)))
 
 
 def profile_threshold(profile: Profile) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .graphs import dominant_set, minimal_threshold, profile_threshold
-from .prefs import Profile
+from .prefs import TALLY_CACHE_SIZE, Profile, tally_size
 
 
 @lru_cache(maxsize=None)
@@ -76,18 +76,19 @@ def minimax_selections(
 
 def tally_core(profile: Profile) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
     """(u, wd, wdr, mu_p, mu_pr): the profile's upper triangle and its
-    minimax_defeats, as tuples, worked out once and stored on the profile,
-    which Profile's docstring shows sound.  A reversal is tallied from its own
-    columns."""
-    try:
-        return profile._core  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    u = tuple(upper_tally(profile))
-    wd, wdr, mu_p, mu_pr = minimax_defeats(u, profile.h, profile.n)
-    core = u, tuple(wd), tuple(wdr), mu_p, mu_pr
-    object.__setattr__(profile, "_core", core)
-    return core
+    minimax_defeats, as tuples, cached by the profile's tally.  A reversal is
+    tallied from its own columns before it is looked up."""
+    return _core(profile.tally())
+
+
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _core(tally: tuple[tuple[int, ...], ...]):
+    """tally_core on a tally.  It reads only its key (see TALLY_CACHE_SIZE) and
+    returns only tuples and ints, so equal tallies may share one answer."""
+    h, n = tally_size(tally)
+    u = tuple(tally[x][y] for x, y in upper_pairs(n))
+    wd, wdr, mu_p, mu_pr = minimax_defeats(u, h, n)
+    return u, tuple(wd), tuple(wdr), mu_p, mu_pr
 
 
 def _borda_scores(u, h: int, n: int) -> list[int]:
@@ -113,14 +114,19 @@ def _copeland_scores(u, h: int, n: int) -> list[int]:
     return scores
 
 
-def _top(scores: list[int]) -> tuple[int, ...]:
-    best = max(scores)
+def _top(scores: list[int], pick=max) -> tuple[int, ...]:
+    best = pick(scores)
     return tuple(x + 1 for x, s in enumerate(scores) if s == best)
 
 
 def scored_tally(scores, u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], None, None]:
-    """A score rule on p and on its reversal: top alternatives on u and on h - u."""
-    return _top(scores(u, h, n)), _top(scores([h - a for a in u], h, n)), None, None
+    """A score rule on p and on its reversal: top alternatives on u and on h - u.
+
+    On the transposed tally h - u, Borda scores each x h(n-1) - s[x] and
+    Copeland -s[x], so the reversal's top alternatives are p's bottom ones.
+    """
+    s = scores(u, h, n)
+    return _top(s), _top(s, min), None, None
 
 
 # Each maps (u, h, n) to (selection_p, selection_pr, mu_p, mu_pr); selections

@@ -564,13 +564,41 @@ class TestCompare:
         payload = json.loads(out)
         assert code == 3 and payload["verdict"] == "inconclusive"
         assert payload["note"].startswith("ranking table holds 3628800 rankings")
-        code, out, _ = run(
+        # auto samples instead, and a budget that covers the space is past MAX_SAMPLES.
+        code, out, err = run(
             capsys, "compare", "--pair", "minimax-borda", "--h", "2", "--n", "10",
             "--budget", budget, "--json",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("votebias: error: sampled compare draws at most 10000000 samples")
+        code, out, _ = run(
+            capsys, "compare", "--pair", "minimax-borda", "--h", "2", "--n", "10",
+            "--budget", "10000000", "--json",
         )
         payload = json.loads(out)
         assert payload["method"] == "sampled"
         assert code == 0 and payload["verdict"] == "different"
+
+    def test_sampling_past_the_sample_bound_is_refused_undrawn(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("sampled past MAX_SAMPLES")
+
+        monkeypatch.setattr(votebias.cli, "scan_samples", refuse)
+        cell = ("compare", "--pair", "minimax-borda", "--h", "3", "--n", "10")
+        for strategy in ((), ("--strategy", "sampled")):
+            code, out, err = run(capsys, *cell, *strategy, "--budget", "10000001")
+            assert code == 1 and out == ""
+            assert err == (
+                "votebias: error: sampled compare draws at most 10000000 samples, "
+                "got budget 10000001\n"
+            )
+        drawn = []
+        monkeypatch.setattr(
+            votebias.cli, "scan_samples", lambda *args: drawn.append(args) or (7, None, 0)
+        )
+        code, out, _ = run(capsys, *cell, "--budget", "10000000", "--json")
+        assert drawn == [(3, 10, 1, ("minimax", "borda"), 10_000_000, 271828)]
+        assert code == 3 and json.loads(out)["examined"] == 7
 
     def test_an_unconfirmed_difference_is_a_contradiction(self, capsys, monkeypatch):
         # The profile-level rules re-derive the selections; here they agree.

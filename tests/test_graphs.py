@@ -294,7 +294,9 @@ def test_graph_route_never_calls_the_tally_core(monkeypatch):
         monkeypatch.setitem(rules.TALLY_RULES, rule, core)
     with pytest.raises(AssertionError, match="tally core"):
         rules.minimax_direct(fixtures.load("intro-6-4").profile)
-    graphs._analysis.cache_clear()  # so the patched run analyzes, not replays
+    # So the patched run works the graph route out again instead of replaying it.
+    for cache in (graphs._analysis, graphs._maxima, graphs._graph, rules._core):
+        cache.cache_clear()
     assert graph_route() == want
 
 

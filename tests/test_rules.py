@@ -15,7 +15,9 @@ from votebias import (
     condorcet_loser,
     condorcet_winner,
     copeland,
+    dominant_set,
     enumerate_anonymous,
+    majority_graph,
     minimal_threshold,
     minimax_direct,
     minimax_threshold,
@@ -24,10 +26,14 @@ from votebias import (
     sample_profile,
     serialize_profile,
 )
+from votebias import bias, graphs, rules
 from votebias.rules import (
     TALLY_RULES,
+    _borda_scores,
+    _copeland_scores,
     minimax_defeats,
     minimax_tally,
+    scored_tally,
     tally_core,
     upper_pairs,
     upper_tally,
@@ -189,9 +195,20 @@ class TestTallyCore:
 SWEEP_CELLS = ((3, 3), (4, 3), (6, 3), (3, 4), (2, 5))
 
 
-def check_stored_core(p: Profile, first: int) -> None:
-    """Read p's tally core through each of its readers, starting with readers[first],
-    and hold every answer to minimax_defeats on a fresh equal profile's upper triangle."""
+def sweep_and_sampled_profiles() -> list[Profile]:
+    """Every multiset of the sweep cells, then 2,000 samples at (7, 5)."""
+    seen = []
+    for h, n in SWEEP_CELLS:
+        enumerate_anonymous(h, n, seen.append)
+    seen += [sample_profile(7, 5, 271828, i) for i in range(2000)]
+    assert len(seen) == 10_504 + 2000
+    return seen
+
+
+def check_cached_core(p: Profile, first: int) -> None:
+    """Read p's tally core, cached by tally, through each of its readers, starting
+    with readers[first], and hold every answer to minimax_defeats on a fresh
+    equal profile's upper triangle."""
     h, n = p.h, p.n
     u = upper_tally(Profile(p.columns))
     wd, wdr, mu_p, mu_pr = minimax_defeats(u, h, n)
@@ -216,14 +233,45 @@ def check_stored_core(p: Profile, first: int) -> None:
     assert all(type(part) is tuple for part in core[:3])
 
 
-def test_stored_tally_core_equals_a_fresh_one():
-    profiles_seen = []
-    for h, n in SWEEP_CELLS:
-        enumerate_anonymous(h, n, profiles_seen.append)
-    profiles_seen += [sample_profile(7, 5, 271828, i) for i in range(2000)]
-    assert len(profiles_seen) == 10_504 + 2000
-    for index, p in enumerate(profiles_seen):
-        check_stored_core(p, index % 5)
+def test_tally_core_cached_by_tally_equals_a_fresh_one():
+    for index, p in enumerate(sweep_and_sampled_profiles()):
+        check_cached_core(p, index % 5)
+
+
+def test_tally_keyed_caches_equal_their_uncached_functions():
+    """Each fact cached by the tally, read warm, equals the inner function's
+    uncached result on the profile's own tally."""
+    for p in sweep_and_sampled_profiles():
+        t = p.tally()
+        h = p.h
+        for names in (("minimax", "borda", "copeland"), ("copeland", "minimax")):
+            audit_profile(p, names).clear()
+            assert audit_profile(p, names) == list(bias._reports.__wrapped__(t, names))
+        tally_core(p)
+        assert tally_core(p) == rules._core.__wrapped__(t)
+        worst = graphs._maxima.__wrapped__(t)
+        admissible = range(minimal_threshold(h), h + 1)
+        for mu in admissible:
+            majority_graph(p, mu)
+            assert majority_graph(p, mu) == graphs._graph.__wrapped__(t, mu)
+            dominant_set(p, mu)
+            assert dominant_set(p, mu) == {x for x, w in enumerate(worst, start=1) if w < mu}
+        profile_threshold(p)
+        assert profile_threshold(p) == min(mu for mu in admissible if min(worst) < mu)
+
+
+@pytest.mark.parametrize("n, top", [(3, 8), (4, 3)])
+def test_score_rules_read_the_reversal_off_one_scoring(n, top):
+    """scored_tally against the two-pass formula: score u, then score h - u."""
+
+    def best(scores):
+        return tuple(x + 1 for x, s in enumerate(scores) if s == max(scores))
+
+    for scores in (_borda_scores, _copeland_scores):
+        for h in range(2, top + 1):
+            for u in itertools.product(range(h + 1), repeat=n * (n - 1) // 2):
+                two_pass = best(scores(u, h, n)), best(scores([h - a for a in u], h, n))
+                assert scored_tally(scores, u, h, n) == (*two_pass, None, None), (u, h)
 
 
 def condorcet_selected_alone(u, h: int, n: int) -> bool:

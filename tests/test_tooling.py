@@ -104,7 +104,8 @@ def test_perfbench_clears_every_package_cache(workloads, monkeypatch):
     workload = workloads.WORKLOADS["sweep"](seed=1, tiny=True)
     assert workload.check(workload.run()).problems == []
     caches = _package_caches()
-    assert {k for k, c in caches.items() if c.cache_info().currsize} >= {"_analysis", "_ranking"}
+    filled = {k for k, c in caches.items() if c.cache_info().currsize}
+    assert filled >= {"_analysis", "_ranking", "_core", "_maxima", "_graph", "_reports"}
     run._clear_lazy_tables()
     assert {k: c.cache_info().currsize for k, c in caches.items() if c.cache_info().currsize} == {}
 
