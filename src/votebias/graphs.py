@@ -60,7 +60,9 @@ class MajorityGraph:
     """A directed graph on the alternatives 1..n.
 
     Profile-derived graphs never contain a 2-cycle, but the constructor does
-    not force that, so synthetic graphs can exercise every definition.
+    not force that, so synthetic graphs can exercise every definition.  The
+    constructor checks every arc; only graphs read off a tally, whose arcs
+    are sound by construction, skip the check through _trusted.
     """
 
     n: int
@@ -76,6 +78,15 @@ class MajorityGraph:
                 raise ValueError(f"self-loop at {x}")
             if not (1 <= x <= self.n and 1 <= y <= self.n):
                 raise ValueError(f"arc ({x},{y}) outside 1..{self.n}")
+
+    @classmethod
+    def _trusted(cls, n: int, arcs: frozenset[tuple[int, int]]) -> MajorityGraph:
+        """The graph on n >= 1 vertices with these arcs, unchecked: arcs must be
+        a frozenset of pairs of distinct alternatives in 1..n."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "arcs", arcs)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -136,10 +147,11 @@ def majority_graph(profile: Profile, mu: int) -> MajorityGraph:
 def _graph(tally: tuple[tuple[int, ...], ...], mu: int) -> MajorityGraph:
     """majority_graph on a tally: it reads only its key (see TALLY_CACHE_SIZE),
     and a MajorityGraph is frozen, so equal keys may share one graph."""
-    # The diagonal is 0 < mu, so it never yields an arc.
+    # Every cell is a pair of 1..n, and the diagonal is 0 < mu, so it never
+    # yields an arc: the arcs pass MajorityGraph's checks, which are skipped.
     n = len(tally)
     arcs = frozenset(compress(_cells(n), map(mu.__le__, chain.from_iterable(tally))))
-    return MajorityGraph(n, arcs)
+    return MajorityGraph._trusted(n, arcs)
 
 
 def dominant_set(profile: Profile, mu: int) -> frozenset[int]:

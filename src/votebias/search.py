@@ -15,7 +15,10 @@ their selections differ.
 The kernel keeps a running upper-triangle tally while walking the multiset
 tree and evaluates each leaf through the tally-level core in ``rules``.
 Sampled searches (``search_sampled``, and ``compare`` through ``scan_samples``)
-judge each seeded sample's tally by the same leaf verdict.
+judge each seeded sample's tally by the same leaf verdict.  A sample is drawn
+as one ranking code per voter, on one generator reseeded per sample; up to 8
+alternatives a per-n table turns each code into its ranking's index, whose
+kernel row the tally sums, and larger n decode the code.
 """
 
 from __future__ import annotations
@@ -183,44 +186,6 @@ def enumerate_anonymous(h: int, n: int, visitor: Callable[[Profile], None]) -> i
     return count
 
 
-def _draw_orders(h: int, n: int, seed: int, index: int) -> list[tuple[int, ...]]:
-    """The h orders of the index-th seeded sample: what h calls of
-    rng.sample(range(1, n + 1), n) on random.Random(f"{seed}:{index}") return,
-    replayed on the generator's getrandbits.
-
-    Soundness: asked for all n of n values, Random.sample takes its pool
-    branch, since n is at most its setsize (21 for n <= 5, and
-    21 + 4^ceil(log4 3n) > n above).
-    That branch draws j = _randbelow(m) for m = n, n - 1, ..., 1, takes
-    pool[j] and moves pool[m - 1] into its place; _randbelow is
-    _randbelow_with_getrandbits, which draws getrandbits(m.bit_length())
-    until the value is below m.  The loop below does the same, the m = 1
-    step included: it always yields 0 but consumes generator words that
-    later voters would otherwise get.  Both facts are CPython internals;
-    tests/data/sampled_stream.json, test_sample_profile_keeps_its_definition
-    and test_draw_orders_replay_rng_sample guard them.
-    """
-    bits = random.Random(f"{seed}:{index}").getrandbits
-    steps = [(m, m.bit_length()) for m in range(n, 0, -1)]
-    orders = []
-    for _ in range(h):
-        pool = list(range(1, n + 1))
-        order = []
-        for m, k in steps:
-            r = bits(k)
-            while r >= m:
-                r = bits(k)
-            order.append(pool[r])
-            pool[r] = pool[m - 1]
-        orders.append(tuple(order))
-    return orders
-
-
-def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
-    """The index-th seeded random profile; independent of worker layout."""
-    return Profile(tuple(map(_ranking, _draw_orders(h, n, seed, index))))
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """The argument, else VOTEBIAS_WORKERS, else 1, clamped to 1..os.cpu_count().
 
@@ -259,13 +224,11 @@ def table_refusal(n: int) -> str:
 def _upper_row(order: tuple[int, ...]) -> bytes:
     """An order's upper-triangle 0/1 vector, its own tally with h = 1: entry k
     is 1 iff it ranks pair k's smaller alternative first (combinations of the
-    places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n."""
+    places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n.
+    Only the sampler's decode route, past TABLE_MAX_N, builds rows one order at
+    a time; every table of rows comes from _linear_rows."""
     places = sorted(range(len(order)), key=order.__getitem__)
     return bytes(itertools.starmap(lt, itertools.combinations(places, 2)))
-
-
-# Sized for all 8! orders, the most a default verify cell samples; larger n misses.
-_order_row = lru_cache(maxsize=math.factorial(8))(_upper_row)
 
 
 def _linear_rows(n: int, weights: list[int]) -> Iterator[int]:
@@ -608,6 +571,11 @@ def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
 # --- witness search ----------------------------------------------------------
 
 
+def _check_cell(h: int, n: int) -> None:
+    if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
+        raise ValueError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}, got h={h}, n={n}")
+
+
 def _disagreement(mismatches: int) -> str:
     return f"direct and threshold minimax disagree on {mismatches} profiles"
 
@@ -632,8 +600,7 @@ def search_exhaustive(
     mismatch is counted in mismatches and named in the note, never raised here.
     A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N raises ValueError.
     """
-    if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
-        raise ValueError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}, got h={h}, n={n}")
+    _check_cell(h, n)
     space = anonymous_count(h, n)
     cut_space = neutral_count(h, n)
     refusal = table_refusal(n)
@@ -670,21 +637,159 @@ def search_exhaustive(
     return results
 
 
+# --- seeded sampling ---------------------------------------------------------
+
+# Codes of up to TABLE_MAX_N alternatives read their ranking off a table of n!
+# entries per n; 8! covers every cell a default verify samples.  Larger n decode.
+TABLE_MAX_N = 8
+
+
+def _code_drawer(h: int, n: int, seed: int) -> Callable[[int], list[int]]:
+    """index -> the ranking codes of the index-th seeded sample, one per voter.
+
+    Sample i under seed s is h calls of rng.sample(range(1, n + 1), n) on
+    random.Random(f"{s}:{i}").  Asked for all n of n values, Random.sample
+    takes its pool branch, since n is at most its setsize (21 for n <= 5, and
+    21 + 4^ceil(log4 3n) > n above).  That branch draws j = _randbelow(m) for
+    m = n, n - 1, ..., 1, takes pool[j] and moves pool[m - 1] into its place;
+    _randbelow is _randbelow_with_getrandbits, which draws
+    getrandbits(m.bit_length()) until the value is below m.  Each voter's
+    draws j_n, ..., j_1 fold into its code, the sum of j_m * (m - 1)! (a number
+    in range(n!)); j_1 is always 0, but its words are drawn, since later
+    voters would otherwise get them.  _code_table and _decode give the order
+    the pool swaps build from a code.
+
+    One generator serves every sample.  Random.seed turns the string into the
+    integer of its bytes followed by their SHA-512 digest, read big-endian,
+    and seeds the C generator with it; draw does the same before it reads a
+    word, so the generator's state before a seed is never read.  These are
+    CPython internals; tests/data/sampled_stream.json,
+    test_sample_profile_keeps_its_definition and the replay and interpreter
+    guards in test_sampling.py name them when they change.
+    """
+    rng = random.Random.__new__(random.Random)  # unseeded: draw seeds it first
+    reseed = super(random.Random, rng).seed
+    sha512 = random._sha512  # Random.seed's own digest; hashlib would slow the import
+    bits = rng.getrandbits
+    steps = [(m, m.bit_length()) for m in range(n, 0, -1)]
+    voters = range(h)
+
+    def draw(index: int) -> list[int]:
+        key = f"{seed}:{index}".encode()
+        reseed(int.from_bytes(key + sha512(key).digest(), "big"))
+        codes = []
+        for _ in voters:
+            code = 0
+            for m, k in steps:
+                j = bits(k)
+                while j >= m:
+                    j = bits(k)
+                code = code * m + j
+            codes.append(code)
+        return codes
+
+    return draw
+
+
+@lru_cache(maxsize=None)
+def _code_table(n: int) -> tuple[int, ...]:
+    """Per code of n <= TABLE_MAX_N alternatives, the all_rankings(n) index of its order.
+
+    Soundness: with m values left to draw, random.sample's pool[:m] holds the
+    undrawn alternatives in some arrangement; draw j takes pool[j] and leaves
+    pool[:m - 1] with pool[j] replaced by pool[m - 1].  An order's
+    all_rankings index is its factorial-base number: the place drawn with m
+    values left adds (m - 1)! times the number of undrawn alternatives below
+    the one drawn, which is pool[j]'s rank in the pool.  So what the draws
+    left add to the index depends only on the pool's pattern, its ranks in
+    pool order.  A code is j * (m - 1)! plus the code of the draws left, so a
+    pattern's indices in code order are, for j = 0..m-1 in turn, those of the
+    pattern draw j leaves, each plus j's share.  Each pattern is listed once,
+    from the identity pool down: 131 patterns at n = 8, and no sort.
+    """
+    listed: dict[tuple[int, ...], list[int]] = {(0,): [0]}
+
+    def indices(pattern: tuple[int, ...]) -> list[int]:
+        if pattern not in listed:
+            weight = math.factorial(len(pattern) - 1)
+            out = listed[pattern] = []
+            for j, rank in enumerate(pattern):
+                rest = [*pattern]
+                rest[j] = pattern[-1]
+                del rest[-1]
+                share = rank * weight
+                out += [share + i for i in indices(tuple(r - (r > rank) for r in rest))]
+        return listed[pattern]
+
+    return tuple(indices((*range(n),)))
+
+
+def _decode(n: int, code: int) -> tuple[int, ...]:
+    """The order of a code of n alternatives, by the pool swaps of its draws:
+    the route past TABLE_MAX_N, where no table fits."""
+    pool = list(range(1, n + 1))
+    order = []
+    for m in range(n, 0, -1):
+        j, code = divmod(code, math.factorial(m - 1))
+        order.append(pool[j])
+        pool[j] = pool[m - 1]
+    return tuple(order)
+
+
+def _code_rankings(n: int, codes: list[int]) -> tuple[Ranking, ...]:
+    """The shared Ranking of each code's order: all_rankings(n) through the
+    table up to TABLE_MAX_N, the interned decoded order above."""
+    if n <= TABLE_MAX_N:
+        return tuple(map(all_rankings(n).__getitem__, map(_code_table(n).__getitem__, codes)))
+    return tuple(_ranking(_decode(n, code)) for code in codes)
+
+
+def _code_tallier(n: int) -> Callable[[list[int]], list[int]]:
+    """codes -> the upper tally of the voters with these codes.
+
+    The tally is read out by one to_bytes from the sum of the voters'
+    _upper_row vectors as integers with one byte per pair: _packed_rows in
+    base 256 through the table up to TABLE_MAX_N, the decoded order's row
+    above.  No byte carries, since at most MAX_H < 256 voters add into one.
+    """
+    size = n * (n - 1) // 2
+    if n <= TABLE_MAX_N:
+        row, index = _packed_rows(n, 255).__getitem__, _code_table(n).__getitem__
+
+        def tally(codes: list[int]) -> list[int]:
+            return list(sum(map(row, map(index, codes))).to_bytes(size, "little"))
+    else:
+        def tally(codes: list[int]) -> list[int]:
+            rows = (int.from_bytes(_upper_row(_decode(n, code)), "little") for code in codes)
+            return list(sum(rows).to_bytes(size, "little"))
+
+    return tally
+
+
+def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
+    """The index-th seeded random profile; independent of worker layout."""
+    return Profile(_code_rankings(n, _code_drawer(h, n, seed)(index)))
+
+
 def sample_tally(h: int, n: int, seed: int, index: int) -> list[int]:
-    """upper_tally(sample_profile(h, n, seed, index)), summed from cached per-order rows."""
-    return list(map(sum, zip(*map(_order_row, _draw_orders(h, n, seed, index)))))
+    """upper_tally(sample_profile(h, n, seed, index)), without the profile."""
+    _check_cell(h, n)
+    return _code_tallier(n)(_code_drawer(h, n, seed)(index))
 
 
 def scan_samples(
     h: int, n: int, bit: int, rule, budget: int, seed: int
 ) -> tuple[int, Profile | None, int]:
-    """Judge samples 0, 1, ... by _leaf_verdict on their sample_tally until one
-    sets bit, at most budget: (examined, the hit's sample_profile or None, the
-    examined samples with the dual-route mismatch bit).  Only a hit becomes a
-    Profile."""
+    """Judge samples 0, 1, ... by _leaf_verdict on their tally until one sets
+    bit, at most budget: (examined, the hit's sample_profile or None, the
+    examined samples with the dual-route mismatch bit).  One generator draws
+    every sample, and only a hit becomes a Profile.  A cell outside
+    2 <= h <= MAX_H, 2 <= n <= MAX_N raises ValueError."""
+    _check_cell(h, n)
+    draw, tally = _code_drawer(h, n, seed), _code_tallier(n)
     mismatches = 0
     for index in range(budget):
-        bits = _leaf_verdict(sample_tally(h, n, seed, index), h, n, rule)
+        bits = _leaf_verdict(tally(draw(index)), h, n, rule)
         mismatches += bits & _MISMATCH
         if bits >> bit & 1:
             return index + 1, sample_profile(h, n, seed, index), mismatches
@@ -725,9 +830,9 @@ def find_witness(
     DEFAULT_SAMPLE_BUDGET.  Exhaustive mode is search_exhaustive for j alone,
     stopping at the first hit: it certifies immunity when the whole space (or
     the neutrality cut) is swept without a hit, yields an inconclusive result
-    for a space larger than the budget, never a silent truncation, and raises
-    ValueError past MAX_H or MAX_N.  Sampled mode is search_sampled.  Both
-    raise RuntimeError when the two minimax routes disagreed.
+    for a space larger than the budget, never a silent truncation.  Sampled
+    mode is search_sampled.  Both raise ValueError past MAX_H or MAX_N, and
+    RuntimeError when the two minimax routes disagreed.
     """
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")

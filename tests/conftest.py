@@ -23,6 +23,8 @@ GRID_N = range(2, 9)
 EXHAUSTIVE_CAP = 5_000_000
 
 T1_EXCEPTIONS = {(4, 4), (5, 4), (7, 4), (5, 5)}
+# perfbench's sweep cells.
+SWEEP_CELLS = ((3, 3), (4, 3), (6, 3), (3, 4), (2, 5))
 
 
 def expected_immune(j: int, h: int, n: int) -> bool:

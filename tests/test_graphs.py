@@ -13,6 +13,7 @@ from votebias import (
     acyclicity_threshold,
     analyze,
     dominant_set,
+    enumerate_anonymous,
     export_dot,
     greenberg_threshold,
     has_l_cycle,
@@ -24,7 +25,7 @@ from votebias import (
 
 from votebias import fixtures, graphs, rules
 
-from conftest import GRID_H, GRID_N, count, naive_dominant, profiles
+from conftest import GRID_H, GRID_N, SWEEP_CELLS, count, naive_dominant, profiles
 
 CONDORCET_TRIPLE = parse_profile("1 2 3\n2 3 1\n3 1 2")
 
@@ -74,6 +75,28 @@ class TestMajorityGraph:
             MajorityGraph(2, frozenset({(1, 1)}))
         with pytest.raises(ValueError, match="outside"):
             MajorityGraph(2, frozenset({(1, 3)}))
+
+    def test_graphs_read_off_a_tally_equal_checked_ones(self):
+        # _graph builds its graphs unchecked; each must equal the checked graph
+        # on the arcs read naively off the tally, on every tally of the sweep
+        # cells at every admissible mu.
+        graphs._graph.cache_clear()
+        for h, n in SWEEP_CELLS:
+            tallies: set = set()
+            enumerate_anonymous(h, n, lambda p: tallies.add(p.tally()))
+            for t in tallies:
+                for mu in range(minimal_threshold(h), h + 1):
+                    arcs = {(x, y) for x in range(1, n + 1) for y in range(1, n + 1)
+                            if x != y and count(t, x, y) >= mu}
+                    checked = MajorityGraph(n, arcs)
+                    trusted = graphs._graph(t, mu)
+                    assert trusted == checked and hash(trusted) == hash(checked), (t, mu)
+                    assert type(trusted.arcs) is frozenset and trusted.n == n
+            # The check stays on every graph built from outside input.
+            with pytest.raises(ValueError, match="outside"):
+                MajorityGraph(n, arcs | {(1, n + 1)})
+            with pytest.raises(ValueError, match="self-loop"):
+                MajorityGraph(n, arcs | {(n, n)})
 
     def test_threshold_validation(self):
         p = CONDORCET_TRIPLE

@@ -40,6 +40,7 @@ from votebias.rules import (
 )
 
 from conftest import (
+    SWEEP_CELLS,
     borda_scores,
     copeland_scores,
     naive_borda,
@@ -189,10 +190,6 @@ class TestTallyCore:
         for q, mu in ((p, mu_p), (pr, mu_pr)):
             admissible = range(p.h // 2 + 1, p.h + 1)
             assert mu == min(m for m in admissible if naive_dominant(q, m))
-
-
-# perfbench's sweep cells.
-SWEEP_CELLS = ((3, 3), (4, 3), (6, 3), (3, 4), (2, 5))
 
 
 def sweep_and_sampled_profiles() -> list[Profile]:

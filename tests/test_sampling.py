@@ -3,12 +3,15 @@
 tests/data/sampled_stream.json was captured from the object-path sampler that
 built, tallied and audited a Profile for every sample: the stdout and exit
 code of sampled verify and compare runs, and a sha256 over each cell's first
-500 serialized samples.  The sampler now tallies each sample from cached
-per-order rows, draws its orders by replaying random.sample on the
-generator's getrandbits, and shares Ranking objects between samples; these
-runs hold it to the old stream and output byte for byte.  The replay rests on
-two CPython internals, random.sample's pool branch and _randbelow; the replay
-sweep and the interpreter guard below name them when they change.
+500 serialized samples.  The sampler now draws each sample as one ranking code
+per voter by replaying random.sample on the generator's getrandbits, on one
+generator reseeded per sample, reads each code's ranking and tally row off
+per-n tables (decoding the code past 8 alternatives), and shares Ranking
+objects between samples; these runs hold it to the old stream and output byte
+for byte.  The replay rests on three CPython internals: random.sample's pool
+branch, _randbelow, and the integer Random.seed derives from a str seed (its
+bytes and their SHA-512 digest); the replay sweep and the interpreter guards
+below name them when they change.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -59,22 +63,87 @@ def test_sample_profile_keeps_its_definition(h, n, seed, index):
     assert sample_profile(h, n, seed, index) == expected
 
 
-def test_draw_orders_replay_rng_sample():
+def _rng_orders(h: int, n: int, seed: int, index: int) -> list[tuple[int, ...]]:
+    rng = random.Random(f"{seed}:{index}")
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(h)]
+
+
+def test_code_drawer_replays_rng_sample():
     # One sample draws all its voters from one generator, so a replay that
-    # consumes the wrong number of words shows in a later voter's order.
+    # consumes the wrong number of words shows in a later voter's order; one
+    # drawer serves all indices of a cell, so a stale reseed shows too.
     for seed in (271828, 7, -5):
         for h in range(2, 13):
             for n in range(2, search.MAX_N + 1):
+                draw = search._code_drawer(h, n, seed)
                 for index in range(25):
-                    rng = random.Random(f"{seed}:{index}")
-                    expected = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(h)]
-                    assert search._draw_orders(h, n, seed, index) == expected, (h, n, seed, index)
+                    orders = [q.order for q in search._code_rankings(n, draw(index))]
+                    assert orders == _rng_orders(h, n, seed, index), (h, n, seed, index)
 
 
 def test_the_replayed_randbelow_is_the_getrandbits_loop():
-    # _draw_orders replays this method's rejection loop; an interpreter that
+    # The drawer replays this method's rejection loop; an interpreter that
     # binds _randbelow to anything else draws a different stream.
     assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+def test_a_reseeded_generator_replays_the_string_seed():
+    # The drawer reseeds one bare generator with the integer Random.seed
+    # derives from the string: its bytes, then their SHA-512 digest, read
+    # big-endian.  A bare generator is all zeros until seeded, so a draw read
+    # before its seed would show as a run of zero words.
+    assert [random.Random.__new__(random.Random).getrandbits(32) for _ in range(3)] == [0] * 3
+    for seed in (271828, 7, -5):
+        for index in (0, 10**6):
+            key = f"{seed}:{index}".encode()
+            derived = int.from_bytes(key + hashlib.sha512(key).digest(), "big")
+            assert random._sha512(key).digest() == hashlib.sha512(key).digest()
+            bare = random.Random.__new__(random.Random)
+            super(random.Random, bare).seed(derived)
+            seeded = random.Random(f"{seed}:{index}")
+            assert [bare.getrandbits(32) for _ in range(700)] == [
+                seeded.getrandbits(32) for _ in range(700)
+            ], (seed, index)
+            # A fresh drawer's first sample is already the seeded stream's.
+            codes = search._code_drawer(3, 6, seed)(index)
+            orders = [q.order for q in search._code_rankings(6, codes)]
+            assert orders == _rng_orders(3, 6, seed, index)
+
+
+def _pool_swap_order(n: int, code: int) -> tuple[int, ...]:
+    """The plain replay: digit j_m of code (its multiple of (m - 1)!) is the
+    draw with m values left, and random.sample's pool swaps build the order."""
+    pool, order = list(range(1, n + 1)), []
+    for m in range(n, 0, -1):
+        j = code // math.factorial(m - 1) % m
+        order.append(pool[j])
+        pool[j] = pool[m - 1]
+    return tuple(order)
+
+
+def test_code_table_is_a_permutation_that_matches_the_pool_swaps():
+    for n in range(2, search.TABLE_MAX_N + 1):
+        size = math.factorial(n)
+        table = search._code_table(n)
+        assert sorted(table) == list(range(size)), n
+        rankings = search.all_rankings(n)
+        codes = range(size) if n <= 7 else random.Random(n).sample(range(size), 5000)
+        for code in codes:
+            order = _pool_swap_order(n, code)
+            assert rankings[table[code]].order == order, (n, code)
+            assert search._decode(n, code) == order, (n, code)
+
+
+def test_a_sampled_search_refuses_a_cell_past_the_bounds():
+    # A tally byte sums at most MAX_H < 256 voters, so no larger h reaches it.
+    for h, n in [(search.MAX_H + 1, 3), (2, search.MAX_N + 1), (1, 3)]:
+        for call in (
+            lambda: search.scan_samples(h, n, 1, "minimax", 1, 271828),
+            lambda: search.sample_tally(h, n, 271828, 0),
+            lambda: find_witness(h, n, 1, mode="sampled", budget=1),
+        ):
+            with pytest.raises(ValueError, match=r"need 2 <= h <= 200 and 2 <= n <= 20"):
+                call()
 
 
 @pytest.mark.parametrize("h, n", [(5, 5), (2, 10)])
@@ -107,10 +176,10 @@ def test_order_rows_are_the_upper_triangle_of_beats():
     orders = [q for n in range(2, 7) for q in itertools.permutations(range(1, n + 1))]
     orders += [tuple(rng.sample(range(1, n + 1), n)) for n in range(7, 13) for _ in range(200)]
     for order in orders:
-        assert list(search._order_row(order)) == _beats_upper(order), order
+        assert list(search._upper_row(order)) == _beats_upper(order), order
 
 
-@pytest.mark.parametrize("h, n", [(5, 5), (3, 7), (4, 4), (2, 10)])
+@pytest.mark.parametrize("h, n", [(5, 5), (3, 7), (4, 4), (2, 10), (200, 3), (2, 20)])
 def test_sample_tally_and_verdict_match_the_object_path(h, n):
     for index in range(2000):
         u = search.sample_tally(h, n, 271828, index)

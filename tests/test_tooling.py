@@ -72,6 +72,7 @@ def test_package_imports_form_a_dag():
 # Tables with one entry per n (or per (n, h)), which the bounds on n keep small.
 PER_N_TABLES = {
     "upper_pairs", "_cells", "all_rankings", "_pair_tables", "_packed_rows", "_mask_table",
+    "_code_table",
 }
 
 
@@ -130,14 +131,28 @@ def test_benchpair_summary_of_synthetic_runs():
     runs += [run("grid", "change", 1, 2.0, failed=1), run("grid", "parent", 1, 2.0)]
     # A run that failed perfbench's checks (it exits 1) must not count as a fast pass.
     runs += [run("grid", "change", 2, 0.5, correct=False, exit=1), run("grid", "parent", 2, 2.2)]
-    summary = _benchpair().summarize(runs)
-    assert list(summary) == ["hard-cells", "grid"]
+    # A change 30% slower in every pair, against a parent with no spread.
+    runs += [run("sweep", side, k, v) for k in (1, 2, 3)
+             for side, v in (("parent", 1.0), ("change", 1.3))]
+    summary = _benchpair().summarize(runs, {"wall_s": 0.25})
+    assert list(summary) == ["hard-cells", "grid", "sweep"]
     wall = summary["hard-cells"]["wall_s"]
     # Inclusive quartiles of 1.0..1.4 by 0.1 are 1.1, 1.2, 1.3.
     assert wall["parent"] == pytest.approx({"median": 1.2, "q1": 1.1, "q3": 1.3, "runs": 5})
     assert wall["change"] == pytest.approx({"median": 0.9, "q1": 0.8, "q3": 1.0, "runs": 5})
     assert wall["change_wins"] == "4/5"  # pair 2 is the change's loss
     assert wall["change_vs_parent"] == -0.25
+    # The 0.3 gap exceeds the parent's quartile spread of 0.2; a fall is never over the bound.
+    assert wall["parent_spread"] == pytest.approx(0.2)
+    assert (wall["gap_exceeds_spread"], wall["bound"], wall["over_bound"]) == (True, 0.25, False)
+    setup = summary["hard-cells"]["setup_s"]
+    # Equal medians never exceed a spread of 0, and setup_s has no bound here.
+    assert (setup["parent_spread"], setup["gap_exceeds_spread"]) == (0, False)
+    assert (setup["bound"], setup["over_bound"]) == (None, None)
+    sweep = summary["sweep"]["wall_s"]
+    assert sweep["change_vs_parent"] == 0.3 and sweep["change_wins"] == "0/3"
+    assert (sweep["gap_exceeds_spread"], sweep["over_bound"]) == (True, True)
+    assert summary["grid"]["wall_s"]["parent_spread"] == pytest.approx(0.1)
     assert summary["hard-cells"]["setup_s"]["change_wins"] == "0/5"  # ties are not wins
     assert summary["hard-cells"]["failed"] == {"parent": 0, "change": 0}
     assert summary["hard-cells"]["invalid_runs"] == []

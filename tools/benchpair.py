@@ -13,9 +13,13 @@ line, last-line JSON and exit code are kept.
 The summary gives, per workload and metric, each side's median and quartiles
 (``statistics.quantiles`` with ``method="inclusive"``), the pairs in which
 the change had the lower value, and the change's median over the parent's,
-minus one.  All ``--trace 0`` metrics are times, so lower is better.  A run
-that exited nonzero or failed perfbench's checks is left out of these and
-named under the workload's ``invalid_runs``; the script then exits 1.
+minus one.  It also states the verdict on those numbers: the parent's
+quartile spread (q3 - q1), whether the gap between the medians exceeds it,
+and, for a metric with a ``bound`` under ``end_to_end`` in ``BENCHMARK.json``,
+whether the change's median exceeds the parent's by more than that fraction.
+All ``--trace 0`` metrics are times, so lower is better.  A run that exited
+nonzero or failed perfbench's checks is left out of these and named under the
+workload's ``invalid_runs``; the script then exits 1.
 """
 
 from __future__ import annotations
@@ -66,14 +70,16 @@ def _valid(run: dict) -> bool:
     return run["exit"] == 0 and run["result"]["correct"] is True
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per workload: per metric, each side's spread, change_wins and
-    change_vs_parent; each side's total failed operations; and the runs
-    left out as invalid.
+def summarize(runs: list[dict], bounds: dict) -> dict:
+    """Per workload: per metric, each side's spread, change_wins,
+    change_vs_parent and the verdict fields; each side's total failed
+    operations; and the runs left out as invalid.
 
     A run is a dict with workload, side, pair, exit and result (perfbench's
     last-line JSON).  A pair counts as a change win for a metric when the
-    change's value is lower than the parent's in that pair.
+    change's value is lower than the parent's in that pair.  bounds maps a
+    metric to the largest allowed rise of its median, as a fraction of the
+    parent's; over_bound is None for a metric without one.
     """
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -90,11 +96,18 @@ def summarize(runs: list[dict]) -> dict:
             pairs = sorted(parent.keys() & change.keys())
             wins = sum(change[k] < parent[k] for k in pairs)
             p_spread, c_spread = _spread(list(parent.values())), _spread(list(change.values()))
+            rise = c_spread["median"] / p_spread["median"] - 1
+            quartiles = p_spread["q3"] - p_spread["q1"]
+            bound = bounds.get(name)
             entry[name] = {
                 "parent": p_spread,
                 "change": c_spread,
                 "change_wins": f"{wins}/{len(pairs)}",
-                "change_vs_parent": round(c_spread["median"] / p_spread["median"] - 1, 4),
+                "change_vs_parent": round(rise, 4),
+                "parent_spread": quartiles,
+                "gap_exceeds_spread": abs(c_spread["median"] - p_spread["median"]) > quartiles,
+                "bound": bound,
+                "over_bound": None if bound is None else rise > bound,
             }
         entry["failed"] = {
             side: sum(run["result"]["failed"] for run in mine if run["side"] == side)
@@ -145,7 +158,7 @@ def main(argv=None) -> int:
                 runs.append({"workload": workload, "side": side, "pair": pair, **run})
                 wall = run["result"]["metrics"].get("wall_s", {}).get("value")
                 print(f"{workload} pair {pair} {side}: wall_s {wall}", file=sys.stderr)
-    summary = summarize(runs)
+    summary = summarize(runs, {m["name"]: m["bound"] for m in benchmark.get("end_to_end", [])})
     report = {
         "what": "perfbench/run.py result lines, parent vs change, alternating order per pair",
         "parent": _identity(runs, "parent"),
