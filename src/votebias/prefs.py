@@ -70,12 +70,26 @@ def _beats(order: tuple[int, ...]) -> tuple[int, ...]:
 # cache would only hold memory.
 _ranking = lru_cache(maxsize=720)(Ranking)
 
-# The bound of every cache keyed by a tally (rules, graphs, bias).  A tally is
-# a tuple of int tuples, since every column is a Ranking of ints, and it fixes
-# h and n (tally_size), so a function of the tally alone can be cached by it
-# and profiles with equal tallies share its answer.  A perfbench sweep pass
-# meets 5,727 distinct tallies and 7,454 distinct (tally, mu) graphs.
+# The bound of every cache keyed by a tally (rules, graphs, bias, properties).
+# A tally is a tuple of int tuples, since every column is a Ranking of ints,
+# and it fixes h and n (tally_size), so a function of the tally alone can be
+# cached by it and profiles with equal tallies share its answer.  A perfbench
+# sweep pass meets 5,727 distinct tallies and 7,454 distinct (tally, mu) graphs.
 TALLY_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _shared_tally(tally: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """This tally, or an equal one made earlier that the cache still holds.
+
+    The tally-keyed caches keep their keys alive, and a key made from a copy
+    of a tally another cache already holds keeps one more copy: the property
+    checker keys each check by a reversal's freshly made tally, whose equal a
+    sweep has mostly met before.  Those copies grow the heap that the garbage
+    collector walks, and on a sweep pass they cost it about as much time as
+    the checker's cache saves.
+    """
+    return tally
 
 
 def tally_size(tally: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
@@ -118,7 +132,7 @@ class Profile:
 
     def tally(self) -> tuple[tuple[int, ...], ...]:
         """The n x n pairwise tally, computed once and cached: t[x-1][y-1] voters
-        rank x above y.
+        rank x above y.  Equal tallies are mostly one object (_shared_tally).
 
         Every column is a validated Ranking, which ranks each pair of distinct
         alternatives exactly one way and no alternative above itself, so the
@@ -129,7 +143,7 @@ class Profile:
         except AttributeError:
             pass
         flat = iter(map(sum, zip(*(q.beats() for q in self.columns))))
-        rows = tuple(zip(*[flat] * self.n))
+        rows = _shared_tally(tuple(zip(*[flat] * self.n)))
         object.__setattr__(self, "_tally", rows)
         return rows
 

@@ -2,11 +2,16 @@
 
 property_violations re-derives every advertised invariant on one profile and
 returns human-readable violation strings.  Sweeps assert the list is empty;
-an empty return is therefore a per-profile certificate that the graph
-machinery, the two minimax routes and the reversal duality all agree.
+an empty return is therefore a certificate that the graph machinery, the two
+minimax routes and the reversal duality all agree.  The checks that read only
+the tallies of the profile and of its reversal run once per distinct pair of
+those tallies, so the certificate holds per distinct pair; the (3, 3) check
+of tops and bottoms reads columns and runs on every profile.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .bias import in_table
 from .graphs import (
@@ -19,15 +24,53 @@ from .graphs import (
     minimal_threshold,
     profile_threshold,
 )
-from .prefs import Profile
+from .prefs import TALLY_CACHE_SIZE, Profile, tally_size
 from .rules import condorcet_loser, condorcet_winner, minimax_direct, tally_core
 
 
 def property_violations(profile: Profile) -> list[str]:
-    """All invariant violations on this profile; empty means fully consistent."""
+    """All invariant violations on this profile; empty means fully consistent.
+
+    The reversal is built from the profile's own columns and tallied afresh;
+    _violations checks the two tallies, and the (3, 3) check reads columns.
+    """
+    out = list(_violations(profile.tally(), profile.reverse().tally()))
+    if (profile.h, profile.n) == (3, 3):
+        out.extend(_three_by_three_violations(profile))
+    return out
+
+
+class _TallyView:
+    """A profile as the public routes below read it: h, n and tally(), no columns."""
+
+    __slots__ = ("h", "n", "_tally")
+
+    def __init__(self, tally: tuple[tuple[int, ...], ...]) -> None:
+        self.h, self.n = tally_size(tally)
+        self._tally = tally
+
+    def tally(self) -> tuple[tuple[int, ...], ...]:
+        return self._tally
+
+
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _violations(
+    tally: tuple[tuple[int, ...], ...], reversal_tally: tuple[tuple[int, ...], ...]
+) -> tuple[str, ...]:
+    """property_violations' checks on a profile's tally and its reversal's,
+    through the public routes (majority_graph, analyze, dominant_set,
+    profile_threshold, tally_core, minimax_direct, condorcet_*) on a
+    _TallyView of each.
+
+    Soundness: the body reads only its key, since each route it calls reads
+    h, n and tally() alone; the key fixes h and n (see TALLY_CACHE_SIZE); and
+    the value is a tuple of strings, so equal keys may share one answer.  The
+    key holds the reversal's own tally, not the transpose of the first, so a
+    reversal that goes wrong meets a key of its own and is checked.
+    """
     out: list[str] = []
+    profile, reversed_profile = _TallyView(tally), _TallyView(reversal_tally)
     n, h = profile.n, profile.h
-    reversed_profile = profile.reverse()
     mu0 = minimal_threshold(h)
     mu_green = greenberg_threshold(h, n)
     mu_acyclic = acyclicity_threshold(h, n)
@@ -110,18 +153,14 @@ def property_violations(profile: Profile) -> list[str]:
     if loser is not None and loser in selection and in_table(2, h, n):
         out.append("majority loser selected inside the type-2 immunity region")
 
-    if (h, n) == (3, 3):
-        out.extend(_three_by_three_violations(profile, reversed_profile, mu_p, mu_pr))
-    return out
-
-
-def _three_by_three_violations(
-    profile: Profile, reversed_profile: Profile, mu_p: int, mu_pr: int
-) -> list[str]:
-    """Extra facts specific to three voters over three alternatives."""
-    out: list[str] = []
-    if mu_p != mu_pr:
+    if (h, n) == (3, 3) and mu_p != mu_pr:
         out.append("three-by-three: thresholds of profile and reversal differ")
+    return tuple(out)
+
+
+def _three_by_three_violations(profile: Profile) -> list[str]:
+    """The fact of three voters over three alternatives that reads columns."""
+    out: list[str] = []
     firsts = [col.order[0] for col in profile.columns]
     thirds = [col.order[2] for col in profile.columns]
     distinct = len(set(firsts)) == 3 and len(set(thirds)) == 3

@@ -639,8 +639,9 @@ def search_exhaustive(
 
 # --- seeded sampling ---------------------------------------------------------
 
-# Codes of up to TABLE_MAX_N alternatives read their ranking off a table of n!
-# entries per n; 8! covers every cell a default verify samples.  Larger n decode.
+# Codes of up to TABLE_MAX_N alternatives read their all_rankings index and
+# tally row off a table of n! entries per n; 8! covers every cell a default
+# verify samples.  Larger n decode.
 TABLE_MAX_N = 8
 
 
@@ -736,10 +737,16 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+# Samples of up to RANKINGS_MAX_N alternatives take their Rankings from
+# all_rankings(n), 720 at most; above, building all n! (40,320 at n = 8) would
+# cost far more than the h rankings one sampled profile needs.
+RANKINGS_MAX_N = 6
+
+
 def _code_rankings(n: int, codes: list[int]) -> tuple[Ranking, ...]:
     """The shared Ranking of each code's order: all_rankings(n) through the
-    table up to TABLE_MAX_N, the interned decoded order above."""
-    if n <= TABLE_MAX_N:
+    table up to RANKINGS_MAX_N alternatives, the interned decoded order above."""
+    if n <= RANKINGS_MAX_N:
         return tuple(map(all_rankings(n).__getitem__, map(_code_table(n).__getitem__, codes)))
     return tuple(_ranking(_decode(n, code)) for code in codes)
 

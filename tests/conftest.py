@@ -15,7 +15,15 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from votebias import Profile, Ranking, anonymous_count, rules, scan_minimax
+from votebias import (
+    Profile,
+    Ranking,
+    anonymous_count,
+    enumerate_anonymous,
+    rules,
+    sample_profile,
+    scan_minimax,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 GRID_H = range(2, 13)
@@ -25,6 +33,16 @@ EXHAUSTIVE_CAP = 5_000_000
 T1_EXCEPTIONS = {(4, 4), (5, 4), (7, 4), (5, 5)}
 # perfbench's sweep cells.
 SWEEP_CELLS = ((3, 3), (4, 3), (6, 3), (3, 4), (2, 5))
+
+
+def sweep_and_sampled_profiles() -> list[Profile]:
+    """Every multiset of the sweep cells, then 2,000 samples at (7, 5)."""
+    seen = []
+    for h, n in SWEEP_CELLS:
+        enumerate_anonymous(h, n, seen.append)
+    seen += [sample_profile(7, 5, 271828, i) for i in range(2000)]
+    assert len(seen) == 10_504 + 2000
+    return seen
 
 
 def expected_immune(j: int, h: int, n: int) -> bool:

@@ -94,6 +94,11 @@ class TestProfile:
     def test_reversal_tally_is_the_flipped_tally(self, p):
         assert p.reverse().tally() == tuple(zip(*p.tally()))
 
+    @given(profiles(max_h=12, max_n=8))
+    def test_equal_tallies_are_one_object(self, p):
+        assert Profile(p.columns[::-1]).tally() is p.tally()
+        assert p.reverse().reverse().tally() is p.tally()
+
     @given(profiles())
     def test_tally_rows_sum_to_h(self, p):
         t = p.tally()

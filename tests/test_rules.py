@@ -16,14 +16,12 @@ from votebias import (
     condorcet_winner,
     copeland,
     dominant_set,
-    enumerate_anonymous,
     majority_graph,
     minimal_threshold,
     minimax_direct,
     minimax_threshold,
     parse_profile,
     profile_threshold,
-    sample_profile,
     serialize_profile,
 )
 from votebias import bias, graphs, rules
@@ -40,7 +38,6 @@ from votebias.rules import (
 )
 
 from conftest import (
-    SWEEP_CELLS,
     borda_scores,
     copeland_scores,
     naive_borda,
@@ -52,6 +49,7 @@ from conftest import (
     naive_tally,
     naive_worst_defeat,
     profiles,
+    sweep_and_sampled_profiles,
 )
 
 
@@ -190,16 +188,6 @@ class TestTallyCore:
         for q, mu in ((p, mu_p), (pr, mu_pr)):
             admissible = range(p.h // 2 + 1, p.h + 1)
             assert mu == min(m for m in admissible if naive_dominant(q, m))
-
-
-def sweep_and_sampled_profiles() -> list[Profile]:
-    """Every multiset of the sweep cells, then 2,000 samples at (7, 5)."""
-    seen = []
-    for h, n in SWEEP_CELLS:
-        enumerate_anonymous(h, n, seen.append)
-    seen += [sample_profile(7, 5, 271828, i) for i in range(2000)]
-    assert len(seen) == 10_504 + 2000
-    return seen
 
 
 def check_cached_core(p: Profile, first: int) -> None:

@@ -5,13 +5,14 @@ built, tallied and audited a Profile for every sample: the stdout and exit
 code of sampled verify and compare runs, and a sha256 over each cell's first
 500 serialized samples.  The sampler now draws each sample as one ranking code
 per voter by replaying random.sample on the generator's getrandbits, on one
-generator reseeded per sample, reads each code's ranking and tally row off
-per-n tables (decoding the code past 8 alternatives), and shares Ranking
-objects between samples; these runs hold it to the old stream and output byte
-for byte.  The replay rests on three CPython internals: random.sample's pool
-branch, _randbelow, and the integer Random.seed derives from a str seed (its
-bytes and their SHA-512 digest); the replay sweep and the interpreter guards
-below name them when they change.
+generator reseeded per sample, reads each code's tally row off per-n tables
+(decoding the code past 8 alternatives) and its ranking off the table of all
+rankings (decoding it past 6), and shares Ranking objects between samples;
+these runs hold it to the old stream and output byte for byte.  The replay
+rests on three CPython internals: random.sample's pool branch, _randbelow,
+and the integer Random.seed derives from a str seed (its bytes and their
+SHA-512 digest); the replay sweep and the interpreter guards below name them
+when they change.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votebias import Ranking, audit_profile, find_witness, sample_profile
+from votebias import Profile, Ranking, audit_profile, find_witness, sample_profile
 from votebias import prefs, search, serialize_profile
 from votebias.cli import main
 from votebias.rules import minimax_defeats, upper_tally
@@ -132,6 +133,20 @@ def test_code_table_is_a_permutation_that_matches_the_pool_swaps():
             order = _pool_swap_order(n, code)
             assert rankings[table[code]].order == order, (n, code)
             assert search._decode(n, code) == order, (n, code)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_sample_past_six_alternatives_builds_only_its_own_rankings(n):
+    # A sampled hit needs its h rankings, not all n! of them (40,320 at n = 8).
+    search.all_rankings.cache_clear()
+    drawn = [(sample_profile(3, n, 271828, i), search._code_drawer(3, n, 271828)(i))
+             for i in range(50)]
+    assert search.all_rankings.cache_info().currsize == 0
+    rankings, table = search.all_rankings(n), search._code_table(n)
+    for profile, codes in drawn:
+        through_table = Profile(tuple(rankings[table[code]] for code in codes))
+        assert profile == through_table
+        assert serialize_profile(profile) == serialize_profile(through_table)
 
 
 def test_a_sampled_search_refuses_a_cell_past_the_bounds():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 import shlex
 import subprocess
@@ -106,7 +107,9 @@ def test_perfbench_clears_every_package_cache(workloads, monkeypatch):
     assert workload.check(workload.run()).problems == []
     caches = _package_caches()
     filled = {k for k, c in caches.items() if c.cache_info().currsize}
-    assert filled >= {"_analysis", "_ranking", "_core", "_maxima", "_graph", "_reports"}
+    assert filled >= {
+        "_analysis", "_ranking", "_core", "_maxima", "_graph", "_reports", "_violations"
+    }
     run._clear_lazy_tables()
     assert {k: c.cache_info().currsize for k, c in caches.items() if c.cache_info().currsize} == {}
 
@@ -162,6 +165,54 @@ def test_benchpair_summary_of_synthetic_runs():
     assert grid["wall_s"]["parent"]["runs"] == 2
     assert grid["failed"] == {"parent": 0, "change": 1}
     assert grid["invalid_runs"] == ["change pair 2"]
+
+
+def _pyc_is_fresh(source: Path) -> bool:
+    """Whether source's timestamp-checked __pycache__ entry records its mtime and size."""
+    cached = Path(importlib.util.cache_from_source(source))
+    if not cached.is_file():
+        return False
+    header, stat = cached.read_bytes()[:16], source.stat()
+    return header[8:16] == (
+        (int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+        + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little")
+    )
+
+
+def test_benchpair_byte_compiles_both_trees_before_the_first_run(tmp_path, monkeypatch):
+    # With PYTHONDONTWRITEBYTECODE set, a module whose __pycache__ entry is
+    # stale is recompiled on every fresh import, in its own tree only, and
+    # shows as a slower setup_s; so every source is fresh before any run.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    benchpair = _benchpair()
+    sources = []
+    for side in benchpair.SIDES:
+        for part in ("src/votebias", "perfbench"):
+            source = tmp_path / side / part / "mod.py"
+            source.parent.mkdir(parents=True)
+            source.write_text("X = 1\n")
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(source)], check=True)
+            source.write_text("X = 22\n")  # the entry is now stale: another size
+            sources.append(source)
+    assert not any(map(_pyc_is_fresh, sources))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "sweep"}]})
+    )
+    calls = []
+
+    def run_once(tree, workload, seconds):
+        assert all(map(_pyc_is_fresh, sources))
+        calls.append(tree)
+        metrics = {"wall_s": {"value": 1.0, "unit": "s"}}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return {"info": {"commit": "c", "src_sha256": "d"}, "result": result, "exit": 0}
+
+    monkeypatch.setattr(benchpair, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    assert benchpair.main([*argv, "--out", str(out)]) == 0
+    assert len(calls) == 2 * benchpair.PAIRS
+    assert json.loads(out.read_text())["summary"]["sweep"]["invalid_runs"] == []
 
 
 def test_readme_library_quick_start_runs(capsys):

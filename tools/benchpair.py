@@ -8,7 +8,11 @@ Each tree is a checkout (or an export) with its own ``perfbench/run.py`` and
 workload gets PAIRS pairs, the fewest that can carry a claimed gain.  Pair k
 runs the parent first for odd k and the change first for even k, so that a
 drift of the host's speed falls on both sides alike.  Each run's ``info``
-line, last-line JSON and exit code are kept.
+line, last-line JSON and exit code are kept.  Before the first pair, each
+tree's ``src/`` and ``perfbench/`` are byte-compiled: with
+PYTHONDONTWRITEBYTECODE set, a module whose ``__pycache__`` entry is stale
+would otherwise be recompiled on every fresh import, and only in the tree
+that has it, which shows as a slower ``setup_s``.
 
 The summary gives, per workload and metric, each side's median and quartiles
 (``statistics.quantiles`` with ``method="inclusive"``), the pairs in which
@@ -41,6 +45,17 @@ SEED = 271828
 def _command(workload: str, seconds: float) -> list[str]:
     return ["python3", "perfbench/run.py", "--workload", workload,
             "--seconds", f"{seconds:g}", "--trace", "0", "--seed", str(SEED)]
+
+
+def compile_tree(tree: Path) -> None:
+    """Byte-compile tree's src/ and perfbench/, so that no run recompiles them
+    on import.  Forced, since compileall alone trusts an entry whose recorded
+    mtime matches to the second, which import also holds to the source's size."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "-f", "--invalidation-mode", "timestamp",
+         "src", "perfbench"],
+        cwd=tree, check=True,
+    )
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
@@ -150,6 +165,8 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     trees = {"parent": args.parent, "change": args.change}
+    for tree in trees.values():
+        compile_tree(tree)
     runs = []
     for workload in workloads:
         for pair in range(1, PAIRS + 1):
