@@ -46,6 +46,7 @@ from .search import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_WITNESS,
     SearchResult,
+    _check_cell,
     anonymous_count,
     profile_from_indices,
     resolve_workers,
@@ -57,7 +58,7 @@ from .search import (
 )
 
 MAX_RANGE_VALUES = 10_000
-MAX_SAMPLES = 10_000_000  # draws of a sampled compare, which stops only at a difference
+MAX_SAMPLES = 10_000_000  # draws of a sampled compare or verify, which stop only at a hit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,8 +142,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _sample_budget(budget: int | None, command: str) -> int:
+    """The draws of a sampled run: budget, or DEFAULT_SAMPLE_BUDGET, at most MAX_SAMPLES."""
+    budget = budget or DEFAULT_SAMPLE_BUDGET
+    if budget > MAX_SAMPLES:
+        raise _CliError(
+            f"sampled {command} draws at most {MAX_SAMPLES} samples, got budget {budget}"
+        )
+    return budget
+
+
+@dataclass
+class _Output:
+    """What a command prints, and only main prints it: payload for --json,
+    rows under columns for --csv (a missing key writes as ""), else lines."""
+
+    code: int
+    payload: object
+    lines: list[str]
+    columns: list[str] | None = None
+    rows: list[dict] | None = None
 
 
 def _check_mu(h: int, mu: int) -> None:
@@ -153,7 +172,7 @@ def _check_mu(h: int, mu: int) -> None:
 # --- audit -------------------------------------------------------------------
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> _Output:
     profile = _read_profile(args.profile)
     rules = [r.strip() for r in args.rules.split(",")]
     for r in rules:
@@ -186,23 +205,21 @@ def cmd_audit(args: argparse.Namespace) -> int:
             "profile": {"arcs": sorted(map(list, g.arcs)), **analyze(g).to_json_dict()},
             "reversal": {"arcs": sorted(map(list, gr.arcs)), **analyze(gr).to_json_dict()},
         }
-    if args.json:
-        _emit_json({
-            "record": record,
-            "bias": [r.to_json_dict() for r in reports],
-            "graphs": graphs,
-        })
-        return EXIT_OK
-    print(f"profile: {profile.h} voters over {profile.n} alternatives")
-    print(serialize_profile(profile))
-    print(f"thresholds: mu(p)={record['mu_p']}  mu(pr)={record['mu_pr']}")
-    print(
+    payload = {
+        "record": record,
+        "bias": [r.to_json_dict() for r in reports],
+        "graphs": graphs,
+    }
+    lines = [
+        f"profile: {profile.h} voters over {profile.n} alternatives",
+        serialize_profile(profile),
+        f"thresholds: mu(p)={record['mu_p']}  mu(pr)={record['mu_pr']}",
         f"condorcet: winner={record['condorcet_winner']} "
-        f"loser={record['condorcet_loser']}"
-    )
-    print(f"{'rule':<10} {'selection p':<16} {'selection pr':<16} t1 t2 t3")
+        f"loser={record['condorcet_loser']}",
+        f"{'rule':<10} {'selection p':<16} {'selection pr':<16} t1 t2 t3",
+    ]
     for rep in reports:
-        print(
+        lines.append(
             f"{rep.rule:<10} {str(sorted(rep.selection_p)):<16} "
             f"{str(sorted(rep.selection_pr)):<16} "
             f"{'y' if rep.type1 else '.'}  {'y' if rep.type2 else '.'}  "
@@ -211,18 +228,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for mu_text, pair in sorted(graphs.items(), key=lambda kv: int(kv[0])):
         for side in ("profile", "reversal"):
             info = pair[side]
-            print(
+            lines.append(
                 f"graph mu={mu_text} {side}: arcs={len(info['arcs'])} "
                 f"maximal={info['maximal']} isolated={info['isolated']} "
                 f"acyclic={info['acyclic']}"
             )
-    return EXIT_OK
+    return _Output(EXIT_OK, payload, lines)
 
 
 # --- graph -------------------------------------------------------------------
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(args: argparse.Namespace) -> _Output:
     profile = _read_profile(args.profile)
     target = profile.reverse() if args.reverse else profile
     mu = args.mu if args.mu is not None else profile_threshold(target)
@@ -244,20 +261,19 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "dominant": sorted(dominant_set(target, mu)),
         "analysis": info.to_json_dict(),
     }
-    if args.json:
-        _emit_json(payload)
-        return EXIT_OK
     side = "reversal" if args.reverse else "profile"
-    print(f"majority graph of the {side} at mu={mu} ({target.h} voters, {target.n} alternatives)")
-    print(f"arcs: {payload['arcs']}")
-    print(f"dominant set: {payload['dominant']}")
     a = payload["analysis"]
-    print(f"maximal={a['maximal']} minimal={a['minimal']} isolated={a['isolated']}")
-    print(f"maxima={a['maxima']} minima={a['minima']} acyclic={a['acyclic']}")
-    print(f"components: {a['components']}")
+    lines = [
+        f"majority graph of the {side} at mu={mu} ({target.h} voters, {target.n} alternatives)",
+        f"arcs: {payload['arcs']}",
+        f"dominant set: {payload['dominant']}",
+        f"maximal={a['maximal']} minimal={a['minimal']} isolated={a['isolated']}",
+        f"maxima={a['maxima']} minima={a['minima']} acyclic={a['acyclic']}",
+        f"components: {a['components']}",
+    ]
     if args.dot:
-        print(f"dot file written to {args.dot}")
-    return EXIT_OK
+        lines.append(f"dot file written to {args.dot}")
+    return _Output(EXIT_OK, payload, lines)
 
 
 # --- verify ------------------------------------------------------------------
@@ -310,8 +326,7 @@ def _verify_group(
     n: int,
     js: list[int],
     strategy: str,
-    ex_budget: int,
-    sample_budget: int,
+    budget: int | None,
     seed: int,
     workers: int,
 ) -> list[VerificationCell]:
@@ -321,12 +336,14 @@ def _verify_group(
     scan for all of js, so examined counts and hit totals do not depend on
     the worker count.  Only auto falls back, per type, and only when the
     exhaustive search was inconclusive: to constructive_witness, and where
-    that gives None (always on an expected-immune cell) to search_sampled.
+    that gives None (always on an expected-immune cell) to search_sampled,
+    whose budget past MAX_SAMPLES is refused before the first draw.
     The exhaustive and sampled searches report a dual-route mismatch in the
     result, never raise it.
     """
     started = time.perf_counter()
     if strategy in ("auto", "exhaustive"):
+        ex_budget = DEFAULT_EXHAUSTIVE_BUDGET if budget is None else budget
         results = search_exhaustive(h, n, tuple(js), "minimax", ex_budget, workers)
         if strategy == "exhaustive" or results[0].outcome != OUTCOME_INCONCLUSIVE:
             elapsed = time.perf_counter() - started
@@ -344,16 +361,15 @@ def _verify_group(
                 note="" if witness else "no constructive recipe applies at this (h, n)",
             )
         else:
-            result = search_sampled(h, n, j, "minimax", sample_budget, seed)
+            result = search_sampled(h, n, j, "minimax", _sample_budget(budget, "verify"), seed)
         cells.append(VerificationCell(result, expected, time.perf_counter() - started))
     return cells
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> _Output:
     h_values = _parse_values(args.h, "h", 2, MAX_H)
     n_values = _parse_values(args.n, "n", 2, MAX_N)
     j_values = _parse_values(args.j, "j", 1, 3)
-    ex_budget = args.budget if args.budget is not None else DEFAULT_EXHAUSTIVE_BUDGET
     try:
         workers = resolve_workers(None)
     except ValueError as exc:
@@ -362,10 +378,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for h in h_values:
         for n in n_values:
             cells.extend(
-                _verify_group(
-                    h, n, j_values, args.strategy, ex_budget,
-                    args.budget or DEFAULT_SAMPLE_BUDGET, args.seed, workers,
-                )
+                _verify_group(h, n, j_values, args.strategy, args.budget, args.seed, workers)
             )
     contradicted = sum(1 for c in cells if c.consistent is False)
     inconclusive = sum(1 for c in cells if c.consistent is None)
@@ -381,41 +394,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "contradicted": contradicted,
         "inconclusive": inconclusive,
     }
-    if args.json:
-        _emit_json({"cells": [c.to_json_dict() for c in cells], "summary": summary})
-        return code
-    if args.csv:
-        header = ["h", "n", "j", "expected_immune", "method", "outcome", "examined",
-                  "space", "hits", "consistent"]
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for c in cells:
-            record = c.to_json_dict()  # a missing hits and a None verdict write as ""
-            writer.writerow([record.get(k) for k in header])
-        return code
-    print(f"{'h':>3} {'n':>3} {'j':>2} {'expected':<9} {'method':<12} "
-          f"{'outcome':<17} {'examined':>10} {'elapsed':>9} verdict")
+    lines = [f"{'h':>3} {'n':>3} {'j':>2} {'expected':<9} {'method':<12} "
+             f"{'outcome':<17} {'examined':>10} {'elapsed':>9} verdict"]
     for c in cells:
         r = c.result
         verdict = {True: "ok", False: "CONTRADICTION", None: "inconclusive"}[c.consistent]
         expected = "immune" if c.expected else "biased"
-        print(
+        lines.append(
             f"{r.h:>3} {r.n:>3} {r.j:>2} {expected:<9} {r.method:<12} "
             f"{r.outcome:<17} {r.examined:>10} {c.elapsed:>8.2f}s {verdict}"
         )
         if r.note:
-            print(f"          note: {r.note}")
-    print(
+            lines.append(f"          note: {r.note}")
+    lines.append(
         f"cells: {summary['cells']}  consistent: {consistent}  "
         f"contradicted: {contradicted}  inconclusive: {inconclusive}"
     )
-    return code
+    records = [c.to_json_dict() for c in cells]
+    columns = ["h", "n", "j", "expected_immune", "method", "outcome", "examined",
+               "space", "hits", "consistent"]
+    return _Output(code, {"cells": records, "summary": summary}, lines, columns, records)
 
 
 # --- compare -----------------------------------------------------------------
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> _Output:
     """First profile on which two rules select differently, or proof that none does.
 
     Exhaustive mode is one serial kernel scan with the pair as its rule.  Both rules
@@ -430,8 +434,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"bad pair {args.pair!r}; expected two distinct rules like minimax-borda"
         )
     h, n = args.h, args.n
-    if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
-        raise _CliError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}")
+    try:
+        _check_cell(h, n)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     space = anonymous_count(h, n)
     budget = args.budget if args.budget is not None else DEFAULT_EXHAUSTIVE_BUDGET
     refusal = table_refusal(n)
@@ -442,11 +448,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     difference: Profile | None = None
     note = ""
     if method == "sampled":
-        sample_budget = args.budget or DEFAULT_SAMPLE_BUDGET
-        if sample_budget > MAX_SAMPLES:
-            raise _CliError(
-                f"sampled compare draws at most {MAX_SAMPLES} samples, got budget {sample_budget}"
-            )
+        sample_budget = _sample_budget(args.budget, "compare")
         examined, difference, _ = scan_samples(h, n, 1, (first, second), sample_budget, args.seed)
         if difference is None:
             note = f"selections agreed on {sample_budget} samples; not a proof"
@@ -485,27 +487,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
         payload["profile"] = serialize_profile(difference)
         payload["selections"] = {first: selections[0], second: selections[1]}
     code = EXIT_OK if verdict in ("identical", "different") else EXIT_INCONCLUSIVE
-    if args.json:
-        _emit_json(payload)
-        return code
-    print(
+    lines = [
         f"{first} vs {second} at h={h}, n={n}: {verdict} "
         f"({examined} of {space} profiles examined, {method})"
-    )
+    ]
     if difference is not None:
-        print("first differing profile:")
-        print(serialize_profile(difference))
-        print(f"{first}: {payload['selections'][first]}")
-        print(f"{second}: {payload['selections'][second]}")
+        lines += [
+            "first differing profile:",
+            serialize_profile(difference),
+            f"{first}: {payload['selections'][first]}",
+            f"{second}: {payload['selections'][second]}",
+        ]
     if note:
-        print(f"note: {note}")
-    return code
+        lines.append(f"note: {note}")
+    return _Output(code, payload, lines)
 
 
 # --- fixtures ----------------------------------------------------------------
 
 
-def cmd_fixtures(args: argparse.Namespace) -> int:
+def cmd_fixtures(args: argparse.Namespace) -> _Output:
     if args.action == "list":
         fixed = []
         for fixture_id in sorted(_FIXED):
@@ -520,35 +521,30 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
             {"pattern": f"{name}(k)", "domain": dom, "description": desc}
             for name, (_, dom, desc, _) in sorted(_FAMILIES.items())
         ]
-        if args.json:
-            _emit_json({"fixed": fixed, "families": families})
-            return EXIT_OK
-        for row in fixed:
-            print(f"{row['id']:<16} h={row['h']:<3} n={row['n']:<3} {row['description']}")
-        for row in families:
-            print(f"{row['pattern']:<16} {row['domain']:<16} {row['description']}")
-        return EXIT_OK
+        lines = [f"{row['id']:<16} h={row['h']:<3} n={row['n']:<3} {row['description']}"
+                 for row in fixed]
+        lines += [f"{row['pattern']:<16} {row['domain']:<16} {row['description']}"
+                  for row in families]
+        return _Output(EXIT_OK, {"fixed": fixed, "families": families}, lines)
     try:
         fx = load(args.id)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
     text = serialize_profile(fx.profile)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc.strerror}") from None
-        print(f"{fx.fixture_id} written to {args.out}")
-    else:
-        print(text)
-    return EXIT_OK
+    if not args.out:
+        return _Output(EXIT_OK, None, [text])
+    try:
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _CliError(f"cannot write {args.out}: {exc.strerror}") from None
+    return _Output(EXIT_OK, None, [f"{fx.fixture_id} written to {args.out}"])
 
 
 # --- thresholds ----------------------------------------------------------------
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
+def cmd_thresholds(args: argparse.Namespace) -> _Output:
     h_values = _parse_values(args.h, "h", 2)
     n_values = _parse_values(args.n, "n", 2)
     total = len(h_values) * len(n_values)
@@ -569,26 +565,16 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
                 "immune_type2": in_table(2, h, n),
                 "immune_type3": in_table(3, h, n),
             })
-    if args.json:
-        _emit_json(rows)
-        return EXIT_OK
-    header = list(rows[0].keys())
-    if args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[k] for k in header])
-        return EXIT_OK
-    print(f"{'h':>3} {'n':>3} {'mu0':>4} {'muA':>4} {'muG':>4}  T1 T2 T3")
+    lines = [f"{'h':>3} {'n':>3} {'mu0':>4} {'muA':>4} {'muG':>4}  T1 T2 T3"]
     for row in rows:
-        print(
+        lines.append(
             f"{row['h']:>3} {row['n']:>3} {row['mu_majority']:>4} "
             f"{row['mu_acyclic_bound']:>4} {row['mu_greenberg']:>4}  "
             f"{'y' if row['immune_type1'] else '.':<2} "
             f"{'y' if row['immune_type2'] else '.':<2} "
             f"{'y' if row['immune_type3'] else '.':<2}"
         )
-    return EXIT_OK
+    return _Output(EXIT_OK, rows, lines, list(rows[0]), rows)
 
 
 # --- wiring --------------------------------------------------------------------
@@ -680,9 +666,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        out = args.func(args)
+        if getattr(args, "json", False):
+            print(json.dumps(out.payload, indent=2, sort_keys=True))
+        elif getattr(args, "csv", False):
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(out.columns)
+            writer.writerows([row.get(k) for k in out.columns] for row in out.rows)
+        else:
+            print("\n".join(out.lines))
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
+        return out.code
     except _CliError as exc:
         print(f"votebias: error: {exc}", file=sys.stderr)
         return exc.code

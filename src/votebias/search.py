@@ -778,12 +778,6 @@ def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
     return Profile(_code_rankings(n, _code_drawer(h, n, seed)(index)))
 
 
-def sample_tally(h: int, n: int, seed: int, index: int) -> list[int]:
-    """upper_tally(sample_profile(h, n, seed, index)), without the profile."""
-    _check_cell(h, n)
-    return _code_tallier(n)(_code_drawer(h, n, seed)(index))
-
-
 def scan_samples(
     h: int, n: int, bit: int, rule, budget: int, seed: int
 ) -> tuple[int, Profile | None, int]:

@@ -269,6 +269,27 @@ class TestVerify:
         assert cell["consistent"] is None
         assert payload["summary"]["inconclusive"] == 1
 
+    def test_sampling_past_the_sample_bound_is_refused_undrawn(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("sampled past MAX_SAMPLES")
+
+        monkeypatch.setattr(votebias.cli, "search_sampled", refuse)
+        # Sampled by request, and by auto's fallback at (3, 7): the space is over
+        # the budget and no recipe builds a type-1 witness for an immune cell.
+        for cell in (("--h", "3", "--n", "4", "--strategy", "sampled"), ("--h", "3", "--n", "7")):
+            code, out, err = run(capsys, "verify", *cell, "--j", "1", "--budget", "10000001")
+            assert code == 1 and out == ""
+            assert err == (
+                "votebias: error: sampled verify draws at most 10000000 samples, "
+                "got budget 10000001\n"
+            )
+        # A certification budget past the bound still serves a cell that never samples.
+        code, out, _ = run(
+            capsys, "verify", "--h", "3", "--n", "4", "--j", "1", "--budget", "10000001", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["cells"][0]["outcome"] == "certified-immune"
+
     def test_exhaustive_over_budget_is_refused(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--h", "5", "--n", "5", "--j", "1",

@@ -154,7 +154,6 @@ def test_a_sampled_search_refuses_a_cell_past_the_bounds():
     for h, n in [(search.MAX_H + 1, 3), (2, search.MAX_N + 1), (1, 3)]:
         for call in (
             lambda: search.scan_samples(h, n, 1, "minimax", 1, 271828),
-            lambda: search.sample_tally(h, n, 271828, 0),
             lambda: find_witness(h, n, 1, mode="sampled", budget=1),
         ):
             with pytest.raises(ValueError, match=r"need 2 <= h <= 200 and 2 <= n <= 20"):
@@ -176,9 +175,9 @@ def test_shared_rankings_stay_values(h, n):
                     assert counts[x - 1][y - 1] == naive_tally(profile, x, y)
     if n == 5:
         assert len(first) < h * len(profiles)  # orders did repeat across samples
+    draw, tally = search._code_drawer(h, n, 271828), search._code_tallier(n)
     for index in range(300):
-        u = search.sample_tally(h, n, 271828, index)
-        assert u == upper_tally(sample_profile(h, n, 271828, index)), index
+        assert tally(draw(index)) == upper_tally(sample_profile(h, n, 271828, index)), index
 
 
 def _beats_upper(order: tuple[int, ...]) -> list[int]:
@@ -196,8 +195,10 @@ def test_order_rows_are_the_upper_triangle_of_beats():
 
 @pytest.mark.parametrize("h, n", [(5, 5), (3, 7), (4, 4), (2, 10), (200, 3), (2, 20)])
 def test_sample_tally_and_verdict_match_the_object_path(h, n):
+    # The composition scan_samples runs on each sample.
+    draw, tally = search._code_drawer(h, n, 271828), search._code_tallier(n)
     for index in range(2000):
-        u = search.sample_tally(h, n, 271828, index)
+        u = tally(draw(index))
         profile = sample_profile(h, n, 271828, index)
         assert u == upper_tally(profile), index
         for report in audit_profile(profile):

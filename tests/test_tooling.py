@@ -1,7 +1,7 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
-every package cache is bounded and cleared by perfbench, tools/benchpair.py
-summarizes paired benchmark runs, README's library quick start runs, and README's
-`votebias` commands parse."""
+the command line prints through main alone, every package cache is bounded and
+cleared by perfbench, tools/benchpair.py summarizes paired benchmark runs, README's
+library quick start runs, and README's `votebias` commands parse."""
 
 from __future__ import annotations
 
@@ -68,6 +68,23 @@ def test_package_imports_form_a_dag():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_cli_commands_print_through_main_alone():
+    # Each command returns its output; main alone writes it as JSON, CSV or lines.
+    source = (ROOT / "src" / "votebias" / "cli.py").read_text()
+    assert source.count("json.dumps(") == 1 and source.count("csv.writer(") == 1
+    uses: dict[str, set[str]] = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr":
+                    node = ast.Attribute(node.args[0], getattr(node.args[1], "value", ""))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    name = f"{node.value.id}.{node.attr}"
+                    if name in {"json.dumps", "csv.writer", "args.json", "args.csv"}:
+                        uses.setdefault(func.name, set()).add(name)
+    assert uses == {"main": {"json.dumps", "csv.writer", "args.json", "args.csv"}}
 
 
 # Tables with one entry per n (or per (n, h)), which the bounds on n keep small.
