@@ -13,7 +13,9 @@ alone decides which scan a cell gets, for ``find_witness`` and ``verify``,
 and ``compare`` scans with a pair of rules for the first multiset on which
 their selections differ.
 The kernel keeps a running upper-triangle tally while walking the multiset
-tree and evaluates each leaf through the tally-level core in ``rules``.
+tree; it decides a minimax parent's leaves at once by bitsets over the last
+voter's ranking, and judges each leaf of the other rules through the
+tally-level core in ``rules``.
 Sampled searches (``search_sampled``, and ``compare`` through ``scan_samples``)
 judge each seeded sample's tally by the same leaf verdict.  A sample is drawn
 as one ranking code per voter, on one generator reseeded per sample; up to 8
@@ -29,8 +31,8 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add, lt
+from functools import lru_cache, reduce
+from operator import add, and_, lt, or_
 from typing import Callable, Iterator
 
 from .bias import bias_flags
@@ -135,8 +137,8 @@ class SearchResult:
     space is anonymous_count(h, n) in every mode, also under the neutrality
     cut.  hits is the exact number of biased representatives, set only by an
     exhaustive scan that did not stop early; mismatches counts the profiles on
-    which the two minimax routes disagreed, among those an exhaustive scan
-    visited or a sampled search drew.
+    which the two minimax routes disagreed, among those a sampled search drew
+    (an exhaustive minimax scan decides by bitsets and counts none).
     """
 
     h: int
@@ -204,10 +206,14 @@ def resolve_workers(workers: int | None = None) -> int:
 # The kernel holds one upper-triangle vector per ranking; 10! of them would
 # take several GB, so larger n never reaches it.
 MAX_SCAN_RANKINGS = math.factorial(9)
-# Entries each verdict cache of a scan holds before it starts afresh: about
-# 80 MB at the 76 bytes per entry measured at (4,5).  No cell within the
-# default budget has that many; a plain scan of (5,5) does.
+# Entries each leaf-verdict cache of a scan holds before it starts afresh:
+# about 80 MB at the 76 bytes per entry measured at (4,5).  No cell within
+# the default budget has that many; a plain scan of (5,5) does.
 VERDICT_CACHE_LIMIT = 1 << 20
+# Bits the minimax decider's parent memo holds before it starts afresh, each
+# entry charged its sets' lengths plus 2,048 bits for its key, list and dict
+# slot: 32 MB.
+PARENT_MEMO_BITS = 1 << 28
 
 # Bit 0 of a leaf verdict is the dual-route mismatch; bit j (1..3) the type-j flag.
 _MISMATCH = 1
@@ -270,39 +276,36 @@ def _pair_tables(n: int) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=None)
-def _packed_rows(n: int, h: int) -> tuple[int, ...]:
-    """Per ranking, its vector as one integer: digit k is its u[k] in base h + 1."""
-    return tuple(_linear_rows(n, [(h + 1) ** k for k in range(n * (n - 1) // 2)]))
+def _packed_rows(n: int) -> tuple[int, ...]:
+    """Per ranking, its _upper_row as one integer, byte k its u[k]."""
+    return tuple(_linear_rows(n, [256**k for k in range(n * (n - 1) // 2)]))
+
+
+# A byte of a _pair_tables column, 0 or 1, as a binary digit.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
-def _mask_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]:
-    """Tight-rival mask layout: (rows, pair bits, LOW, GUARD).
-
-    2n blocks of n + 1 bits: block x for x's defeats, n + x for its victories;
-    bit y is rival y, bit n the guard.  rows[r] is M_r: block x holds the
-    rivals ranking r puts above x, block n + x those below.  Pair (x, y) has
-    bits (x, y, d_xy, d_yx, v_xy, v_yx): d_xy is y in block x, v_xy y in n + x.
-    """
-    width = n + 1
-    bits = tuple(
-        (x, y, 1 << x * width + y, 1 << y * width + x,
-         1 << (n + x) * width + y, 1 << (n + y) * width + x)
-        for x, y in upper_pairs(n)
-    )
-    # vec[k] = 0: y above x, so d_xy and v_yx; vec[k] = 1 flips them to d_yx and v_xy.
-    base = sum(d_xy | v_yx for _, _, d_xy, _, _, v_yx in bits)
-    flips = [(d_yx | v_xy) - (d_xy | v_yx) for _, _, d_xy, d_yx, v_xy, v_yx in bits]
-    rows = tuple(map(base.__add__, _linear_rows(n, flips)))
-    blocks = [b * width for b in range(2 * n)]
-    return rows, bits, sum(((1 << n) - 1) << s for s in blocks), sum(1 << s + n for s in blocks)
+def _above_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """above[a][b] has bit r set iff all_rankings(n)[r] puts alternative a over
+    b (0-based; above[a][a] is 0).  Pair k's column of the _pair_tables bytes
+    holds its 0/1 per ranking, read here as binary digits, ranking 0 last."""
+    vecs = _pair_tables(n)
+    size, full = len(vecs[0]), (1 << len(vecs)) - 1
+    columns = b"".join(vecs)
+    above = [[0] * n for _ in range(n)]
+    for k, (x, y) in enumerate(upper_pairs(n)):
+        above[x][y] = int(columns[k::size][::-1].translate(_DIGITS), 2)
+        above[y][x] = full ^ above[x][y]
+    return tuple(map(tuple, above))
 
 
 @dataclass
 class KernelReport:
     """Aggregate of one scan over (part of) the multiset tree.
 
-    kramer_mismatches stays 0 for Borda and Copeland.
+    kramer_mismatches stays 0 for Borda and Copeland, and for minimax unless
+    its leaves are judged one by one (_leaf_decider).
     """
 
     examined: int = 0
@@ -316,9 +319,10 @@ def _type_bits(ls: int, lsr: int, meets: bool, n: int) -> int:
     return (ls == 1 and lsr == 1) << 1 | (ls == 1) << 2 | (ls < n) << 3 if meets else 0
 
 
-def _minimax_bits(wd: list[int], wdr: list[int], h: int, n: int) -> int:
-    """A minimax leaf's verdict bits from its worst defeats on p and on its
-    reversal: the type flags and the dual-route mismatch.
+def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
+    """One leaf's verdict bits from its tally: bit j (1..3) the type-j flag and,
+    for minimax, bit 0 the dual-route mismatch; for a pair of rules, bit 1
+    alone, set when their selections differ.
 
     The mismatch bit is 0 on every u in [0,h]^(n(n-1)/2), so it is a
     cross-check of this code, never a fact about a profile.  Let m1 = min(wd)
@@ -329,21 +333,15 @@ def _minimax_bits(wd: list[int], wdr: list[int], h: int, n: int) -> int:
     least y's tally over x and wd[y] at least x's tally over y, and those two
     sum to h: a contradiction.  The same holds for wdr on the transposed tally.
     """
-    rng_n = range(n)
-    mu_p, mu_pr = minimax_thresholds(wd, wdr, h)
-    sel = [x for x in rng_n if wd[x] < mu_p]
-    m1 = min(wd)
-    bits = _MISMATCH if sel != [x for x in rng_n if wd[x] == m1] else 0
-    selr = [x for x in rng_n if wdr[x] < mu_pr]
-    return bits | _type_bits(len(sel), len(selr), any(wd[x] < mu_p for x in selr), n)
-
-
-def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
-    """One leaf's verdict bits from its tally: _minimax_bits for minimax; for a
-    pair of rules, bit 1 alone, set when their selections differ."""
     if rule == "minimax":
+        rng_n = range(n)
         wd, wdr, _, _ = minimax_defeats(tally, h, n)
-        return _minimax_bits(wd, wdr, h, n)
+        mu_p, mu_pr = minimax_thresholds(wd, wdr, h)
+        sel = [x for x in rng_n if wd[x] < mu_p]
+        m1 = min(wd)
+        bits = _MISMATCH if sel != [x for x in rng_n if wd[x] == m1] else 0
+        selr = [x for x in rng_n if wdr[x] < mu_pr]
+        return bits | _type_bits(len(sel), len(selr), any(wd[x] < mu_p for x in selr), n)
     if isinstance(rule, tuple):
         first, second = rule
         return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
@@ -351,39 +349,134 @@ def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
     return _type_bits(len(sel), len(selr), not set(sel).isdisjoint(selr), n)
 
 
-def _tight_verdicts(u: list[int], h: int, n: int, shared: dict) -> Callable[[int], int]:
-    """Minimax verdict of parent tally u (h - 1 voters) plus ranking r, per r.
+def _leaf_decider(h: int, n: int, rule) -> Callable[..., list[int]]:
+    """Judge each leaf r >= lo by _leaf_verdict, through a verdict cache keyed
+    by the leaf's packed tally: one int add and one lookup per leaf, up to
+    the leaf by which every bit of until has been set.  Borda, Copeland and
+    pairs of rules are scanned this way; minimax only by tests, as the
+    reference _minimax_decider is held to.
 
-    See _scan for the lemma.  T holds y in block x when y's defeat of x is
-    wd[x], in block n + x when x's victory over y is wdr[x].  Block b's guard
-    bit in ((M_r & T) + LOW) & GUARD is set iff block b of M_r & T is non-zero
-    (no block carries: it holds at most 2^(n+1) - 2).  shared maps (wd, wdr)
-    to a tag and tagged keys to verdicts, for one parent's leaves at a time.
+    Soundness of the cache: _leaf_verdict reads the tally u, h, n and rule
+    and nothing else (no ranking index), and all but u are fixed for one
+    scan, so leaves with equal u have equal verdicts; the key's bytes are u
+    (see _scan).  The cache lives for one scan.
     """
-    rows, pair_bits, low, guard = _mask_table(n)
-    wd, wdr, _, _ = minimax_defeats(u, h - 1, n)
-    tight = 0
-    for (x, y, d_xy, d_yx, v_xy, v_yx), a in zip(pair_bits, u):
-        b = h - 1 - a
-        tight |= (b == wd[x]) * d_xy | (a == wd[y]) * d_yx
-        tight |= (a == wdr[x]) * v_xy | (b == wdr[y]) * v_yx
-    if len(shared) >= VERDICT_CACHE_LIMIT:
-        shared.clear()
-    # len(shared) grows with every entry, so no two defeat pairs get one tag.
-    tag = shared.setdefault((*wd, *wdr), len(shared) << 2 * n * (n + 1))
-    get = shared.get
+    packed, size = _packed_rows(n), n * (n - 1) // 2
+    K = len(packed)
+    verdicts: dict[int, int] = {}
+    get = verdicts.get
 
-    def verdict(r: int) -> int:
-        key = tag | ((rows[r] & tight) + low) & guard
-        bits = get(key)
-        if bits is None:
-            rises = [key >> s & 1 for s in range(n, 2 * n * (n + 1), n + 1)]
-            bits = shared[key] = _minimax_bits(
-                list(map(add, wd, rises[:n])), list(map(add, wdr, rises[n:])), h, n
-            )
-        return bits
+    def decide(key: int, lo: int, until: int) -> list[int]:
+        sets = [0, 0, 0, 0]
+        for r in range(lo, K):
+            leaf = key + packed[r]
+            bits = get(leaf)
+            if bits is None:
+                if len(verdicts) >= VERDICT_CACHE_LIMIT:
+                    verdicts.clear()
+                tally = list(leaf.to_bytes(size, "little"))
+                bits = verdicts[leaf] = _leaf_verdict(tally, h, n, rule)
+            if bits:
+                for j in range(4):
+                    if bits >> j & 1:
+                        sets[j] |= 1 << r
+                if until:
+                    until &= ~bits
+                    if not until:
+                        break
+        return sets
 
-    return verdict
+    return decide
+
+
+def _minimax_decider(h: int, n: int, want: tuple[int, ...]) -> Callable[..., list[int]]:
+    """Decide all K last voters of a minimax parent at once, by K-bit sets.
+
+    By the lemma in _scan, the leaf's worst defeats are wd + A(r) and its
+    greatest victories wdr + B(r), wd and wdr the parent's: A[x] is the set
+    of r that rank above x a rival tight for wd[x], B[x] of those that rank
+    below x a rival tight for wdr[x], each an OR of above sets.  Minimax
+    selects the argmin of the worst defeats (_leaf_verdict's mismatch
+    argument), on p and on the reversal.  For W = w + R, R[x] a 0/1 function
+    of r, and d = w[y] - w[x], x is in argmin W iff R[x] - R[y] <= d for every
+    y != x: d >= 1 always holds, d = 0 needs not (R[x] and not R[y]), d = -1
+    needs not R[x] and R[y], and d <= -2 never holds.  x is the unique argmin
+    iff R[x] - R[y] < d: the same conditions, shifted by one.  So with
+    m = min w, x can be in argmin W only if w[x] <= m + 1 and unique only if
+    w[x] = m; argmin_sets ANDs the conditions, dropping d = 0 ones wherever
+    a d = -1 one already implies them.  _type_bits' flags are then: type 1,
+    the union over x of uniq(wd, A, x) and uniq(wdr, B, x), since selections
+    of one alternative meet only in it; type 2, of uniq(wd, A, x) and
+    in(wdr, B, x); type 3, of in(wd, A, x) and in(wdr, B, x), less the set
+    where every x is in argmin(wd + A), a selection of all n.  Bit 0 and the
+    unwanted types are 0.
+
+    The sets depend on the parent's tally u alone, h, n and want being fixed
+    for one scan, so they are memoised by its packed tally, whose bytes are u
+    (see _scan).  The memo starts afresh once it holds more than
+    PARENT_MEMO_BITS bits.
+    """
+    above = _above_sets(n)
+    full = (1 << math.factorial(n)) - 1
+    pairs = upper_pairs(n)
+    size = len(pairs)
+    rng_n = range(n)
+    memo: dict[int, list[int]] = {}
+    held = 0
+
+    def argmin_sets(w: list[int], rises: list[int]) -> tuple[list[int], list[int]]:
+        """Per x, the sets of r where x is in argmin(w + rises(r)), and where it is alone there."""
+        m = min(w)
+        tied = [y for y in rng_n if w[y] == m]
+        both = reduce(and_, map(rises.__getitem__, tied))
+        close = reduce(and_, (rises[y] for y in rng_n if w[y] == m + 1), full)
+        inside, unique = [0] * n, [0] * n
+        for x in rng_n:
+            flat = full ^ rises[x]
+            if w[x] == m + 1:
+                inside[x] = flat & both
+            elif w[x] == m:
+                others = reduce(and_, (rises[y] for y in tied if y != x), full)
+                inside[x] = flat | others
+                unique[x] = flat & others if len(tied) > 1 else flat | close
+        return inside, unique
+
+    def parent_sets(u: list[int]) -> list[int]:
+        wd, wdr, _, _ = minimax_defeats(u, h - 1, n)
+        rise, riser = [0] * n, [0] * n
+        for (x, y), a in zip(pairs, u):
+            b = h - 1 - a
+            if b == wd[x]:
+                rise[x] |= above[y][x]
+            if a == wd[y]:
+                rise[y] |= above[x][y]
+            if a == wdr[x]:
+                riser[x] |= above[x][y]
+            if b == wdr[y]:
+                riser[y] |= above[y][x]
+        inside, unique = argmin_sets(wd, rise)
+        insider, uniquer = argmin_sets(wdr, riser)
+        sets = [0, 0, 0, 0]
+        if 1 in want:
+            sets[1] = reduce(or_, map(and_, unique, uniquer))
+        if 2 in want:
+            sets[2] = reduce(or_, map(and_, unique, insider))
+        if 3 in want:
+            sets[3] = reduce(or_, map(and_, inside, insider)) & ~reduce(and_, inside)
+        return sets
+
+    def decide(key: int, lo: int, until: int) -> list[int]:
+        nonlocal held
+        sets = memo.get(key)
+        if sets is None:
+            sets = memo[key] = parent_sets(list(key.to_bytes(size, "little")))
+            held += sum(map(int.bit_length, sets)) + 2048
+            if held > PARENT_MEMO_BITS:
+                memo.clear()
+                held = 0
+        return sets
+
+    return decide
 
 
 def _scan(
@@ -396,96 +489,70 @@ def _scan(
 ) -> KernelReport:
     """Walk nondecreasing ranking-index tuples below each prefix, in order.
 
-    The running upper-triangle tally u[k] counts, over chosen voters, how
-    many rank pair k's smaller alternative above its larger one; each
-    internal level adds its voter's vector into a fresh list and its packed
-    row into the packed tally.  A leaf costs one int add and one lookup in a
-    verdict cache keyed by the packed tally.  On a miss, minimax asks the
-    parent's _tight_verdicts (built on the parent's first miss); other rules
-    run _leaf_verdict.
-
-    Soundness of the cache: _leaf_verdict reads the tally u, h, n and rule
-    and nothing else (no ranking index), and all but u are fixed for one
-    call, so leaves with equal u have equal verdicts.  The key
-    determines u: digit k of a packed row is that ranking's u[k] (0 or 1) in
-    base h + 1, and a leaf's key is the sum of the rows of its h voters, so
-    every digit of the sum is at most h < h + 1, no digit carries, and the
-    key's base-(h + 1) digits are exactly u.  Verdicts are still applied leaf
-    by leaf, so examined, counts, firsts and kramer_mismatches stay exact per
-    profile.  The caches live for this call only.
+    Each level adds its voter's packed row, the ranking's upper-triangle 0/1
+    vector with one byte per pair, into the running key.  At most
+    MAX_H < 256 voters add into one byte, so no byte carries and a key's
+    bytes are the tally u of its voters: u[k] of them rank pair k's smaller
+    alternative first.  At depth h - 1 the walker hands each parent to the
+    rule's decider, decide(key, lo, until): per verdict bit j (0, the
+    dual-route mismatch, or the type j), the set of last voters r (bit r)
+    whose leaf, the parent plus ranking r, sets bit j.  Minimax decides all
+    K at once by bitsets (_minimax_decider); other rules and pairs judge
+    leaf by leaf (_leaf_decider).  The parent's leaves are r = lo..K-1, lo
+    its last index, in enumeration order, so the walker reads each set from
+    bit lo up: its popcount is the parent's count of that bit, its lowest
+    set bit the parent's first hit, and examined grows by K - lo.  A
+    stop-early scan ends at the leaf that gives the last wanted type its
+    first hit and counts the leaves up to it, as a leaf-by-leaf walk would;
+    until holds the types it still hunts, so that a decider may leave out
+    the leaves past that one.
 
     The tight-rival lemma: a leaf's tally is its parent's (h - 1 voters) plus
     the last voter r's 0/1 vector.  So x's worst defeat is the parent's wd[x]
     plus one iff r ranks above x a rival y tight for x (y's defeat of x is
     wd[x]; any other rival's stays below wd[x] + 1), else wd[x]; x's greatest
     victory is wdr[x] plus one iff r ranks below x a rival tight for it.
-    Soundness of the per-parent key: _minimax_bits reads the leaf's worst
-    defeats and victories, h and n; by the lemma these are the parent's
-    wd/wdr, h, n and the two rise masks, all but the masks fixed for one
-    parent (or one (wd, wdr) pair), and the key's guard bits are the masks,
-    so equal keys have equal verdicts.
     """
-    vecs = _pair_tables(n)
-    packed = _packed_rows(n, h)
-    K = len(vecs)
+    packed = _packed_rows(n)
+    K = len(packed)
+    decide = _minimax_decider(h, n, want) if rule == "minimax" else _leaf_decider(h, n, rule)
     report = KernelReport()
     counts = report.counts
     firsts = report.firsts
     hunting = set(want)
-    verdicts: dict[int, int] = {}
-    get = verdicts.get
-    shared: dict = {}
     stack: list[int] = []
 
-    def hit(bits: int, last: int) -> bool:
-        """Apply a non-zero verdict; False once a stop-early scan has all it wants."""
-        if bits & _MISMATCH:
-            report.kramer_mismatches += 1
-        for j in want:
-            if bits >> j & 1:
-                counts[j] += 1
-                if firsts[j] is None:
-                    firsts[j] = (*stack, last)
-                    hunting.discard(j)
-        return not stop_early or bool(hunting)
-
-    def rec(depth: int, lo: int, u: list[int], key: int) -> bool:
-        if depth == h - 1:
-            below = None
+    def rec(depth: int, lo: int, key: int) -> bool:
+        if depth < h - 1:
             for r in range(lo, K):
-                leaf = key + packed[r]
-                bits = get(leaf)
-                if bits is None:
-                    if len(verdicts) >= VERDICT_CACHE_LIMIT:
-                        verdicts.clear()
-                    if rule != "minimax":
-                        tally = list(map(add, u, vecs[r]))
-                        bits = _leaf_verdict(tally, h, n, rule)
-                    else:
-                        below = below or _tight_verdicts(u, h, n, shared)
-                        bits = below(r)
-                    verdicts[leaf] = bits
-                if bits and not hit(bits, r):
-                    report.examined += r - lo + 1
+                stack.append(r)
+                keep = rec(depth + 1, r, key + packed[r])
+                stack.pop()
+                if not keep:
                     return False
-            report.examined += K - lo
             return True
-        for r in range(lo, K):
-            stack.append(r)
-            keep = rec(depth + 1, r, list(map(add, u, vecs[r])), key + packed[r])
-            stack.pop()
-            if not keep:
-                return False
-        return True
+        sets = decide(key, lo, sum(1 << j for j in hunting) if stop_early else 0)
+        end = K
+        if stop_early and hunting and all(sets[j] >> lo for j in hunting):
+            end = lo + max(((s := sets[j] >> lo) & -s).bit_length() for j in hunting)
+        clip = (1 << end - lo) - 1
+        if sets[0]:
+            report.kramer_mismatches += (sets[0] >> lo & clip).bit_count()
+        for j in want:
+            hits = sets[j] >> lo & clip
+            if hits:
+                counts[j] += hits.bit_count()
+                if firsts[j] is None:
+                    firsts[j] = (*stack, lo + (hits & -hits).bit_length() - 1)
+                    hunting.discard(j)
+        report.examined += end - lo
+        return not stop_early or bool(hunting)
 
     for prefix in prefixes:
         if len(prefix) >= h:
             raise ValueError("prefix must leave at least one voter to choose")
         stack[:] = prefix
-        u = [0] * len(vecs[0])
-        for r in prefix:
-            u = list(map(add, u, vecs[r]))
-        if not rec(len(prefix), prefix[-1] if prefix else 0, u, sum(packed[r] for r in prefix)):
+        if not rec(len(prefix), prefix[-1] if prefix else 0, sum(packed[r] for r in prefix)):
             break
     return report
 
@@ -525,9 +592,10 @@ def scan_minimax(
     counts stay exact and the reported first witness is the one earliest in
     enumeration order.  A visit count other than neutral_count/anonymous_count
     raises RuntimeError, unless the scan stopped early after finding every
-    wanted type; n past MAX_SCAN_RANKINGS rankings raises ValueError before any
-    table is built.
+    wanted type.  A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N, or n past
+    MAX_SCAN_RANKINGS rankings, raises ValueError before any table is built.
     """
+    _check_cell(h, n)
     refusal = table_refusal(n)
     if refusal:
         raise ValueError(refusal)
@@ -755,13 +823,13 @@ def _code_tallier(n: int) -> Callable[[list[int]], list[int]]:
     """codes -> the upper tally of the voters with these codes.
 
     The tally is read out by one to_bytes from the sum of the voters'
-    _upper_row vectors as integers with one byte per pair: _packed_rows in
-    base 256 through the table up to TABLE_MAX_N, the decoded order's row
-    above.  No byte carries, since at most MAX_H < 256 voters add into one.
+    _upper_row vectors as integers with one byte per pair: _packed_rows
+    through the table up to TABLE_MAX_N, the decoded order's row above.  No
+    byte carries, since at most MAX_H < 256 voters add into one.
     """
     size = n * (n - 1) // 2
     if n <= TABLE_MAX_N:
-        row, index = _packed_rows(n, 255).__getitem__, _code_table(n).__getitem__
+        row, index = _packed_rows(n).__getitem__, _code_table(n).__getitem__
 
         def tally(codes: list[int]) -> list[int]:
             return list(sum(map(row, map(index, codes))).to_bytes(size, "little"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from votebias import (
     rules,
     sample_profile,
     scan_minimax,
+    search,
 )
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -33,6 +35,9 @@ EXHAUSTIVE_CAP = 5_000_000
 T1_EXCEPTIONS = {(4, 4), (5, 4), (7, 4), (5, 5)}
 # perfbench's sweep cells.
 SWEEP_CELLS = ((3, 3), (4, 3), (6, 3), (3, 4), (2, 5))
+# Cells certifiable only through the neutrality cut (identity-anchored
+# multisets); the plain representative count exceeds the enumeration cap.
+NEUTRAL_CUT_CELLS = [(2, 7), (2, 8), (3, 6)]
 
 
 def sweep_and_sampled_profiles() -> list[Profile]:
@@ -173,17 +178,32 @@ def exhaustive_grid_cells() -> list[tuple[int, int]]:
     ]
 
 
+@contextmanager
+def per_leaf_minimax():
+    """Minimax scans inside judge every leaf by _leaf_verdict, through the
+    per-leaf decider that Borda and Copeland use.  It is the reference the
+    bitset decider is held to, and the one route that reads each leaf's
+    dual-route mismatch bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            search, "_minimax_decider", lambda h, n, want: search._leaf_decider(h, n, "minimax")
+        )
+        yield
+
+
 @pytest.fixture(scope="session")
 def kernel_scans():
     """Full scans of every cap-feasible grid cell, shared across criteria.
 
     Each value is a KernelReport with exact bias counts for all three types
-    and the dual-route mismatch counter.
+    and the dual-route mismatch counter, from the per-leaf reference route,
+    so that the counter has judged every leaf.
     """
-    return {
-        (h, n): scan_minimax(h, n, want=(1, 2, 3))
-        for (h, n) in exhaustive_grid_cells()
-    }
+    with per_leaf_minimax():
+        return {
+            (h, n): scan_minimax(h, n, want=(1, 2, 3))
+            for (h, n) in exhaustive_grid_cells()
+        }
 
 
 @pytest.fixture()

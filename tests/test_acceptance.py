@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Criterion 2 certifies (5, 5) for type 1 on every run
-through the neutrality cut: 9,078,630 representatives, about five seconds.
+through the neutrality cut: 9,078,630 representatives, about two seconds.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from conftest import (
     EXHAUSTIVE_CAP,
     GRID_H,
     GRID_N,
+    NEUTRAL_CUT_CELLS,
     borda_scores,
     copeland_scores,
     expected_immune,
@@ -93,11 +94,6 @@ def test_criterion_1_fixture_reproduction():
         assert elapsed < 1.0, f"fixture re-audit took {elapsed:.2f}s"
 
 
-# Cells certifiable only through the neutrality cut (identity-anchored
-# multisets); the plain representative count exceeds the enumeration cap.
-NEUTRAL_CUT_CELLS = [(2, 7), (2, 8), (3, 6)]
-
-
 def test_criterion_2_immunity_certificates(kernel_scans):
     with criterion(2, "every in-budget immune cell certifies with zero hits"):
         certified = 0
@@ -125,7 +121,7 @@ def test_criterion_2_immunity_certificates(kernel_scans):
         assert certified == 73
 
         # Over the cap even under the cut: (3,7,1) and (3,8,1) stay out of reach,
-        # and the cut scan of (5,5,1) takes about five seconds, so it is certified
+        # and the cut scan of (5,5,1) takes about two seconds, so it is certified
         # here; everything else the classification calls immune is certified above.
         out_of_scope = {
             (h, n, j)

@@ -34,6 +34,8 @@ from votebias import search
 from votebias.rules import upper_tally
 from votebias.search import OUTCOME_IMMUNE, OUTCOME_INCONCLUSIVE, OUTCOME_WITNESS
 
+from conftest import NEUTRAL_CUT_CELLS, per_leaf_minimax
+
 
 class TestCounting:
     @pytest.mark.parametrize(
@@ -241,8 +243,8 @@ class TestScanKernel:
         split = [u for u in leaves if len(set(real(u, h, n)[0])) > 1]
         target = max(split, key=leaves.__getitem__)
         assert leaves[target] > 1
-        # The kernel reads a leaf's verdict off its worst defeats, so a skew keyed
-        # by the target's defeats reaches every leaf that has them.
+        # The per-leaf route reads a leaf's verdict off its worst defeats, so a
+        # skew keyed by the target's defeats reaches every leaf that has them.
         defeats = real(target, h, n)[:2]
         skewed_leaves = sum(c for u, c in leaves.items() if real(u, h, n)[:2] == defeats)
         assert skewed_leaves >= leaves[target]
@@ -255,12 +257,15 @@ class TestScanKernel:
             return mu_p, mu_pr
 
         monkeypatch.setattr(search, "minimax_thresholds", skewed)
-        assert scan_minimax(h, n).kramer_mismatches == skewed_leaves
+        with per_leaf_minimax():
+            assert scan_minimax(h, n).kramer_mismatches == skewed_leaves
         assert search._leaf_verdict(list(target), h, n, "minimax") & 1
+        # The bitset route judges no single leaf, so it cannot see the skew.
+        assert scan_minimax(h, n).kramer_mismatches == 0
 
     @pytest.mark.parametrize("n, top", [(3, 12), (4, 5)])
     def test_the_mismatch_bit_is_zero_on_every_tally(self, n, top):
-        # The cells TestCondorcetOnTallies covers; _minimax_bits' docstring proves it everywhere.
+        # The cells TestCondorcetOnTallies covers; _leaf_verdict's docstring proves it everywhere.
         checked = 0
         for h in range(2, top + 1):
             for u in itertools.product(range(h + 1), repeat=n * (n - 1) // 2):
@@ -269,15 +274,48 @@ class TestScanKernel:
         assert checked == sum((h + 1) ** (n * (n - 1) // 2) for h in range(2, top + 1))
 
     def test_a_full_verdict_cache_starts_afresh(self, monkeypatch):
-        plain = scan_minimax(4, 4)
-        monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 3)
-        assert scan_minimax(4, 4) == plain
+        # The leaf cache serves rule pairs and the per-leaf reference; the
+        # parent memo, bounded by the bits it holds, serves the bitset route.
+        pair = ("minimax", "borda")
+        plain, paired = scan_minimax(4, 4), scan_minimax(4, 4, rule=pair)
+        with per_leaf_minimax():
+            assert scan_minimax(4, 4) == plain
+        assert paired.counts[1] > 0
+        defeats, builds = search.minimax_defeats, []
 
-    def test_stop_early_agrees_on_the_first_hit(self):
+        def counted(u, h, n):
+            builds.append(h)
+            return defeats(u, h, n)
+
+        monkeypatch.setattr(search, "minimax_defeats", counted)
+        assert scan_minimax(4, 4) == plain
+        # Parents share tallies, so the memo answers some of the 2,600 parents.
+        parents = math.comb(24 + 2, 3)
+        assert 0 < len(builds) < parents
+        builds.clear()
+        monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 3)
+        monkeypatch.setattr(search, "PARENT_MEMO_BITS", 1)
+        assert scan_minimax(4, 4) == plain
+        # Every entry overflows a memo of one bit, so every parent is built.
+        assert len(builds) == parents
+        assert scan_minimax(4, 4, rule=pair) == paired
+        with per_leaf_minimax():
+            assert scan_minimax(4, 4) == plain
+
+    def test_stop_early_agrees_on_the_first_hit(self, monkeypatch):
         full = scan_minimax(4, 3, want=(3,))
         early = scan_minimax(4, 3, want=(3,), stop_early=True)
         assert early.firsts[3] == full.firsts[3]
         assert early.examined <= full.examined
+        # The per-leaf route judges no leaf past the one that ends the scan,
+        # though that leaf's parent has 5,040 leaves.
+        verdict, judged = search._leaf_verdict, []
+        monkeypatch.setattr(
+            search, "_leaf_verdict", lambda *args: judged.append(args) or verdict(*args)
+        )
+        pair = scan_minimax(3, 7, want=(1,), stop_early=True, rule=("minimax", "borda"))
+        assert pair.firsts[1] == (0, 0, 840)
+        assert len(judged) <= pair.examined == 841
 
     def test_parallel_equals_sequential(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -342,15 +380,9 @@ class TestScanKernel:
         # The formulas each table had before the shared builder, kept as oracles.
         vecs = tuple(map(search._upper_row, itertools.permutations(range(n))))
         assert search._pair_tables(n) == vecs
-        size = n * (n - 1) // 2
-        for h in (2, 3, 35, 36, search.MAX_H):
-            weights = [(h + 1) ** k for k in range(size)]
-            expected = tuple(sum(itertools.compress(weights, vec)) for vec in vecs)
-            assert search._packed_rows(n, h) == expected, h
-        rows, bits, _, _ = search._mask_table(n)
-        base = sum(d_xy | v_yx for _, _, d_xy, _, _, v_yx in bits)
-        flips = [(d_yx | v_xy) - (d_xy | v_yx) for _, _, d_xy, d_yx, v_xy, v_yx in bits]
-        assert rows == tuple(base + sum(itertools.compress(flips, vec)) for vec in vecs)
+        weights = [256**k for k in range(n * (n - 1) // 2)]
+        expected = tuple(sum(itertools.compress(weights, vec)) for vec in vecs)
+        assert search._packed_rows(n) == expected
 
     def test_n_past_the_table_limit_never_builds_it(self, monkeypatch):
         def refuse(n, *_):
@@ -373,59 +405,87 @@ class TestScanKernel:
     "h, n", [(h, 3) for h in range(2, 9)] + [(h, 4) for h in range(2, 6)] + [(2, 5)]
 )
 def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypatch):
-    """Every parent of h - 1 voters times every last voter, through the helper _scan calls.
+    """The bitset decider's sets, built from the parent's tight-rival rise
+    masks: every parent of h - 1 voters times every last voter, each type bit
+    held to _leaf_verdict, for all three types and for type 1 alone.
 
-    One shared dict serves the cell.  With cleared, VERDICT_CACHE_LIMIT is 1, so
-    every parent build after the first clears the dict and restarts the tags at 0."""
+    One decider serves the cell, so its memo answers parents with equal
+    tallies.  With cleared, PARENT_MEMO_BITS is 1, so the memo starts afresh
+    after every entry and each parent's sets are built anew."""
     if cleared:
-        monkeypatch.setattr(search, "VERDICT_CACHE_LIMIT", 1)
+        monkeypatch.setattr(search, "PARENT_MEMO_BITS", 1)
     vecs = search._pair_tables(n)
+    K = len(vecs)
+    every, first = search._minimax_decider(h, n, (1, 2, 3)), search._minimax_decider(h, n, (1,))
     plain: dict[tuple[int, ...], int] = {}
-    shared: dict = {}
     checked = 0
-    for parent in itertools.combinations_with_replacement(range(len(vecs)), h - 1):
+    for parent in itertools.combinations_with_replacement(range(K), h - 1):
         u = [sum(col) for col in zip(*(vecs[r] for r in parent))]
-        verdict = search._tight_verdicts(u, h, n, shared)
+        key = int.from_bytes(bytes(u), "little")
+        sets = every(key, 0, 0)
+        assert sets[0] == 0 and all(s >> K == 0 for s in sets), parent
+        assert first(key, 0, 0) == [0, sets[1], 0, 0], parent
         for r, vec in enumerate(vecs):
             leaf = tuple(map(add, u, vec))
             if leaf not in plain:
                 plain[leaf] = search._leaf_verdict(list(leaf), h, n, "minimax")
-            assert verdict(r) == plain[leaf], (parent, r)
+            assert sum((sets[j] >> r & 1) << j for j in (1, 2, 3)) == plain[leaf], (parent, r)
             checked += 1
-    assert checked == math.comb(len(vecs) + h - 2, h - 1) * len(vecs)
+    assert checked == math.comb(K + h - 2, h - 1) * K
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_mask_rows_hold_the_rivals_above_and_below(n):
-    rows, _, low, guard = search._mask_table(n)
-    width = n + 1
-    assert low == sum(((1 << n) - 1) << b * width for b in range(2 * n))
-    assert guard == sum(1 << b * width + n for b in range(2 * n))
-    for ranking, row in zip(all_rankings(n), rows, strict=True):
-        place = {x: i for i, x in enumerate(ranking.order)}
-        for x in range(n):
-            above = {y for y in range(n) if place[y + 1] < place[x + 1]}
-            below = set(range(n)) - above - {x}
-            for block, rivals in ((x, above), (n + x, below)):
-                bits = row >> block * width & (1 << width) - 1
-                assert bits == sum(1 << y for y in rivals), (ranking.order, block)
-        assert row & guard == 0
+    # above[a][b] holds the rankings that put a above b, so b below a.
+    above = search._above_sets(n)
+    places = [[q.order.index(x) for x in range(1, n + 1)] for q in all_rankings(n)]
+    for a in range(n):
+        for b in range(n):
+            # Bit r of the set, read at index r; the width bounds it to n! bits.
+            bits = format(above[a][b], f"0{len(places)}b")[::-1]
+            expected = "".join("1" if a != b and p[a] < p[b] else "0" for p in places)
+            assert bits == expected, (a, b)
 
 
-@given(st.integers(2, 6), st.integers(2, 60), st.data())
+def _same_scan(h: int, n: int, **options) -> None:
+    """scan_minimax by bitsets equals the per-leaf reference on examined, counts and firsts."""
+    fast = scan_minimax(h, n, **options)
+    with per_leaf_minimax():
+        reference = scan_minimax(h, n, **options)
+    assert reference.kramer_mismatches == 0, (h, n, options)
+    assert (fast.examined, fast.counts, fast.firsts) == (
+        reference.examined, reference.counts, reference.firsts
+    ), (h, n, options)
+
+
+def test_bitset_scans_equal_the_per_leaf_reference(kernel_scans):
+    for (h, n), reference in kernel_scans.items():
+        fast = scan_minimax(h, n, want=(1, 2, 3))
+        assert (fast.examined, fast.counts, fast.firsts) == (
+            reference.examined, reference.counts, reference.firsts
+        ), (h, n)
+        if anonymous_count(h, n) <= 100_000:
+            for want in ((1,), (3,), (2, 3), (3, 1)):
+                _same_scan(h, n, want=want, stop_early=True)
+                _same_scan(h, n, want=want, stop_early=True, neutral_cut=True)
+    for h, n in NEUTRAL_CUT_CELLS:
+        _same_scan(h, n, want=(1, 2, 3), neutral_cut=True)
+        _same_scan(h, n, want=(2, 3), neutral_cut=True, stop_early=True)
+    # 9,078,630 leaves, which the reference judges one by one: two workers where there
+    # are two cores.
+    _same_scan(5, 5, want=(1,), neutral_cut=True, workers=2)
+
+
+@given(st.integers(2, 6), st.integers(2, search.MAX_H), st.data())
 def test_packing_is_injective_and_carry_free(n, h, data):
-    vecs, packed = search._pair_tables(n), search._packed_rows(n, h)
+    vecs, packed = search._pair_tables(n), search._packed_rows(n)
     rows = data.draw(st.lists(st.integers(0, len(vecs) - 1), max_size=h))
     u = [sum(vecs[r][k] for r in rows) for k in range(n * (n - 1) // 2)]
     key = sum(packed[r] for r in rows)
-    # The sum of the packed rows is the packed sum: no digit carried.
-    assert key == sum(a * (h + 1) ** k for k, a in enumerate(u))
-    # Its base-(h + 1) digits give u back, so distinct tallies get distinct keys.
-    digits = []
-    for _ in u:
-        key, digit = divmod(key, h + 1)
-        digits.append(digit)
-    assert (digits, key) == (u, 0)
+    # The sum of the packed rows is the packed sum: no byte carried, and its
+    # bytes give u back, so distinct tallies get distinct keys.
+    assert key == sum(a << 8 * k for k, a in enumerate(u))
+    assert list(key.to_bytes(len(u), "little")) == u
 
 
 class TestFindWitness:

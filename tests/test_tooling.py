@@ -89,7 +89,7 @@ def test_cli_commands_print_through_main_alone():
 
 # Tables with one entry per n (or per (n, h)), which the bounds on n keep small.
 PER_N_TABLES = {
-    "upper_pairs", "_cells", "all_rankings", "_pair_tables", "_packed_rows", "_mask_table",
+    "upper_pairs", "_cells", "all_rankings", "_pair_tables", "_packed_rows", "_above_sets",
     "_code_table",
 }
 
