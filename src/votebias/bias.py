@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .prefs import TALLY_CACHE_SIZE, Profile, tally_size
+from .prefs import TALLY_CACHE_SIZE, Profile, _alts, tally_size
 from .rules import TALLY_RULES, _core, minimax_selections
 
 
@@ -30,7 +30,8 @@ def bias_flags(
     sel_pr = frozenset(selection_pr)
     if not sel_p or not sel_pr:
         raise ValueError("selections must be nonempty")
-    if not sel_p <= set(range(1, n + 1)) or not sel_pr <= set(range(1, n + 1)):
+    within = range(1, n + 1).__contains__
+    if not all(map(within, sel_p)) or not all(map(within, sel_pr)):
         raise ValueError(f"selections must be subsets of 1..{n}")
     meets = bool(sel_p & sel_pr)
     type1 = len(sel_p) == 1 and len(sel_pr) == 1 and sel_p == sel_pr
@@ -104,10 +105,13 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
     an unknown rule raises, and lru_cache stores no exception.
 
     Minimax is read off the tally core, which equals TALLY_RULES["minimax"] on
-    its upper triangle.
+    its upper triangle.  The selections, ascending tuples of 1..n, become
+    masks (bit x-1 for x); the flags are bias_flags' on those masks, with its
+    checks and errors, and each selection is the shared frozenset of its mask.
     """
     u, *defeats = _core(tally)
     h, n = tally_size(tally)
+    full = (1 << n) - 1
     reports = []
     for name in rules:
         if name not in TALLY_RULES:
@@ -116,17 +120,24 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
             sel_p, sel_pr, mu_p, mu_pr = minimax_selections(*defeats)
         else:
             sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
-        t1, t2, t3 = bias_flags(sel_p, sel_pr, n)
+        if not sel_p or not sel_pr:
+            raise ValueError("selections must be nonempty")
+        if sel_p[0] < 1 or sel_pr[0] < 1 or sel_p[-1] > n or sel_pr[-1] > n:
+            raise ValueError(f"selections must be subsets of 1..{n}")
+        p = sum(map((1).__lshift__, sel_p)) >> 1
+        pr = sum(map((1).__lshift__, sel_pr)) >> 1
+        meets = p & pr != 0
+        single = p & (p - 1) == 0
         reports.append(
             BiasReport(
                 rule=name,
                 h=h,
                 n=n,
-                selection_p=frozenset(sel_p),
-                selection_pr=frozenset(sel_pr),
-                type1=t1,
-                type2=t2,
-                type3=t3,
+                selection_p=_alts(p),
+                selection_pr=_alts(pr),
+                type1=single and p == pr,
+                type2=single and meets,
+                type3=meets and p != full,
                 mu_p=mu_p,
                 mu_pr=mu_pr,
             )

@@ -7,7 +7,9 @@ half the electorate, two opposite arcs can never coexist.
 Graphs and dominant sets are read off the rows of the profile's tally, never
 through the minimax core in ``rules``, so they stay an independent route.  The
 structural analysis holds a graph as one out-neighbour and one in-neighbour
-bitmask per vertex (bit y-1 for alternative y).
+bitmask per vertex (bit y-1 for alternative y).  Dominant sets and the
+analysis's vertex sets are worked out as such masks, and each is returned as
+the one shared frozenset of its mask (prefs._alts).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 
-from .prefs import TALLY_CACHE_SIZE, Profile
+from .prefs import TALLY_CACHE_SIZE, Profile, _alts
 
 
 def minimal_threshold(h: int) -> int:
@@ -160,7 +162,11 @@ def dominant_set(profile: Profile, mu: int) -> frozenset[int]:
     Equals the maximal set of the mu-majority graph.
     """
     _check_threshold(profile.h, mu)
-    return frozenset(x for x, w in enumerate(_maxima(profile.tally()), start=1) if w < mu)
+    mask = 0
+    for x, w in enumerate(_maxima(profile.tally())):
+        if w < mu:
+            mask |= 1 << x
+    return _alts(mask)
 
 
 @lru_cache(maxsize=TALLY_CACHE_SIZE)
@@ -214,11 +220,11 @@ def analyze(graph: MajorityGraph) -> GraphAnalysis:
 def _analysis(n: int, arcs: frozenset[tuple[int, int]]) -> GraphAnalysis:
     outs, ins = _adjacency(n, arcs)
     full = (1 << n) - 1
-    maximal = frozenset(x for x, m in enumerate(ins, start=1) if not m)
-    minimal = frozenset(x for x, m in enumerate(outs, start=1) if not m)
-    # Without self-loops, an arc to every other vertex is the mask full minus x.
-    maxima = frozenset(x + 1 for x, m in enumerate(outs) if m | 1 << x == full)
-    minima = frozenset(x + 1 for x, m in enumerate(ins) if m | 1 << x == full)
+    maximal = sum(1 << v for v, m in enumerate(ins) if not m)
+    minimal = sum(1 << v for v, m in enumerate(outs) if not m)
+    # Without self-loops, an arc to every other vertex is the mask full minus v.
+    maxima = sum(1 << v for v, m in enumerate(outs) if m | 1 << v == full)
+    minima = sum(1 << v for v, m in enumerate(ins) if m | 1 << v == full)
 
     # No arc joins two components, so peeling the whole graph peels each one.
     cyclic = _cyclic_core(full, outs)
@@ -239,11 +245,11 @@ def _analysis(n: int, arcs: frozenset[tuple[int, int]]) -> GraphAnalysis:
         ))
 
     return GraphAnalysis(
-        maximal=maximal,
-        minimal=minimal,
-        isolated=maximal & minimal,
-        maxima=maxima,
-        minima=minima,
+        maximal=_alts(maximal),
+        minimal=_alts(minimal),
+        isolated=_alts(maximal & minimal),
+        maxima=_alts(maxima),
+        minima=_alts(minima),
         components=tuple(components),
         acyclic=not cyclic,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 
 class ProfileParseError(ValueError):
@@ -49,19 +50,29 @@ class Ranking:
 
     def beats(self) -> tuple[int, ...]:
         """Flat 0/1 matrix b[(x-1)*n + (y-1)] = 1 iff x is ranked above y."""
-        return _beats(self.order)
+        n = len(self.order)
+        return tuple(_packed_beats(self.order).to_bytes(n * n, "little"))
 
 
-# Keyed by order, so equal rankings share one vector; all n <= 7 rankings fit.
+# Keyed by order, so equal rankings share one row; all n <= 7 rankings fit.
 @lru_cache(maxsize=8192)
-def _beats(order: tuple[int, ...]) -> tuple[int, ...]:
+def _packed_beats(order: tuple[int, ...]) -> int:
+    """beats() as one integer in base 256: byte (x-1)*n + (y-1) is 1 iff x is
+    ranked above y.  Up to 255 such rows add without a carry between bytes."""
     n = len(order)
-    flat = [0] * (n * n)
+    row = 0
     for j, x in enumerate(order):
-        base = (x - 1) * n
+        base = (x - 1) * n - 1
         for y in order[j + 1:]:
-            flat[base + (y - 1)] = 1
-    return tuple(flat)
+            row |= 1 << 8 * (base + y)
+    return row
+
+
+@lru_cache(maxsize=4096)
+def _alts(mask: int) -> frozenset[int]:
+    """The alternatives of a mask (bit x-1 for alternative x) as one shared
+    frozenset, built ascending; the cache holds every mask of n <= 12."""
+    return frozenset(x for x in range(1, mask.bit_length() + 1) if mask >> x - 1 & 1)
 
 
 # A Ranking is a frozen value, and what is derived from it is cached by its
@@ -69,6 +80,7 @@ def _beats(order: tuple[int, ...]) -> tuple[int, ...]:
 # alternatives (6! = 720) fits; above that, orders rarely repeat and a larger
 # cache would only hold memory.
 _ranking = lru_cache(maxsize=720)(Ranking)
+_order = attrgetter("order")
 
 # The bound of every cache keyed by a tally (rules, graphs, bias, properties).
 # A tally is a tuple of int tuples, since every column is a Ranking of ints,
@@ -137,15 +149,26 @@ class Profile:
         Every column is a validated Ranking, which ranks each pair of distinct
         alternatives exactly one way and no alternative above itself, so the
         diagonal is zero and t[x][y] + t[y][x] = h without a further check.
+
+        Below 256 voters the tally is the sum of the columns' _packed_beats
+        rows, read out by one to_bytes: a byte counts at most 255 voters, so
+        none carries into the next.  From 256 voters on, each cell is the sum
+        of the rows' bytes, which has no bound.
         """
         try:
             return self._tally  # type: ignore[attr-defined]
         except AttributeError:
             pass
-        flat = iter(map(sum, zip(*(q.beats() for q in self.columns))))
-        rows = _shared_tally(tuple(zip(*[flat] * self.n)))
-        object.__setattr__(self, "_tally", rows)
-        return rows
+        columns = self.columns
+        n = len(columns[0].order)
+        rows = map(_packed_beats, map(_order, columns))
+        if len(columns) < 256:
+            flat = iter(sum(rows).to_bytes(n * n, "little"))
+        else:
+            flat = iter(map(sum, zip(*(row.to_bytes(n * n, "little") for row in rows))))
+        tally = _shared_tally(tuple(zip(*[flat] * n)))
+        object.__setattr__(self, "_tally", tally)
+        return tally
 
 
 def parse_profile(text: str) -> Profile:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .graphs import dominant_set, minimal_threshold, profile_threshold
-from .prefs import TALLY_CACHE_SIZE, Profile, tally_size
+from .prefs import TALLY_CACHE_SIZE, Profile, _alts, tally_size
 
 
 @lru_cache(maxsize=None)
@@ -26,9 +26,15 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def upper_tally(profile: Profile) -> list[int]:
-    """The upper triangle u of the profile's tally, indexed like upper_pairs."""
-    counts = profile.tally()
-    return [counts[x][y] for x, y in upper_pairs(profile.n)]
+    """The upper triangle u of the profile's tally, indexed like upper_pairs, as
+    a fresh list.  It is read once per profile and kept beside its tally."""
+    try:
+        u = profile._upper  # type: ignore[attr-defined]
+    except AttributeError:
+        counts = profile.tally()
+        u = tuple(counts[x][y] for x, y in upper_pairs(profile.n))
+        object.__setattr__(profile, "_upper", u)
+    return list(u)
 
 
 def minimax_defeats(u, h: int, n: int) -> tuple[list[int], list[int], int, int]:
@@ -142,7 +148,11 @@ def minimax_direct(profile: Profile) -> frozenset[int]:
     """Alternatives whose greatest pairwise defeat, max over rivals y of t[y][x], is smallest."""
     wd = tally_core(profile)[1]
     best = min(wd)
-    return frozenset(x + 1 for x, d in enumerate(wd) if d == best)
+    mask = 0
+    for x, d in enumerate(wd):
+        if d == best:
+            mask |= 1 << x
+    return _alts(mask)
 
 
 def minimax_threshold(profile: Profile) -> frozenset[int]:

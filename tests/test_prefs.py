@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from votebias import Profile, ProfileParseError, Ranking, parse_profile, serialize_profile
 
-from conftest import count, naive_tally, profiles, rank
+from conftest import count, naive_tally, profiles, rank, sweep_and_sampled_profiles
 
 DIGITS = set("0123456789")
 
@@ -105,6 +106,33 @@ class TestProfile:
         for x in range(1, p.n + 1):
             for y in range(x + 1, p.n + 1):
                 assert count(t, x, y) + count(t, y, x) == p.h
+
+
+def column_count(p: Profile) -> tuple[tuple[int, ...], ...]:
+    """The tally as each cell's count over the columns' beats() vectors."""
+    flat = [sum(cell) for cell in zip(*(q.beats() for q in p.columns))]
+    return tuple(tuple(flat[x * p.n:(x + 1) * p.n]) for x in range(p.n))
+
+
+class TestPackedTally:
+    """Profile.tally() sums base-256 rows below 256 voters, and bytes above."""
+
+    def test_equals_the_column_count_on_the_sweep_and_samples(self):
+        for p in sweep_and_sampled_profiles():
+            for q in (p, p.reverse()):
+                assert q.tally() == column_count(q), q
+
+    @pytest.mark.parametrize("h", [255, 256, 300])
+    def test_the_carry_boundary(self, h):
+        # One ranking for every voter fills each cell above the diagonal to h,
+        # so a byte that carried would spill into the next cell.
+        rng = random.Random(h)
+        for n in (2, 3, 5):
+            same = Profile((Ranking(tuple(range(1, n + 1))),) * h)
+            mixed = Profile(tuple(Ranking(tuple(rng.sample(range(1, n + 1), n))) for _ in range(h)))
+            for p in (same, mixed, mixed.reverse()):
+                assert p.tally() == column_count(p)
+            assert same.tally()[0][n - 1] == h
 
 
 class TestParsing:

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from votebias import (
     Profile,
+    analyze,
     audit_profile,
+    bias_flags,
     borda,
     condorcet_loser,
     condorcet_winner,
     copeland,
     dominant_set,
+    enumerate_anonymous,
     majority_graph,
     minimal_threshold,
     minimax_direct,
@@ -25,6 +28,7 @@ from votebias import (
     serialize_profile,
 )
 from votebias import bias, graphs, rules
+from votebias.prefs import _alts
 from votebias.rules import (
     TALLY_RULES,
     _borda_scores,
@@ -38,6 +42,7 @@ from votebias.rules import (
 )
 
 from conftest import (
+    SWEEP_CELLS,
     borda_scores,
     copeland_scores,
     naive_borda,
@@ -243,6 +248,58 @@ def test_tally_keyed_caches_equal_their_uncached_functions():
             assert dominant_set(p, mu) == {x for x, w in enumerate(worst, start=1) if w < mu}
         profile_threshold(p)
         assert profile_threshold(p) == min(mu for mu in admissible if min(worst) < mu)
+
+
+def test_shared_alternative_sets_equal_the_frozensets_they_replace():
+    """Every set the object path hands out through prefs._alts equals the
+    frozenset its former expression builds, in value and in iteration order,
+    and is the one shared frozenset of its mask.  The audit's flags, worked
+    out on masks, equal bias_flags on those frozensets."""
+
+    def shared(got, old):
+        assert type(got) is frozenset and got == old and list(got) == list(old)
+        assert got is _alts(sum(1 << x - 1 for x in old))
+
+    for h, n in SWEEP_CELLS:
+        full = (1 << n) - 1
+        seen = []
+        enumerate_anonymous(h, n, seen.append)
+        for p in seen:
+            worst = graphs._maxima(p.tally())
+            for mu in range(minimal_threshold(h), h + 1):
+                shared(dominant_set(p, mu), frozenset(x for x, w in enumerate(worst, start=1) if w < mu))
+                g = majority_graph(p, mu)
+                info = analyze(g)
+                outs, ins = graphs._adjacency(n, g.arcs)
+                maximal = frozenset(x for x, m in enumerate(ins, start=1) if not m)
+                minimal = frozenset(x for x, m in enumerate(outs, start=1) if not m)
+                shared(info.maximal, maximal)
+                shared(info.minimal, minimal)
+                shared(info.isolated, maximal & minimal)
+                shared(info.maxima, frozenset(x + 1 for x, m in enumerate(outs) if m | 1 << x == full))
+                shared(info.minima, frozenset(x + 1 for x, m in enumerate(ins) if m | 1 << x == full))
+            u, wd = tally_core(p)[:2]
+            shared(minimax_direct(p), frozenset(x + 1 for x, d in enumerate(wd) if d == min(wd)))
+            for r in audit_profile(p):
+                sel_p, sel_pr = map(frozenset, TALLY_RULES[r.rule](u, h, n)[:2])
+                shared(r.selection_p, sel_p)
+                shared(r.selection_pr, sel_pr)
+                assert (r.type1, r.type2, r.type3) == bias_flags(sel_p, sel_pr, n)
+
+
+@pytest.mark.parametrize("bad", [(), (0,), (-1,), (4,), (2, 4)])
+def test_audit_keeps_the_flag_checks(monkeypatch, bad):
+    """A selection that is empty or outside 1..n fails the audit with
+    bias_flags' own ValueError, on either side."""
+    p = parse_profile("1 2 3\n2 3 1\n3 1 2")
+    for sides in ((bad, (1,)), ((1,), bad)):
+        with pytest.raises(ValueError) as want:
+            bias_flags(*sides, p.n)
+        monkeypatch.setitem(TALLY_RULES, "bad", lambda u, h, n: (*sides, None, None))
+        bias._reports.cache_clear()
+        with pytest.raises(ValueError) as got:
+            audit_profile(p, ("bad",))
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("n, top", [(3, 8), (4, 3)])
