@@ -26,18 +26,30 @@ def bias_flags(
     n: int,
 ) -> tuple[bool, bool, bool]:
     """(type1, type2, type3) for a selection and its reversal counterpart."""
-    sel_p = frozenset(selection_p)
-    sel_pr = frozenset(selection_pr)
-    if not sel_p or not sel_pr:
+    return _mask_flags(_mask(selection_p, n), _mask(selection_pr, n), n)
+
+
+def _mask(selection: Iterable[int], n: int) -> int:
+    """The selection as a mask (bit x-1 for x), or -1 if a member lies outside 1..n."""
+    within = range(1, n + 1)
+    mask = 0
+    for x in selection:
+        if x not in within:
+            return -1
+        mask |= 1 << x - 1
+    return mask
+
+
+def _mask_flags(p: int, pr: int, n: int) -> tuple[bool, bool, bool]:
+    """bias_flags on the masks _mask makes: 0 is an empty selection, -1 one
+    outside 1..n, and each is rejected with bias_flags' error."""
+    if not p or not pr:
         raise ValueError("selections must be nonempty")
-    within = range(1, n + 1).__contains__
-    if not all(map(within, sel_p)) or not all(map(within, sel_pr)):
+    if p < 0 or pr < 0:
         raise ValueError(f"selections must be subsets of 1..{n}")
-    meets = bool(sel_p & sel_pr)
-    type1 = len(sel_p) == 1 and len(sel_pr) == 1 and sel_p == sel_pr
-    type2 = len(sel_p) == 1 and meets
-    type3 = len(sel_p) < n and meets
-    return type1, type2, type3
+    meets = p & pr != 0
+    single = p & (p - 1) == 0
+    return single and p == pr, single and meets, meets and p != (1 << n) - 1
 
 
 def in_table(j: int, h: int, n: int) -> bool:
@@ -105,13 +117,11 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
     an unknown rule raises, and lru_cache stores no exception.
 
     Minimax is read off the tally core, which equals TALLY_RULES["minimax"] on
-    its upper triangle.  The selections, ascending tuples of 1..n, become
-    masks (bit x-1 for x); the flags are bias_flags' on those masks, with its
-    checks and errors, and each selection is the shared frozenset of its mask.
+    its upper triangle.  The flags are bias_flags' on the selections' masks,
+    and each selection is the shared frozenset of its mask.
     """
     u, *defeats = _core(tally)
     h, n = tally_size(tally)
-    full = (1 << n) - 1
     reports = []
     for name in rules:
         if name not in TALLY_RULES:
@@ -120,14 +130,8 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
             sel_p, sel_pr, mu_p, mu_pr = minimax_selections(*defeats)
         else:
             sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
-        if not sel_p or not sel_pr:
-            raise ValueError("selections must be nonempty")
-        if sel_p[0] < 1 or sel_pr[0] < 1 or sel_p[-1] > n or sel_pr[-1] > n:
-            raise ValueError(f"selections must be subsets of 1..{n}")
-        p = sum(map((1).__lshift__, sel_p)) >> 1
-        pr = sum(map((1).__lshift__, sel_pr)) >> 1
-        meets = p & pr != 0
-        single = p & (p - 1) == 0
+        p, pr = _mask(sel_p, n), _mask(sel_pr, n)
+        t1, t2, t3 = _mask_flags(p, pr, n)
         reports.append(
             BiasReport(
                 rule=name,
@@ -135,9 +139,9 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
                 n=n,
                 selection_p=_alts(p),
                 selection_pr=_alts(pr),
-                type1=single and p == pr,
-                type2=single and meets,
-                type3=meets and p != full,
+                type1=t1,
+                type2=t2,
+                type3=t3,
                 mu_p=mu_p,
                 mu_pr=mu_pr,
             )

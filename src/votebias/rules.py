@@ -26,15 +26,9 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def upper_tally(profile: Profile) -> list[int]:
-    """The upper triangle u of the profile's tally, indexed like upper_pairs, as
-    a fresh list.  It is read once per profile and kept beside its tally."""
-    try:
-        u = profile._upper  # type: ignore[attr-defined]
-    except AttributeError:
-        counts = profile.tally()
-        u = tuple(counts[x][y] for x, y in upper_pairs(profile.n))
-        object.__setattr__(profile, "_upper", u)
-    return list(u)
+    """The upper triangle u of the profile's tally, indexed like upper_pairs."""
+    counts = profile.tally()
+    return [counts[x][y] for x, y in upper_pairs(profile.n)]
 
 
 def minimax_defeats(u, h: int, n: int) -> tuple[list[int], list[int], int, int]:

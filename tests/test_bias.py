@@ -35,6 +35,33 @@ class TestBiasFlags:
         with pytest.raises(ValueError):
             bias_flags({1, 4}, {1}, 3)
 
+    @pytest.mark.parametrize(
+        "sel_p, sel_pr, message",
+        [
+            ((), (4,), "nonempty"),
+            ((4,), (), "nonempty"),
+            ((0, 1), (1,), "subsets of 1..3"),
+            ((1,), (1, 1, 4), "subsets of 1..3"),
+            ((-1,), (1,), "subsets of 1..3"),
+        ],
+    )
+    def test_emptiness_is_checked_before_the_range(self, sel_p, sel_pr, message):
+        with pytest.raises(ValueError, match=message):
+            bias_flags(sel_p, sel_pr, 3)
+
+    @pytest.mark.parametrize(
+        "sel_p, sel_pr, n, expected",
+        [
+            ((1, 1), (1,), 3, (True, True, True)),
+            ((2, 2), [3, 2], 3, (False, True, True)),
+            ((3, 1), (2, 3, 3), 3, (False, False, True)),
+            ((1, 2, 2, 1), (2,), 2, (False, False, False)),
+        ],
+    )
+    def test_selections_count_as_their_sets(self, sel_p, sel_pr, n, expected):
+        """A member named twice, or out of order, counts once: (1, 1) is {1}."""
+        assert bias_flags(sel_p, sel_pr, n) == bias_flags(set(sel_p), set(sel_pr), n) == expected
+
     @given(
         st.integers(2, 6).flatmap(
             lambda n: st.tuples(
