@@ -30,13 +30,15 @@ def bias_flags(
 
 
 def _mask(selection: Iterable[int], n: int) -> int:
-    """The selection as a mask (bit x-1 for x), or -1 if a member lies outside 1..n."""
+    """The selection as a mask (bit x-1 for x), or -1 if a member lies outside
+    1..n.  Members are matched by equality, as in a set: 2.0 counts as 2."""
     within = range(1, n + 1)
     mask = 0
     for x in selection:
-        if x not in within:
+        try:
+            mask |= 1 << within.index(x)
+        except ValueError:
             return -1
-        mask |= 1 << x - 1
     return mask
 
 

@@ -56,10 +56,12 @@ class TestBiasFlags:
             ((2, 2), [3, 2], 3, (False, True, True)),
             ((3, 1), (2, 3, 3), 3, (False, False, True)),
             ((1, 2, 2, 1), (2,), 2, (False, False, False)),
+            ((2.0,), (2,), 3, (True, True, True)),
         ],
     )
     def test_selections_count_as_their_sets(self, sel_p, sel_pr, n, expected):
-        """A member named twice, or out of order, counts once: (1, 1) is {1}."""
+        """A member named twice, or out of order, counts once: (1, 1) is {1};
+        and a member equal to an alternative counts as it, as in a set."""
         assert bias_flags(sel_p, sel_pr, n) == bias_flags(set(sel_p), set(sel_pr), n) == expected
 
     @given(
