@@ -125,14 +125,14 @@ class Profile:
     def __post_init__(self) -> None:
         if len(self.columns) < 2:
             raise ValueError(f"profile needs at least 2 voters, got {len(self.columns)}")
-        n = self.columns[0].n
+        n = len(self.columns[0].order)
         for i, q in enumerate(self.columns, start=1):
-            if q.n != n:
-                raise ValueError(f"voter {i} ranks {q.n} alternatives, expected {n}")
+            if len(q.order) != n:
+                raise ValueError(f"voter {i} ranks {len(q.order)} alternatives, expected {n}")
 
     @property
     def n(self) -> int:
-        return self.columns[0].n
+        return len(self.columns[0].order)
 
     @property
     def h(self) -> int:

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import add, and_, lt, or_
+from operator import and_, itemgetter, lt, or_
 from typing import Callable, Iterator
 
 from .bias import bias_flags
@@ -210,9 +209,9 @@ MAX_SCAN_RANKINGS = math.factorial(9)
 # about 80 MB at the 76 bytes per entry measured at (4,5).  No cell within
 # the default budget has that many; a plain scan of (5,5) does.
 VERDICT_CACHE_LIMIT = 1 << 20
-# Bits the minimax decider's parent memo holds before it starts afresh, each
-# entry charged its sets' lengths plus 2,048 bits for its key, list and dict
-# slot: 32 MB.
+# Bits the minimax decider's parent memo and column caches hold before they
+# start afresh, each entry charged its sets' lengths plus 2,048 bits for its
+# key, container and dict slot: 32 MB.
 PARENT_MEMO_BITS = 1 << 28
 
 # Bit 0 of a leaf verdict is the dual-route mismatch; bit j (1..3) the type-j flag.
@@ -268,31 +267,22 @@ def _linear_rows(n: int, weights: list[int]) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(n: int) -> tuple[bytes, ...]:
-    """Per ranking, in all_rankings order, its _upper_row: byte k is weight 256**k."""
-    size = n * (n - 1) // 2
-    rows = _linear_rows(n, [256**k for k in range(size)])
-    return tuple(map(int.to_bytes, rows, itertools.repeat(size), itertools.repeat("little")))
-
-
-@lru_cache(maxsize=None)
 def _packed_rows(n: int) -> tuple[int, ...]:
-    """Per ranking, its _upper_row as one integer, byte k its u[k]."""
+    """Per ranking, in all_rankings order, its _upper_row as one integer, byte k its u[k]."""
     return tuple(_linear_rows(n, [256**k for k in range(n * (n - 1) // 2)]))
 
 
-# A byte of a _pair_tables column, 0 or 1, as a binary digit.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
 def _above_sets(n: int) -> tuple[tuple[int, ...], ...]:
     """above[a][b] has bit r set iff all_rankings(n)[r] puts alternative a over
-    b (0-based; above[a][a] is 0).  Pair k's column of the _pair_tables bytes
+    b (0-based; above[a][a] is 0).  Pair k's column of the _packed_rows bytes
     holds its 0/1 per ranking, read here as binary digits, ranking 0 last."""
-    vecs = _pair_tables(n)
-    size, full = len(vecs[0]), (1 << len(vecs)) - 1
-    columns = b"".join(vecs)
+    rows = _packed_rows(n)
+    size, full = n * (n - 1) // 2, (1 << len(rows)) - 1
+    columns = b"".join(map(int.to_bytes, rows, itertools.repeat(size), itertools.repeat("little")))
     above = [[0] * n for _ in range(n)]
     for k, (x, y) in enumerate(upper_pairs(n)):
         above[x][y] = int(columns[k::size][::-1].translate(_DIGITS), 2)
@@ -395,87 +385,115 @@ def _minimax_decider(h: int, n: int, want: tuple[int, ...]) -> Callable[..., lis
     By the lemma in _scan, the leaf's worst defeats are wd + A(r) and its
     greatest victories wdr + B(r), wd and wdr the parent's: A[x] is the set
     of r that rank above x a rival tight for wd[x], B[x] of those that rank
-    below x a rival tight for wdr[x], each an OR of above sets.  Minimax
-    selects the argmin of the worst defeats (_leaf_verdict's mismatch
+    below x a rival tight for wdr[x].  The column lemma: x's column of the
+    parent tally t, (t[y][x], y != x), fixes all four: wd[x] is its max,
+    wdr[x] h - 1 less its min (t[x][y] = h - 1 - t[y][x]), A[x] ORs
+    above[y][x] over the y at the max and B[x] above[x][y] over the y at the
+    min.  So they are cached per x by the column, read off the key's bytes u
+    (t[y][x], y < x) and their complement h - 1 - u (y > x; no byte
+    borrows).  The diagonal t[x][x] = 0 stays out, as it would pull the min
+    down; at the max it could tie only an all-zero column, where
+    above[x][x] = 0 adds no bit.
+
+    Minimax selects the argmin of the worst defeats (_leaf_verdict's mismatch
     argument), on p and on the reversal.  For W = w + R, R[x] a 0/1 function
     of r, and d = w[y] - w[x], x is in argmin W iff R[x] - R[y] <= d for every
     y != x: d >= 1 always holds, d = 0 needs not (R[x] and not R[y]), d = -1
     needs not R[x] and R[y], and d <= -2 never holds.  x is the unique argmin
     iff R[x] - R[y] < d: the same conditions, shifted by one.  So with
-    m = min w, x can be in argmin W only if w[x] <= m + 1 and unique only if
-    w[x] = m; argmin_sets ANDs the conditions, dropping d = 0 ones wherever
-    a d = -1 one already implies them.  _type_bits' flags are then: type 1,
-    the union over x of uniq(wd, A, x) and uniq(wdr, B, x), since selections
-    of one alternative meet only in it; type 2, of uniq(wd, A, x) and
-    in(wdr, B, x); type 3, of in(wd, A, x) and in(wdr, B, x), less the set
-    where every x is in argmin(wd + A), a selection of all n.  Bit 0 and the
-    unwanted types are 0.
+    m = min w only w - m clipped to 2 matters, and one plan per such pattern
+    (at most 3^n) lists the x at m and at m + 1.  x at m + 1 is in where not R[x] and
+    R[y] for every y at m; x at m is in where not R[x] or R[y] for the other y
+    at m, and unique where not R[x] and R[y] for them or, alone at m, where
+    not R[x] or R[y] for every y at m + 1; each condition left out follows
+    from these.  _type_bits' flags are then: type 1, the union over x of
+    uniq(wd, A, x) and uniq(wdr, B, x), since selections of one alternative
+    meet only in it; type 2, of uniq(wd, A, x) and in(wdr, B, x); type 3, of
+    in(wd, A, x) and in(wdr, B, x), less the set where every x is in
+    argmin(wd + A), a selection of all n.  Bit 0 and the unwanted types are 0.
 
-    The sets depend on the parent's tally u alone, h, n and want being fixed
-    for one scan, so they are memoised by its packed tally, whose bytes are u
-    (see _scan).  The memo starts afresh once it holds more than
-    PARENT_MEMO_BITS bits.
+    The sets depend on u alone (h, n and want are fixed for a scan), so
+    decide.memo keeps them by the packed tally, whose bytes are u (_scan);
+    it and decide.columns charge each entry its sets' bit lengths plus 2,048
+    bits to one count, and start afresh together past PARENT_MEMO_BITS.
     """
     above = _above_sets(n)
     full = (1 << math.factorial(n)) - 1
-    pairs = upper_pairs(n)
-    size = len(pairs)
-    rng_n = range(n)
+    size = n * (n - 1) // 2
+    at = upper_pairs(n).index
+    getters = [itemgetter(*[at((y, x)) if y < x else size + at((x, y)) for y in range(n) if y != x])
+               for x in range(n)]
+    top = (h - 1) * int.from_bytes(b"\x01" * size, "little")
+    clip = (0, 1) + (2,) * h
     memo: dict[int, list[int]] = {}
+    columns: list[dict] = [{} for _ in range(n)]
+    plans: dict[tuple[int, ...], tuple] = {}
     held = 0
 
-    def argmin_sets(w: list[int], rises: list[int]) -> tuple[list[int], list[int]]:
+    def column_facts(x: int, column) -> tuple[int, int, int, int]:
+        """(wd[x], A[x], wdr[x], B[x]) from x's column, cached and charged."""
+        nonlocal held
+        values = column if n > 2 else (column,)  # n = 2: a one-index getter reads a byte
+        most, least = max(values), min(values)
+        rivals = [y for y in range(n) if y != x]
+        rise = reduce(or_, [above[y][x] for y, t in zip(rivals, values) if t == most])
+        riser = reduce(or_, [above[x][y] for y, t in zip(rivals, values) if t == least])
+        held += rise.bit_length() + riser.bit_length() + 2048
+        columns[x][column] = facts = most, rise, h - 1 - least, riser
+        return facts
+
+    def argmin_sets(w, rises) -> tuple[list[int], list[int]]:
         """Per x, the sets of r where x is in argmin(w + rises(r)), and where it is alone there."""
         m = min(w)
-        tied = [y for y in rng_n if w[y] == m]
-        both = reduce(and_, map(rises.__getitem__, tied))
-        close = reduce(and_, (rises[y] for y in rng_n if w[y] == m + 1), full)
+        pattern = tuple(map(clip.__getitem__, map(m.__rsub__, w)))
+        found = plans.get(pattern)
+        if found is None:
+            tied = [x for x in range(n) if pattern[x] == 0]
+            others = [(x, [y for y in tied if y != x]) for x in tied]
+            found = plans[pattern] = tied, [x for x in range(n) if pattern[x] == 1], others
+        tied, near, others = found
+        get = rises.__getitem__
         inside, unique = [0] * n, [0] * n
-        for x in rng_n:
-            flat = full ^ rises[x]
-            if w[x] == m + 1:
-                inside[x] = flat & both
-            elif w[x] == m:
-                others = reduce(and_, (rises[y] for y in tied if y != x), full)
-                inside[x] = flat | others
-                unique[x] = flat & others if len(tied) > 1 else flat | close
+        if len(tied) == 1:
+            (x,) = tied
+            both = rises[x]
+            inside[x], unique[x] = full, (full ^ both) | reduce(and_, map(get, near), full)
+        else:
+            both = reduce(and_, map(get, tied))
+            for x, rest in others:
+                flat, shared = full ^ rises[x], reduce(and_, map(get, rest))
+                inside[x], unique[x] = flat | shared, flat & shared
+        for y in near:
+            inside[y] = both & ~rises[y]
         return inside, unique
-
-    def parent_sets(u: list[int]) -> list[int]:
-        wd, wdr, _, _ = minimax_defeats(u, h - 1, n)
-        rise, riser = [0] * n, [0] * n
-        for (x, y), a in zip(pairs, u):
-            b = h - 1 - a
-            if b == wd[x]:
-                rise[x] |= above[y][x]
-            if a == wd[y]:
-                rise[y] |= above[x][y]
-            if a == wdr[x]:
-                riser[x] |= above[x][y]
-            if b == wdr[y]:
-                riser[y] |= above[y][x]
-        inside, unique = argmin_sets(wd, rise)
-        insider, uniquer = argmin_sets(wdr, riser)
-        sets = [0, 0, 0, 0]
-        if 1 in want:
-            sets[1] = reduce(or_, map(and_, unique, uniquer))
-        if 2 in want:
-            sets[2] = reduce(or_, map(and_, unique, insider))
-        if 3 in want:
-            sets[3] = reduce(or_, map(and_, inside, insider)) & ~reduce(and_, inside)
-        return sets
 
     def decide(key: int, lo: int, until: int) -> list[int]:
         nonlocal held
         sets = memo.get(key)
         if sets is None:
-            sets = memo[key] = parent_sets(list(key.to_bytes(size, "little")))
+            tally = key.to_bytes(size, "little") + (top - key).to_bytes(size, "little")
+            cols = [get(tally) for get in getters]
+            facts = list(map(dict.get, columns, cols))
+            if None in facts:
+                facts = [f or column_facts(x, c) for x, (f, c) in enumerate(zip(facts, cols))]
+            wd, rise, wdr, riser = zip(*facts)
+            inside, unique = argmin_sets(wd, rise)
+            insider, uniquer = argmin_sets(wdr, riser)
+            sets = memo[key] = [0, 0, 0, 0]
+            if 1 in want:
+                sets[1] = reduce(or_, map(and_, unique, uniquer))
+            if 2 in want:
+                sets[2] = reduce(or_, map(and_, unique, insider))
+            if 3 in want:
+                sets[3] = reduce(or_, map(and_, inside, insider)) & ~reduce(and_, inside)
             held += sum(map(int.bit_length, sets)) + 2048
             if held > PARENT_MEMO_BITS:
-                memo.clear()
+                for cache in (memo, *columns):
+                    cache.clear()
                 held = 0
         return sets
 
+    decide.memo, decide.columns = memo, columns  # type: ignore[attr-defined]
     return decide
 
 
@@ -611,6 +629,7 @@ def scan_minimax(
         prefixes = [(r1, r2) for r1 in base_prefix or range(K) for r2 in range(r1, K)]
         chunks = [prefixes[w::workers] for w in range(workers)]
         tasks = [(h, n, want, False, chunk, rule) for chunk in chunks if chunk]
+        import multiprocessing  # here alone, so that importing the package stays light
         with multiprocessing.Pool(processes=len(tasks)) as pool:
             report = _merge(want, pool.starmap(_scan, tasks))
     found_all = stop_early and all(report.firsts[j] is not None for j in want)

@@ -31,7 +31,7 @@ from votebias import (
     serialize_profile,
 )
 from votebias import search
-from votebias.rules import upper_tally
+from votebias.rules import minimax_defeats, upper_pairs, upper_tally
 from votebias.search import OUTCOME_IMMUNE, OUTCOME_INCONCLUSIVE, OUTCOME_WITNESS
 
 from conftest import NEUTRAL_CUT_CELLS, per_leaf_minimax
@@ -194,6 +194,12 @@ class TestCertifyWitness:
         assert d["selection_pr"] == [1, 3, 4]
 
 
+def _row_bytes(n: int) -> tuple[bytes, ...]:
+    """Per ranking, the bytes of its _packed_rows row: its upper-triangle 0/1 vector."""
+    size = n * (n - 1) // 2
+    return tuple(row.to_bytes(size, "little") for row in search._packed_rows(n))
+
+
 def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, int]:
     """Independent bias counts, first-hit indices and the number of distinct
     tallies, via the plain audit path."""
@@ -281,13 +287,19 @@ class TestScanKernel:
         with per_leaf_minimax():
             assert scan_minimax(4, 4) == plain
         assert paired.counts[1] > 0
-        defeats, builds = search.minimax_defeats, []
+        decider, builds = search._minimax_decider, []
 
-        def counted(u, h, n):
-            builds.append(h)
-            return defeats(u, h, n)
+        def counted(h, n, want):
+            decide = decider(h, n, want)
 
-        monkeypatch.setattr(search, "minimax_defeats", counted)
+            def spy(key, lo, until):
+                if key not in decide.memo:
+                    builds.append(key)
+                return decide(key, lo, until)
+
+            return spy
+
+        monkeypatch.setattr(search, "_minimax_decider", counted)
         assert scan_minimax(4, 4) == plain
         # Parents share tallies, so the memo answers some of the 2,600 parents.
         parents = math.comb(24 + 2, 3)
@@ -373,13 +385,13 @@ class TestScanKernel:
     def test_pair_tables_are_one_voter_tallies(self, n):
         # A profile needs two voters; two copies of q tally twice its vector.
         expected = [upper_tally(Profile((q, q))) for q in all_rankings(n)]
-        assert [[2 * a for a in vec] for vec in search._pair_tables(n)] == expected
+        assert [[2 * a for a in vec] for vec in _row_bytes(n)] == expected
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_table_builder_matches_the_row_formulas(self, n):
         # The formulas each table had before the shared builder, kept as oracles.
         vecs = tuple(map(search._upper_row, itertools.permutations(range(n))))
-        assert search._pair_tables(n) == vecs
+        assert _row_bytes(n) == vecs
         weights = [256**k for k in range(n * (n - 1) // 2)]
         expected = tuple(sum(itertools.compress(weights, vec)) for vec in vecs)
         assert search._packed_rows(n) == expected
@@ -388,7 +400,6 @@ class TestScanKernel:
         def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
-        monkeypatch.setattr(search, "_pair_tables", refuse)
         monkeypatch.setattr(search, "_linear_rows", refuse)
         note = "ranking table holds 3628800 rankings, over the limit of 362880"
         with pytest.raises(ValueError, match=note):
@@ -402,7 +413,8 @@ class TestScanKernel:
 
 @pytest.mark.parametrize("cleared", [False, True])
 @pytest.mark.parametrize(
-    "h, n", [(h, 3) for h in range(2, 9)] + [(h, 4) for h in range(2, 6)] + [(2, 5)]
+    "h, n",
+    [(h, 3) for h in range(2, 9)] + [(12, 3), (10, 2)] + [(h, 4) for h in range(2, 6)] + [(2, 5)],
 )
 def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypatch):
     """The bitset decider's sets, built from the parent's tight-rival rise
@@ -414,7 +426,7 @@ def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypat
     after every entry and each parent's sets are built anew."""
     if cleared:
         monkeypatch.setattr(search, "PARENT_MEMO_BITS", 1)
-    vecs = search._pair_tables(n)
+    vecs = _row_bytes(n)
     K = len(vecs)
     every, first = search._minimax_decider(h, n, (1, 2, 3)), search._minimax_decider(h, n, (1,))
     plain: dict[tuple[int, ...], int] = {}
@@ -432,6 +444,51 @@ def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypat
             assert sum((sets[j] >> r & 1) << j for j in (1, 2, 3)) == plain[leaf], (parent, r)
             checked += 1
     assert checked == math.comb(K + h - 2, h - 1) * K
+
+
+@given(st.integers(2, 8), st.integers(2, search.MAX_H), st.data())
+def test_column_facts_match_the_worst_defeats_and_the_tight_rival_loop(n, h, data):
+    """Each x's cached column facts, read off a parent tally u of h - 1 voters,
+    are minimax_defeats' wd[x] and wdr[x] and the rise sets of the loop over
+    the pairs that the column facts replaced, kept here as the oracle."""
+    size = n * (n - 1) // 2
+    u = data.draw(st.lists(st.integers(0, h - 1), min_size=size, max_size=size))
+    decide = search._minimax_decider(h, n, (1, 2, 3))
+    decide(int.from_bytes(bytes(u), "little"), 0, 0)
+    wd, wdr, _, _ = minimax_defeats(u, h - 1, n)
+    above = search._above_sets(n)
+    rise, riser = [0] * n, [0] * n
+    t = [[0] * n for _ in range(n)]
+    for (x, y), a in zip(upper_pairs(n), u):
+        b = h - 1 - a
+        t[x][y], t[y][x] = a, b
+        if b == wd[x]:
+            rise[x] |= above[y][x]
+        if a == wd[y]:
+            rise[y] |= above[x][y]
+        if a == wdr[x]:
+            riser[x] |= above[x][y]
+        if b == wdr[y]:
+            riser[y] |= above[y][x]
+    for x in range(n):
+        column = tuple(t[y][x] for y in range(n) if y != x)
+        facts = decide.columns[x][column if n > 2 else column[0]]
+        assert facts == (wd[x], rise[x], wdr[x], riser[x]), (u, x)
+
+
+def test_the_column_caches_start_afresh_with_the_parent_memo(monkeypatch):
+    packed = search._packed_rows(4)
+    keys = [packed[0] + packed[r] for r in range(0, 24, 5)]
+    decide = search._minimax_decider(3, 4, (1, 2, 3))
+    expected = [decide(key, 0, 0) for key in keys]
+    assert len(decide.memo) == len(keys)
+    assert all(decide.columns)
+    monkeypatch.setattr(search, "PARENT_MEMO_BITS", 1)
+    decide = search._minimax_decider(3, 4, (1, 2, 3))
+    for key, sets in zip(keys, expected):
+        assert decide(key, 0, 0) == sets
+        # The entry overflows a budget of one bit, so both kinds of cache are empty.
+        assert not decide.memo and not any(decide.columns)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -478,7 +535,7 @@ def test_bitset_scans_equal_the_per_leaf_reference(kernel_scans):
 
 @given(st.integers(2, 6), st.integers(2, search.MAX_H), st.data())
 def test_packing_is_injective_and_carry_free(n, h, data):
-    vecs, packed = search._pair_tables(n), search._packed_rows(n)
+    vecs, packed = _row_bytes(n), search._packed_rows(n)
     rows = data.draw(st.lists(st.integers(0, len(vecs) - 1), max_size=h))
     u = [sum(vecs[r][k] for r in rows) for k in range(n * (n - 1) // 2)]
     key = sum(packed[r] for r in rows)

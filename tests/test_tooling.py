@@ -1,7 +1,8 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
-the command line prints through main alone, every package cache is bounded and
-cleared by perfbench, tools/benchpair.py summarizes paired benchmark runs, README's
-library quick start runs, and README's `votebias` commands parse."""
+importing the command line leaves multiprocessing unloaded, the command line prints
+through main alone, every package cache is bounded and cleared by perfbench,
+tools/benchpair.py summarizes paired benchmark runs, README's library quick start
+runs, and README's `votebias` commands parse."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import shlex
 import subprocess
@@ -70,6 +72,18 @@ def test_package_imports_form_a_dag():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only a parallel scan starts a pool, and a fresh interpreter's import of
+    # multiprocessing costs milliseconds that every other command would pay.
+    code = "import sys, votebias.cli; print('multiprocessing' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout == "False\n"
+
+
 def test_cli_commands_print_through_main_alone():
     # Each command returns its output; main alone writes it as JSON, CSV or lines.
     source = (ROOT / "src" / "votebias" / "cli.py").read_text()
@@ -89,8 +103,7 @@ def test_cli_commands_print_through_main_alone():
 
 # Tables with one entry per n (or per (n, h)), which the bounds on n keep small.
 PER_N_TABLES = {
-    "upper_pairs", "_cells", "all_rankings", "_pair_tables", "_packed_rows", "_above_sets",
-    "_code_table",
+    "upper_pairs", "_cells", "all_rankings", "_packed_rows", "_above_sets", "_code_table",
 }
 
 
