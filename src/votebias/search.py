@@ -230,8 +230,9 @@ def _upper_row(order: tuple[int, ...]) -> bytes:
     """An order's upper-triangle 0/1 vector, its own tally with h = 1: entry k
     is 1 iff it ranks pair k's smaller alternative first (combinations of the
     places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n.
-    Only the sampler's decode route, past TABLE_MAX_N, builds rows one order at
-    a time; every table of rows comes from _linear_rows."""
+    Full tables of rows come from _linear_rows; single orders take this route
+    where no table is built: the sampler past TABLE_MAX_N, and a scan's prefix
+    rankings when its walker adds no voter below them (_scan)."""
     places = sorted(range(len(order)), key=order.__getitem__)
     return bytes(itertools.starmap(lt, itertools.combinations(places, 2)))
 
@@ -272,21 +273,29 @@ def _packed_rows(n: int) -> tuple[int, ...]:
     return tuple(_linear_rows(n, [256**k for k in range(n * (n - 1) // 2)]))
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 @lru_cache(maxsize=None)
 def _above_sets(n: int) -> tuple[tuple[int, ...], ...]:
     """above[a][b] has bit r set iff all_rankings(n)[r] puts alternative a over
-    b (0-based; above[a][a] is 0).  Pair k's column of the _packed_rows bytes
-    holds its 0/1 per ranking, read here as binary digits, ranking 0 last."""
-    rows = _packed_rows(n)
-    size, full = n * (n - 1) // 2, (1 << len(rows)) - 1
-    columns = b"".join(map(int.to_bytes, rows, itertools.repeat(size), itertools.repeat("little")))
+    b (0-based; above[a][a] is 0).
+
+    The block lemma: the rankings come in lexicographic order, so block f, the
+    B = (n - 1)! indices from f * B on, holds those that start with f, and
+    their tails come in the lexicographic order of the other n - 1
+    alternatives, z renumbered z - (f < z).  A ranking that starts with a
+    puts a over b, one that starts with b does not, and any other puts a over
+    b iff its tail does.  So block f of above[a][b] is all ones for f = a,
+    empty for f = b, and otherwise the (n - 1)-set
+    above[a - (f < a)][b - (f < b)]."""
+    if n == 1:
+        return ((0,),)
+    sub, width = _above_sets(n - 1), math.factorial(n - 1)
+    ones = (1 << width) - 1
     above = [[0] * n for _ in range(n)]
-    for k, (x, y) in enumerate(upper_pairs(n)):
-        above[x][y] = int(columns[k::size][::-1].translate(_DIGITS), 2)
-        above[y][x] = full ^ above[x][y]
+    for a, b in itertools.permutations(range(n), 2):
+        above[a][b] = sum(
+            (ones if f == a else 0 if f == b else sub[a - (f < a)][b - (f < b)]) << f * width
+            for f in range(n)
+        )
     return tuple(map(tuple, above))
 
 
@@ -401,21 +410,22 @@ def _minimax_decider(h: int, n: int, want: tuple[int, ...]) -> Callable[..., lis
     y != x: d >= 1 always holds, d = 0 needs not (R[x] and not R[y]), d = -1
     needs not R[x] and R[y], and d <= -2 never holds.  x is the unique argmin
     iff R[x] - R[y] < d: the same conditions, shifted by one.  So with
-    m = min w only w - m clipped to 2 matters, and one plan per such pattern
-    (at most 3^n) lists the x at m and at m + 1.  x at m + 1 is in where not R[x] and
-    R[y] for every y at m; x at m is in where not R[x] or R[y] for the other y
-    at m, and unique where not R[x] and R[y] for them or, alone at m, where
-    not R[x] or R[y] for every y at m + 1; each condition left out follows
-    from these.  _type_bits' flags are then: type 1, the union over x of
-    uniq(wd, A, x) and uniq(wdr, B, x), since selections of one alternative
-    meet only in it; type 2, of uniq(wd, A, x) and in(wdr, B, x); type 3, of
-    in(wd, A, x) and in(wdr, B, x), less the set where every x is in
-    argmin(wd + A), a selection of all n.  Bit 0 and the unwanted types are 0.
+    m = min w only w - m clipped to 2 matters, and a plan, worked out once
+    per distinct w and kept by w, lists the x at m and at m + 1.  x at m + 1
+    is in where not R[x] and R[y] for every y at m; x at m is in where not
+    R[x] or R[y] for the other y at m, and unique where not R[x] and R[y] for
+    them or, alone at m, where not R[x] or R[y] for every y at m + 1; each
+    condition left out follows from these.  _type_bits' flags are then: type
+    1, the union over x of uniq(wd, A, x) and uniq(wdr, B, x), since
+    selections of one alternative meet only in it; type 2, of uniq(wd, A, x)
+    and in(wdr, B, x); type 3, of in(wd, A, x) and in(wdr, B, x), less the
+    set where every x is in argmin(wd + A), a selection of all n.  Bit 0 and the unwanted types are 0.
 
     The sets depend on u alone (h, n and want are fixed for a scan), so
     decide.memo keeps them by the packed tally, whose bytes are u (_scan);
-    it and decide.columns charge each entry its sets' bit lengths plus 2,048
-    bits to one count, and start afresh together past PARENT_MEMO_BITS.
+    it, decide.columns and decide.plans charge each entry its sets' bit
+    lengths (none for a plan) plus 2,048 bits to one count, and start afresh
+    together past PARENT_MEMO_BITS.
     """
     above = _above_sets(n)
     full = (1 << math.factorial(n)) - 1
@@ -444,13 +454,15 @@ def _minimax_decider(h: int, n: int, want: tuple[int, ...]) -> Callable[..., lis
 
     def argmin_sets(w, rises) -> tuple[list[int], list[int]]:
         """Per x, the sets of r where x is in argmin(w + rises(r)), and where it is alone there."""
-        m = min(w)
-        pattern = tuple(map(clip.__getitem__, map(m.__rsub__, w)))
-        found = plans.get(pattern)
+        nonlocal held
+        found = plans.get(w)
         if found is None:
+            m = min(w)
+            pattern = tuple(map(clip.__getitem__, map(m.__rsub__, w)))
             tied = [x for x in range(n) if pattern[x] == 0]
             others = [(x, [y for y in tied if y != x]) for x in tied]
-            found = plans[pattern] = tied, [x for x in range(n) if pattern[x] == 1], others
+            found = plans[w] = tied, [x for x in range(n) if pattern[x] == 1], others
+            held += 2048
         tied, near, others = found
         get = rises.__getitem__
         inside, unique = [0] * n, [0] * n
@@ -488,12 +500,12 @@ def _minimax_decider(h: int, n: int, want: tuple[int, ...]) -> Callable[..., lis
                 sets[3] = reduce(or_, map(and_, inside, insider)) & ~reduce(and_, inside)
             held += sum(map(int.bit_length, sets)) + 2048
             if held > PARENT_MEMO_BITS:
-                for cache in (memo, *columns):
+                for cache in (memo, plans, *columns):
                     cache.clear()
                 held = 0
         return sets
 
-    decide.memo, decide.columns = memo, columns  # type: ignore[attr-defined]
+    decide.memo, decide.columns, decide.plans = memo, columns, plans  # type: ignore[attr-defined]
     return decide
 
 
@@ -530,9 +542,19 @@ def _scan(
     plus one iff r ranks above x a rival y tight for x (y's defeat of x is
     wd[x]; any other rival's stays below wd[x] + 1), else wd[x]; x's greatest
     victory is wdr[x] plus one iff r ranks below x a rival tight for it.
+
+    Only a walker that adds a voter below a prefix (h - len(prefix) > 1)
+    reads the n! packed rows.  Where none does, as in the cut (2, n) cells
+    and the pool's stripes of a plain h = 3 scan, the key of each prefix
+    sums the rows of its own rankings, each built once from its unranked
+    order.
     """
-    packed = _packed_rows(n)
-    K = len(packed)
+    K = math.factorial(n)
+    if any(h - len(prefix) > 1 for prefix in prefixes):
+        packed = _packed_rows(n)
+    else:
+        packed = {r: int.from_bytes(_upper_row(_unrank(n, r)), "little")
+                  for r in set(itertools.chain.from_iterable(prefixes))}
     decide = _minimax_decider(h, n, want) if rule == "minimax" else _leaf_decider(h, n, rule)
     report = KernelReport()
     counts = report.counts
@@ -638,21 +660,23 @@ def scan_minimax(
     return report
 
 
+def _unrank(n: int, index: int) -> tuple[int, ...]:
+    """The order of all_rankings(n)[index], unranked from its index in the
+    factorial number system; an index of n! or more raises IndexError."""
+    alts = list(range(1, n + 1))
+    order = []
+    for k in range(n - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(k))
+        order.append(alts.pop(digit))
+    return tuple(order)
+
+
 def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
     """The profile whose voters are all_rankings(n)[i] for i in indices.
 
-    Each order is unranked from its index in the factorial number system, so
-    only these rankings are built, never the n! table; an index of n! or more
-    raises IndexError."""
-    columns = []
-    for index in indices:
-        alts = list(range(1, n + 1))
-        order = []
-        for k in range(n - 1, -1, -1):
-            digit, index = divmod(index, math.factorial(k))
-            order.append(alts.pop(digit))
-        columns.append(Ranking(tuple(order)))
-    return Profile(tuple(columns))
+    Each order is unranked by _unrank, so only these rankings are built,
+    never the n! table; an index of n! or more raises IndexError."""
+    return Profile(tuple(Ranking(_unrank(n, index)) for index in indices))
 
 
 # --- witness search ----------------------------------------------------------

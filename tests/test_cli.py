@@ -305,6 +305,7 @@ class TestVerify:
             raise AssertionError(f"ranking table built for n={n}")
 
         monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
+        monkeypatch.setattr(votebias.search, "_above_sets", refuse)
         # neutral_count(2, 10) = 3,628,800 fits the default budget; the 10! table does not.
         code, out, _ = run(
             capsys, "verify", "--h", "2", "--n", "10", "--j", "3",
@@ -438,6 +439,7 @@ class TestVerify:
 
         if n == 10:
             monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
+            monkeypatch.setattr(votebias.search, "_above_sets", refuse)
         _, out, _ = run(
             capsys, "verify", "--h", str(h), "--n", str(n), "--strategy", "exhaustive",
             "--budget", str(budget), "--json",
@@ -574,6 +576,7 @@ class TestCompare:
             raise AssertionError(f"ranking table built for n={n}")
 
         monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
+        monkeypatch.setattr(votebias.search, "_above_sets", refuse)
         budget = str(anonymous_count(2, 10))
         code, out, _ = run(
             capsys, "compare", "--pair", "minimax-borda", "--h", "2", "--n", "10",

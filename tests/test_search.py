@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
+import random
 from collections import Counter
 from operator import add
 
@@ -401,6 +403,7 @@ class TestScanKernel:
             raise AssertionError(f"ranking table built for n={n}")
 
         monkeypatch.setattr(search, "_linear_rows", refuse)
+        monkeypatch.setattr(search, "_above_sets", refuse)
         note = "ranking table holds 3628800 rankings, over the limit of 362880"
         with pytest.raises(ValueError, match=note):
             scan_minimax(2, 10, neutral_cut=True)
@@ -483,12 +486,14 @@ def test_the_column_caches_start_afresh_with_the_parent_memo(monkeypatch):
     expected = [decide(key, 0, 0) for key in keys]
     assert len(decide.memo) == len(keys)
     assert all(decide.columns)
+    assert decide.plans
     monkeypatch.setattr(search, "PARENT_MEMO_BITS", 1)
     decide = search._minimax_decider(3, 4, (1, 2, 3))
     for key, sets in zip(keys, expected):
         assert decide(key, 0, 0) == sets
-        # The entry overflows a budget of one bit, so both kinds of cache are empty.
+        # The entry overflows a budget of one bit, so every kind of cache is empty.
         assert not decide.memo and not any(decide.columns)
+        assert not decide.plans
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -502,6 +507,41 @@ def test_mask_rows_hold_the_rivals_above_and_below(n):
             bits = format(above[a][b], f"0{len(places)}b")[::-1]
             expected = "".join("1" if a != b and p[a] < p[b] else "0" for p in places)
             assert bits == expected, (a, b)
+
+
+def test_nine_alternatives_hold_the_rivals_above_on_seeded_rankings():
+    # n = 9 is inside MAX_SCAN_RANKINGS; its 9! rankings are sampled, not listed.
+    n = 9
+    above = search._above_sets(n)
+    indices = random.Random(271828).sample(range(math.factorial(n)), 2_000)
+    for r, q in zip(indices, profile_from_indices(n, tuple(indices)).columns):
+        place = [q.order.index(x) for x in range(1, n + 1)]
+        for a in range(n):
+            for b in range(n):
+                assert above[a][b] >> r & 1 == (a != b and place[a] < place[b]), (r, a, b)
+
+
+def test_a_scan_that_never_walks_builds_no_row_table(monkeypatch, workloads):
+    # The cut (2,8) cell's one parent is the identity ranking, whose row is
+    # built from its order; the 8! rows are never needed.
+    def refuse(build):
+        def refused(n, *args):
+            if n == 8:
+                raise AssertionError(f"row table built for n={n}")
+            return build(n, *args)
+        return refused
+
+    monkeypatch.setattr(search, "_linear_rows", refuse(search._linear_rows))
+    monkeypatch.setattr(search, "_packed_rows", refuse(search._packed_rows))
+    report = scan_minimax(2, 8, want=(2, 3), neutral_cut=True)
+    reference = {
+        (row["j"], row["examined"], row["hits"])
+        for row in (dict(zip(workloads.GRID_FIELDS, cells))
+                    for cells in json.loads(workloads.GRID_REFERENCE.read_text()))
+        if (row["h"], row["n"]) == (2, 8)
+    }
+    assert {(j, report.examined, report.counts[j]) for j in (2, 3)} == reference
+    assert report.counts[3] > 0
 
 
 def _same_scan(h: int, n: int, **options) -> None:
