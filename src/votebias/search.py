@@ -12,10 +12,10 @@ which checks its visit count against the closed form; ``search_exhaustive``
 alone decides which scan a cell gets, for ``find_witness`` and ``verify``,
 and ``compare`` scans with a pair of rules for the first multiset on which
 their selections differ.
-The kernel keeps a running upper-triangle tally while walking the multiset
-tree; it decides a minimax parent's leaves at once by bitsets over the last
-voter's ranking, and judges each leaf of the other rules through the
-tally-level core in ``rules``.
+The kernel walks the parents of the leaves in two flat loops, heads and
+last parent voters, with their upper-triangle tally packed in one integer;
+it decides a minimax parent's leaves at once by bitsets over the last voter's
+ranking, and judges each leaf of the other rules through ``rules``' core.
 Sampled searches (``search_sampled``, and ``compare`` through ``scan_samples``)
 judge each seeded sample's tally by the same leaf verdict.  A sample is drawn
 as one ranking code per voter, on one generator reseeded per sample; up to 8
@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 from .bias import bias_flags
 from .graphs import profile_threshold
 from .prefs import Profile, Ranking, _ranking, serialize_profile
-from .rules import RULES, TALLY_RULES, minimax_defeats, minimax_thresholds, upper_pairs
+from .rules import RULES, TALLY_RULES, minimax_defeats, upper_pairs
 
 DEFAULT_EXHAUSTIVE_BUDGET = 5_000_000
 DEFAULT_SAMPLE_BUDGET = 100_000
@@ -231,8 +231,7 @@ def _upper_row(order: tuple[int, ...]) -> bytes:
     is 1 iff it ranks pair k's smaller alternative first (combinations of the
     places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n.
     Full tables of rows come from _linear_rows; single orders take this route
-    where no table is built: the sampler past TABLE_MAX_N, and a scan's prefix
-    rankings when its walker adds no voter below them (_scan)."""
+    where no table is built, in the sampler past TABLE_MAX_N."""
     places = sorted(range(len(order)), key=order.__getitem__)
     return bytes(itertools.starmap(lt, itertools.combinations(places, 2)))
 
@@ -334,8 +333,7 @@ def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
     """
     if rule == "minimax":
         rng_n = range(n)
-        wd, wdr, _, _ = minimax_defeats(tally, h, n)
-        mu_p, mu_pr = minimax_thresholds(wd, wdr, h)
+        wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
         sel = [x for x in rng_n if wd[x] < mu_p]
         m1 = min(wd)
         bits = _MISMATCH if sel != [x for x in rng_n if wd[x] == m1] else 0
@@ -514,28 +512,31 @@ def _scan(
     n: int,
     want: tuple[int, ...] = (1, 2, 3),
     stop_early: bool = False,
-    prefixes: tuple[tuple[int, ...], ...] = ((),),
+    neutral_cut: bool = False,
+    stripe: tuple[int, int] = (0, 1),
     rule: str | tuple[str, str] = "minimax",
 ) -> KernelReport:
-    """Walk nondecreasing ranking-index tuples below each prefix, in order.
+    """Decide each parent, h - 1 voters by nondecreasing ranking index, in
+    enumeration order: a head, its voters but the last (under the cut, the
+    identity, index 0, first), then each last voter v from the head's last up.
 
-    Each level adds its voter's packed row, the ranking's upper-triangle 0/1
-    vector with one byte per pair, into the running key.  At most
-    MAX_H < 256 voters add into one byte, so no byte carries and a key's
-    bytes are the tally u of its voters: u[k] of them rank pair k's smaller
-    alternative first.  At depth h - 1 the walker hands each parent to the
-    rule's decider, decide(key, lo, until): per verdict bit j (0, the
-    dual-route mismatch, or the type j), the set of last voters r (bit r)
-    whose leaf, the parent plus ranking r, sets bit j.  Minimax decides all
-    K at once by bitsets (_minimax_decider); other rules and pairs judge
-    leaf by leaf (_leaf_decider).  The parent's leaves are r = lo..K-1, lo
-    its last index, in enumeration order, so the walker reads each set from
-    bit lo up: its popcount is the parent's count of that bit, its lowest
-    set bit the parent's first hit, and examined grows by K - lo.  A
-    stop-early scan ends at the leaf that gives the last wanted type its
-    first hit and counts the leaves up to it, as a leaf-by-leaf walk would;
-    until holds the types it still hunts, so that a decider may leave out
-    the leaves past that one.
+    Each voter adds its packed row, the ranking's upper-triangle 0/1 vector
+    with one byte per pair, into the key: the head's once per head, v's once
+    per parent.  At most MAX_H < 256 voters add into one byte, so no byte
+    carries and a key's bytes are the tally u of its voters: u[k] of them
+    rank pair k's smaller alternative first.  The rule's decider,
+    decide(key, lo, until), returns per verdict bit j (0, the dual-route
+    mismatch, or the type j) the set of last voters r (bit r) whose leaf,
+    the parent plus ranking r, sets bit j.  Minimax decides all K at once by
+    bitsets (_minimax_decider); other rules and pairs judge leaf by leaf
+    (_leaf_decider).  The parent's leaves are r = lo..K-1, lo = v, in
+    enumeration order, so the walker reads each set from bit lo up: its
+    popcount is the parent's count of that bit, its lowest set bit the
+    parent's first hit, and examined grows by K - lo.  A stop-early scan
+    ends at the leaf that gives the last wanted type its first hit and
+    counts the leaves up to it, as a leaf-by-leaf walk would; until holds
+    the types it still hunts, so that a decider may leave out the leaves
+    past that one.
 
     The tight-rival lemma: a leaf's tally is its parent's (h - 1 voters) plus
     the last voter r's 0/1 vector.  So x's worst defeat is the parent's wd[x]
@@ -543,62 +544,50 @@ def _scan(
     wd[x]; any other rival's stays below wd[x] + 1), else wd[x]; x's greatest
     victory is wdr[x] plus one iff r ranks below x a rival tight for it.
 
-    Only a walker that adds a voter below a prefix (h - len(prefix) > 1)
-    reads the n! packed rows.  Where none does, as in the cut (2, n) cells
-    and the pool's stripes of a plain h = 3 scan, the key of each prefix
-    sums the rows of its own rankings, each built once from its unranked
-    order.
+    Stripe (w, k) keeps the parents whose v is w modulo k.  A parent has one
+    v, so the k stripes are disjoint and together hold every parent with all
+    its leaves; _merge sums them and keeps the least first hit, the earliest
+    in enumeration order, so a pooled scan equals the serial one, (0, 1).
+    The cut (2, n) cells' one parent, the identity, is their v; it ranks each
+    pair's smaller alternative first, so its row is all ones: no n! table.
     """
     K = math.factorial(n)
-    if any(h - len(prefix) > 1 for prefix in prefixes):
-        packed = _packed_rows(n)
+    if neutral_cut and h == 2:
+        rows, heads, end = (int.from_bytes(b"\x01" * (n * (n - 1) // 2), "little"),), [()], 1
     else:
-        packed = {r: int.from_bytes(_upper_row(_unrank(n, r)), "little")
-                  for r in set(itertools.chain.from_iterable(prefixes))}
+        rows, end = _packed_rows(n), K
+        tails = itertools.combinations_with_replacement(range(K), h - 2 - neutral_cut)
+        heads = ((0, *tail) for tail in tails) if neutral_cut else tails
     decide = _minimax_decider(h, n, want) if rule == "minimax" else _leaf_decider(h, n, rule)
     report = KernelReport()
-    counts = report.counts
-    firsts = report.firsts
     hunting = set(want)
-    stack: list[int] = []
-
-    def rec(depth: int, lo: int, key: int) -> bool:
-        if depth < h - 1:
-            for r in range(lo, K):
-                stack.append(r)
-                keep = rec(depth + 1, r, key + packed[r])
-                stack.pop()
-                if not keep:
-                    return False
-            return True
-        sets = decide(key, lo, sum(1 << j for j in hunting) if stop_early else 0)
-        end = K
-        if stop_early and hunting and all(sets[j] >> lo for j in hunting):
-            end = lo + max(((s := sets[j] >> lo) & -s).bit_length() for j in hunting)
-        clip = (1 << end - lo) - 1
-        if sets[0]:
-            report.kramer_mismatches += (sets[0] >> lo & clip).bit_count()
-        for j in want:
-            hits = sets[j] >> lo & clip
-            if hits:
-                counts[j] += hits.bit_count()
-                if firsts[j] is None:
-                    firsts[j] = (*stack, lo + (hits & -hits).bit_length() - 1)
-                    hunting.discard(j)
-        report.examined += end - lo
-        return not stop_early or bool(hunting)
-
-    for prefix in prefixes:
-        if len(prefix) >= h:
-            raise ValueError("prefix must leave at least one voter to choose")
-        stack[:] = prefix
-        if not rec(len(prefix), prefix[-1] if prefix else 0, sum(packed[r] for r in prefix)):
-            break
+    w, k = stripe
+    for head in heads:
+        key = sum(map(rows.__getitem__, head))
+        lo = head[-1] if head else 0
+        for v in range(lo + (w - lo) % k, end, k):
+            sets = decide(key + rows[v], v, sum(1 << j for j in hunting) if stop_early else 0)
+            stop = K
+            if stop_early and hunting and all(sets[j] >> v for j in hunting):
+                stop = v + max(((s := sets[j] >> v) & -s).bit_length() for j in hunting)
+            clip = (1 << stop - v) - 1
+            if sets[0]:
+                report.kramer_mismatches += (sets[0] >> v & clip).bit_count()
+            for j in want:
+                hits = sets[j] >> v & clip
+                if hits:
+                    report.counts[j] += hits.bit_count()
+                    if report.firsts[j] is None:
+                        report.firsts[j] = (*head, v, v + (hits & -hits).bit_length() - 1)
+                        hunting.discard(j)
+            report.examined += stop - v
+            if stop_early and not hunting:
+                return report
     return report
 
 
 def _merge(want: tuple[int, ...], parts) -> KernelReport:
-    """Sum reports over disjoint prefixes.
+    """Sum reports over disjoint stripes.
 
     Enumeration order is lexicographic on index tuples, so the least first hit
     is the earliest one."""
@@ -627,32 +616,28 @@ def scan_minimax(
 
     A rule given as a pair of TALLY_RULES names counts, as type 1, the
     representatives on which their selections differ.  With workers > 1 the
-    two deepest prefix levels are striped across a process pool, one _scan
+    parents are striped by their last voter across a process pool, one _scan
     (and one verdict cache) per worker; parallel runs never stop early, so
     counts stay exact and the reported first witness is the one earliest in
     enumeration order.  A visit count other than neutral_count/anonymous_count
     raises RuntimeError, unless the scan stopped early after finding every
-    wanted type.  A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N, or n past
-    MAX_SCAN_RANKINGS rankings, raises ValueError before any table is built.
+    wanted type.  A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N, n past
+    MAX_SCAN_RANKINGS rankings, or a want or rule that _check_scan refuses,
+    raises ValueError before any table is built.
     """
     _check_cell(h, n)
+    _check_scan(want, rule)
     refusal = table_refusal(n)
     if refusal:
         raise ValueError(refusal)
     workers = resolve_workers(workers)
-    K = math.factorial(n)
     space = neutral_count(h, n) if neutral_cut else anonymous_count(h, n)
-    base_prefix = (0,) if neutral_cut else ()
-    if workers <= 1 or h - len(base_prefix) < 3 or space < 50_000:
-        report = _scan(
-            h, n, want=want, stop_early=stop_early, prefixes=(base_prefix,), rule=rule
-        )
+    if workers <= 1 or space < 50_000:
+        report = _scan(h, n, want, stop_early, neutral_cut, rule=rule)
     else:
-        prefixes = [(r1, r2) for r1 in base_prefix or range(K) for r2 in range(r1, K)]
-        chunks = [prefixes[w::workers] for w in range(workers)]
-        tasks = [(h, n, want, False, chunk, rule) for chunk in chunks if chunk]
+        tasks = [(h, n, want, False, neutral_cut, (w, workers), rule) for w in range(workers)]
         import multiprocessing  # here alone, so that importing the package stays light
-        with multiprocessing.Pool(processes=len(tasks)) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             report = _merge(want, pool.starmap(_scan, tasks))
     found_all = stop_early and all(report.firsts[j] is not None for j in want)
     if report.examined != space and not found_all:
@@ -687,6 +672,16 @@ def _check_cell(h: int, n: int) -> None:
         raise ValueError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}, got h={h}, n={n}")
 
 
+def _check_scan(want: tuple[int, ...], rule) -> None:
+    """Refuse a want that is empty, repeats a type or names one outside 1..3,
+    and a rule that is neither a TALLY_RULES name nor a pair of them."""
+    if not want or len(set(want)) < len(want) or not set(want) <= {1, 2, 3}:
+        raise ValueError(f"bias types must be distinct and each 1, 2 or 3, got {want!r}")
+    names = rule if isinstance(rule, tuple) and len(rule) == 2 else (rule,)
+    if not all(isinstance(name, str) and name in TALLY_RULES for name in names):
+        raise ValueError(f"rule must be one of {sorted(TALLY_RULES)} or a pair of them, got {rule!r}")
+
+
 def _disagreement(mismatches: int) -> str:
     return f"direct and threshold minimax disagree on {mismatches} profiles"
 
@@ -709,9 +704,11 @@ def search_exhaustive(
     stop_early the scan is complete, so hits are exact counts and examined does
     not depend on the worker count; with it hits is None.  A dual-route
     mismatch is counted in mismatches and named in the note, never raised here.
-    A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N raises ValueError.
+    A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N, or a js or rule that
+    _check_scan refuses, raises ValueError.
     """
     _check_cell(h, n)
+    _check_scan(js, rule)
     space = anonymous_count(h, n)
     cut_space = neutral_count(h, n)
     refusal = table_refusal(n)

@@ -215,19 +215,18 @@ def test_a_sampled_mismatch_contradicts_the_cell_and_raises(capsys, monkeypatch)
     # A sample whose worst defeats no other examined sample shares, with more
     # than one value among them, so that selecting everyone is not the argmin.
     target = next(d for d in defeats if defeats.count(d) == 1 and len(set(d[0])) > 1)
-    thresholds = search.minimax_thresholds
 
-    def skewed(wd, wdr, h):
-        mu_p, mu_pr = thresholds(wd, wdr, h)
+    def skewed(u, h, n):
+        wd, wdr, mu_p, mu_pr = minimax_defeats(u, h, n)
         if (tuple(wd), tuple(wdr)) == target:
             mu_p = h + 1  # the threshold route selects everyone, the argmin does not
-        return mu_p, mu_pr
+        return wd, wdr, mu_p, mu_pr
 
     argv = ["verify", "--h", "5", "--n", "5", "--j", "1", "--strategy", "sampled",
             "--budget", str(budget), "--json"]
     assert main(argv) == 3
     clean = json.loads(capsys.readouterr().out)["cells"][0]
-    monkeypatch.setattr(search, "minimax_thresholds", skewed)
+    monkeypatch.setattr(search, "minimax_defeats", skewed)
     assert search.search_sampled(h, n, 1, "minimax", budget, 271828).mismatches == 1
     assert main(argv) == 2
     payload = json.loads(capsys.readouterr().out)

@@ -256,15 +256,14 @@ class TestScanKernel:
         defeats = real(target, h, n)[:2]
         skewed_leaves = sum(c for u, c in leaves.items() if real(u, h, n)[:2] == defeats)
         assert skewed_leaves >= leaves[target]
-        thresholds = search.minimax_thresholds
 
-        def skewed(wd, wdr, h):
-            mu_p, mu_pr = thresholds(wd, wdr, h)
+        def skewed(u, h, n):
+            wd, wdr, mu_p, mu_pr = real(u, h, n)
             if (wd, wdr) == defeats:
                 mu_p = h + 1  # the threshold route selects everyone, the argmin does not
-            return mu_p, mu_pr
+            return wd, wdr, mu_p, mu_pr
 
-        monkeypatch.setattr(search, "minimax_thresholds", skewed)
+        monkeypatch.setattr(search, "minimax_defeats", skewed)
         with per_leaf_minimax():
             assert scan_minimax(h, n).kramer_mismatches == skewed_leaves
         assert search._leaf_verdict(list(target), h, n, "minimax") & 1
@@ -332,13 +331,19 @@ class TestScanKernel:
         assert len(judged) <= pair.examined == 841
 
     def test_parallel_equals_sequential(self, monkeypatch):
+        # Workers take stripes of each head's last parent voters, so the
+        # depth-1 scans, (3,6) cut and (2,6) plain, are pooled too.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        seq = scan_minimax(5, 4, want=(1, 2, 3), workers=1)
-        par = scan_minimax(5, 4, want=(1, 2, 3), workers=3)
-        assert par.examined == seq.examined == anonymous_count(5, 4)
-        assert par.counts == seq.counts
-        assert par.firsts == seq.firsts
-        assert par.kramer_mismatches == seq.kramer_mismatches == 0
+        cases = [(5, 4, False, "minimax"), (4, 5, True, "minimax"), (3, 6, True, "minimax"),
+                 (2, 6, False, "minimax"), (6, 4, True, "borda")]
+        for h, n, cut, rule in cases:
+            seq = scan_minimax(h, n, want=(1, 2, 3), workers=1, neutral_cut=cut, rule=rule)
+            par = scan_minimax(h, n, want=(1, 2, 3), workers=3, neutral_cut=cut, rule=rule)
+            space = neutral_count(h, n) if cut else anonymous_count(h, n)
+            assert par.examined == seq.examined == space, (h, n, cut)
+            assert par.counts == seq.counts, (h, n, cut)
+            assert par.firsts == seq.firsts, (h, n, cut)
+            assert par.kramer_mismatches == seq.kramer_mismatches == 0, (h, n, cut)
 
     def test_parallel_scan_keeps_the_rule(self, monkeypatch):
         # Minimax has type-2 and type-3 hits at (5,4); a worker running it would count them.
@@ -412,6 +417,24 @@ class TestScanKernel:
         assert res.outcome == OUTCOME_INCONCLUSIVE
         assert res.examined == 0
         assert res.note == note
+
+    def test_bad_types_and_rules_are_refused_before_any_table(self, monkeypatch):
+        # A repeated type was counted once per repeat, 0 was scanned for as if
+        # the mismatch bit were a type, and 5 or "Borda" failed after the
+        # tables were built.
+        def refuse(n, *_):
+            raise AssertionError(f"ranking table built for n={n}")
+
+        for builder in ("_linear_rows", "_packed_rows", "_above_sets"):
+            monkeypatch.setattr(search, builder, refuse)
+        for want in [(), (1, 1), (0,), (5,), (2, 3, 2)]:
+            with pytest.raises(ValueError, match="bias types must be distinct"):
+                scan_minimax(6, 4, want=want)
+            with pytest.raises(ValueError, match="bias types must be distinct"):
+                search.search_exhaustive(3, 3, want)
+        for rule in ["Borda", ("minimax",), ("minimax", "Borda"), ("minimax", "borda", "copeland")]:
+            with pytest.raises(ValueError, match="rule must be one of"):
+                scan_minimax(3, 3, rule=rule)
 
 
 @pytest.mark.parametrize("cleared", [False, True])

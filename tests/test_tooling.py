@@ -1,8 +1,8 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
 importing the command line leaves multiprocessing unloaded, the command line prints
 through main alone, every package cache is bounded and cleared by perfbench,
-tools/benchpair.py summarizes paired benchmark runs, README's library quick start
-runs, and README's `votebias` commands parse."""
+tools/benchpair.py summarizes paired benchmark runs and records each tree's size,
+README's library quick start runs, and README's `votebias` commands parse."""
 
 from __future__ import annotations
 
@@ -244,6 +244,41 @@ def test_benchpair_byte_compiles_both_trees_before_the_first_run(tmp_path, monke
     assert benchpair.main([*argv, "--out", str(out)]) == 0
     assert len(calls) == 2 * benchpair.PAIRS
     assert json.loads(out.read_text())["summary"]["sweep"]["invalid_runs"] == []
+
+
+def test_benchpair_records_each_trees_source_lines(tmp_path, monkeypatch):
+    # src_lines is what `cat src/votebias/*.py | wc -l` prints: every newline of
+    # the package's own modules, a last line without one not counted, and
+    # nothing from subpackages or other files.
+    benchpair = _benchpair()
+    texts = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
+             "change": {"a.py": "x = 1\n", "notes.txt": "one\ntwo\n", "sub/c.py": "w = 4\n"}}
+    for side, files in texts.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "votebias" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    for side in benchpair.SIDES:
+        shell = subprocess.run("cat src/votebias/*.py | wc -l", shell=True, cwd=tmp_path / side,
+                               capture_output=True, text=True, check=True)
+        assert benchpair.src_lines(tmp_path / side) == int(shell.stdout)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "sweep"}]})
+    )
+
+    def run_once(tree, workload, seconds):
+        metrics = {"wall_s": {"value": 1.0, "unit": "s"}}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return {"info": {"commit": tree.name, "src_sha256": "d"}, "result": result, "exit": 0}
+
+    monkeypatch.setattr(benchpair, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(benchpair, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    assert benchpair.main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parent"] == {"commit": "parent", "src_sha256": "d", "src_lines": 2}
+    assert report["change"] == {"commit": "change", "src_sha256": "d", "src_lines": 1}
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -23,7 +23,10 @@ and, for a metric with a ``bound`` under ``end_to_end`` in ``BENCHMARK.json``,
 whether the change's median exceeds the parent's by more than that fraction.
 All ``--trace 0`` metrics are times, so lower is better.  A run that exited
 nonzero or failed perfbench's checks is left out of these and named under the
-workload's ``invalid_runs``; the script then exits 1.
+workload's ``invalid_runs``; the script then exits 1.  Beside each side's
+``commit`` and ``src_sha256`` it records ``src_lines``, what
+``cat src/votebias/*.py | wc -l`` prints in that tree, so that a change's
+size is measured with its timings.
 """
 
 from __future__ import annotations
@@ -150,9 +153,14 @@ def _machine() -> dict:
     return machine
 
 
-def _identity(runs: list[dict], side: str) -> dict:
+def src_lines(tree: Path) -> int:
+    """The newlines in tree's src/votebias/*.py, as ``cat src/votebias/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "votebias").glob("*.py"))
+
+
+def _identity(runs: list[dict], side: str, tree: Path) -> dict:
     info = next(run["info"] for run in runs if run["side"] == side and run["info"])
-    return {"commit": info["commit"], "src_sha256": info["src_sha256"]}
+    return {"commit": info["commit"], "src_sha256": info["src_sha256"], "src_lines": src_lines(tree)}
 
 
 def main(argv=None) -> int:
@@ -178,8 +186,8 @@ def main(argv=None) -> int:
     summary = summarize(runs, {m["name"]: m["bound"] for m in benchmark.get("end_to_end", [])})
     report = {
         "what": "perfbench/run.py result lines, parent vs change, alternating order per pair",
-        "parent": _identity(runs, "parent"),
-        "change": _identity(runs, "change"),
+        "parent": _identity(runs, "parent", args.parent),
+        "change": _identity(runs, "change", args.change),
         "commands": {"end_to_end": " ".join(_command("{" + ",".join(workloads) + "}", seconds))},
         "order": (
             f"workloads {', '.join(workloads)} in turn, {PAIRS} pairs each; pair k "
