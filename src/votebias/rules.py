@@ -35,7 +35,8 @@ def minimax_defeats(u, h: int, n: int) -> tuple[list[int], list[int], int, int]:
     """Worst defeats on p and on its reversal, with both profile thresholds.
 
     One fused pass: wd[x] is x's greatest defeat in p and wdr[x] its greatest
-    defeat in the reversal (its greatest victory in p), 0-based.
+    defeat in the reversal (its greatest victory in p), 0-based.  Each
+    threshold is the least admissible mu above the smallest worst defeat.
     """
     wd = [0] * n
     wdr = [0] * n
@@ -49,16 +50,10 @@ def minimax_defeats(u, h: int, n: int) -> tuple[list[int], list[int], int, int]:
             wdr[x] = a
         if b > wdr[y]:
             wdr[y] = b
-    return wd, wdr, *minimax_thresholds(wd, wdr, h)
-
-
-def minimax_thresholds(wd, wdr, h: int) -> tuple[int, int]:
-    """The thresholds of p and of its reversal from their worst defeats: each is
-    the least admissible mu above the smallest worst defeat."""
     mu0 = h // 2 + 1
     m1 = min(wd)
     m2 = min(wdr)
-    return m1 + 1 if m1 >= mu0 else mu0, m2 + 1 if m2 >= mu0 else mu0
+    return wd, wdr, m1 + 1 if m1 >= mu0 else mu0, m2 + 1 if m2 >= mu0 else mu0
 
 
 def minimax_tally(u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:

@@ -29,10 +29,11 @@ import itertools
 import math
 import os
 import random
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_, itemgetter, lt, or_
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bias import bias_flags
 from .graphs import profile_threshold
@@ -100,10 +101,7 @@ def certify_witness(
     RULES[rule] (minimax by its threshold route) runs on the profile and on its
     re-tallied reversal, independently of the tally core that proposed it.
     """
-    if j not in (1, 2, 3):
-        raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; choose from {sorted(RULES)}")
+    _check_query(j, rule)
     reversal = profile.reverse()
     selection_p, selection_pr = RULES[rule](profile), RULES[rule](reversal)
     mu_p = mu_pr = None
@@ -230,46 +228,11 @@ def _upper_row(order: tuple[int, ...]) -> bytes:
     """An order's upper-triangle 0/1 vector, its own tally with h = 1: entry k
     is 1 iff it ranks pair k's smaller alternative first (combinations of the
     places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n.
-    Full tables of rows come from _linear_rows; single orders take this route
-    where no table is built, in the sampler past TABLE_MAX_N."""
+    Full tables of rows are _packed_rows, the transpose of _above_sets; single
+    orders take this route where no table is built, in the sampler past
+    TABLE_MAX_N."""
     places = sorted(range(len(order)), key=order.__getitem__)
     return bytes(itertools.starmap(lt, itertools.combinations(places, 2)))
-
-
-def _linear_rows(n: int, weights: list[int]) -> Iterator[int]:
-    """Per ranking, in all_rankings order, the sum of weights[k] over the pairs
-    k its _upper_row sets.
-
-    A ranking of a set S that starts with f puts f above the rest of S, so its
-    sum is f's share, the weights of the pairs (f, z) with z in S and z > f,
-    plus the sum of its tail as a ranking of S without f; taking f in
-    increasing order keeps the lexicographic order.  The rows of the subsets
-    are built once each, size by size, holding two sizes at a time; the n
-    subsets of n - 1, each read once, and the top level stream.
-    """
-    weight = [[0] * n for _ in range(n)]
-    for (x, y), w in zip(upper_pairs(n), weights):
-        weight[x][y] = w
-    chain = itertools.chain.from_iterable
-
-    def blocks(alts: tuple[int, ...], tail: Callable) -> Iterator[Iterator[int]]:
-        for i, f in enumerate(alts):
-            share = sum(map(weight[f].__getitem__, alts[i + 1:]))
-            yield map(share.__add__, tail(alts[:i] + alts[i + 1:]))
-
-    rows = {(): [0]}
-    for size in range(1, n - 1):
-        rows = {
-            alts: list(chain(blocks(alts, rows.__getitem__)))
-            for alts in itertools.combinations(range(n), size)
-        }
-    return chain(blocks(tuple(range(n)), lambda rest: chain(blocks(rest, rows.__getitem__))))
-
-
-@lru_cache(maxsize=None)
-def _packed_rows(n: int) -> tuple[int, ...]:
-    """Per ranking, in all_rankings order, its _upper_row as one integer, byte k its u[k]."""
-    return tuple(_linear_rows(n, [256**k for k in range(n * (n - 1) // 2)]))
 
 
 @lru_cache(maxsize=None)
@@ -296,6 +259,22 @@ def _above_sets(n: int) -> tuple[tuple[int, ...], ...]:
             for f in range(n)
         )
     return tuple(map(tuple, above))
+
+
+@lru_cache(maxsize=None)
+def _packed_rows(n: int) -> tuple[int, ...]:
+    """Per ranking, in all_rankings order, its _upper_row as one integer, byte k its u[k].
+
+    The transpose of _above_sets: entry k of ranking r's _upper_row is 1 iff r
+    puts pair k's smaller alternative x over the larger y, which is bit r of
+    above[x][y].  So byte k of every row is laid down at once from that set's
+    bits, lowest first, and the rows are cut from the table."""
+    above, size, K = _above_sets(n), n * (n - 1) // 2, math.factorial(n)
+    table = bytearray(K * size)
+    for k, (x, y) in enumerate(upper_pairs(n)):
+        table[k::size] = f"{above[x][y]:0{K}b}"[::-1].encode()
+    cut = struct.iter_unpack(f"{size}s", table.translate(bytes.maketrans(b"01", b"\0\1")))
+    return tuple(map(int.from_bytes, map(itemgetter(0), cut), itertools.repeat("little")))
 
 
 @dataclass
@@ -617,7 +596,8 @@ def scan_minimax(
     A rule given as a pair of TALLY_RULES names counts, as type 1, the
     representatives on which their selections differ.  With workers > 1 the
     parents are striped by their last voter across a process pool, one _scan
-    (and one verdict cache) per worker; parallel runs never stop early, so
+    (and one verdict cache) per worker, and never more workers than parents,
+    so that a one-parent scan stays serial; parallel runs never stop early, so
     counts stay exact and the reported first witness is the one earliest in
     enumeration order.  A visit count other than neutral_count/anonymous_count
     raises RuntimeError, unless the scan stopped early after finding every
@@ -630,7 +610,8 @@ def scan_minimax(
     refusal = table_refusal(n)
     if refusal:
         raise ValueError(refusal)
-    workers = resolve_workers(workers)
+    parents = math.comb(math.factorial(n) + h - 2 - neutral_cut, h - 1 - neutral_cut)
+    workers = min(resolve_workers(workers), parents)
     space = neutral_count(h, n) if neutral_cut else anonymous_count(h, n)
     if workers <= 1 or space < 50_000:
         report = _scan(h, n, want, stop_early, neutral_cut, rule=rule)
@@ -670,6 +651,14 @@ def profile_from_indices(n: int, indices: tuple[int, ...]) -> Profile:
 def _check_cell(h: int, n: int) -> None:
     if not (2 <= h <= MAX_H and 2 <= n <= MAX_N):
         raise ValueError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}, got h={h}, n={n}")
+
+
+def _check_query(j: int, rule: str) -> None:
+    """Refuse a bias type outside 1..3 and a rule outside RULES."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; choose from {sorted(RULES)}")
 
 
 def _check_scan(want: tuple[int, ...], rule) -> None:
@@ -908,7 +897,9 @@ def scan_samples(
 def search_sampled(h: int, n: int, j: int, rule: str, budget: int, seed: int) -> SearchResult:
     """Sampled search for bias type j at (h, n), for verify and find_witness:
     scan_samples, then certify_witness on a hit.  A miss is inconclusive; a
-    dual-route mismatch is counted and named in the note, never raised here."""
+    dual-route mismatch is counted and named in the note, never raised here.
+    A j or rule that find_witness refuses raises ValueError before any draw."""
+    _check_query(j, rule)
     examined, profile, mismatches = scan_samples(h, n, j, rule, budget, seed)
     witness = certify_witness(profile, j, rule, "sampled", seed) if profile else None
     notes = [] if witness else [f"no witness in {budget} samples; sampling cannot certify immunity"]
@@ -943,10 +934,7 @@ def find_witness(
     mode is search_sampled.  Both raise ValueError past MAX_H or MAX_N, and
     RuntimeError when the two minimax routes disagreed.
     """
-    if j not in (1, 2, 3):
-        raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; choose from {sorted(RULES)}")
+    _check_query(j, rule)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown search mode {mode!r}")
     if budget is not None and budget < 1:

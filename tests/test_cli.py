@@ -304,7 +304,7 @@ class TestVerify:
         def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
-        monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
+        monkeypatch.setattr(votebias.search, "_packed_rows", refuse)
         monkeypatch.setattr(votebias.search, "_above_sets", refuse)
         # neutral_count(2, 10) = 3,628,800 fits the default budget; the 10! table does not.
         code, out, _ = run(
@@ -438,7 +438,7 @@ class TestVerify:
             raise AssertionError(f"ranking table built for n={n}")
 
         if n == 10:
-            monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
+            monkeypatch.setattr(votebias.search, "_packed_rows", refuse)
             monkeypatch.setattr(votebias.search, "_above_sets", refuse)
         _, out, _ = run(
             capsys, "verify", "--h", str(h), "--n", str(n), "--strategy", "exhaustive",
@@ -575,7 +575,7 @@ class TestCompare:
         def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
-        monkeypatch.setattr(votebias.search, "_linear_rows", refuse)
+        monkeypatch.setattr(votebias.search, "_packed_rows", refuse)
         monkeypatch.setattr(votebias.search, "_above_sets", refuse)
         budget = str(anonymous_count(2, 10))
         code, out, _ = run(

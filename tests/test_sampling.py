@@ -160,6 +160,23 @@ def test_a_sampled_search_refuses_a_cell_past_the_bounds():
                 call()
 
 
+@pytest.mark.parametrize("j, rule, message", [
+    (4, "minimax", "bias type must be 1, 2 or 3, got 4"),
+    (1, "veto", "unknown rule 'veto'"),
+])
+def test_a_sampled_search_refuses_what_find_witness_refuses_before_any_draw(
+    monkeypatch, j, rule, message
+):
+    # Type 4 used to draw the whole budget and report inconclusive; "veto"
+    # failed with KeyError at the first verdict.
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(search, "_code_drawer", refuse)
+    with pytest.raises(ValueError, match=message):
+        search.search_sampled(2, 3, j, rule, 50, 1)
+
+
 @pytest.mark.parametrize("h, n", [(5, 5), (2, 10)])
 def test_shared_rankings_stay_values(h, n):
     prefs._ranking.cache_clear()

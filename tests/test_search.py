@@ -352,6 +352,23 @@ class TestScanKernel:
         assert report.examined == anonymous_count(5, 4)
         assert report.counts == {1: 0, 2: 0, 3: 0}
 
+    def test_a_one_parent_scan_stays_serial(self, monkeypatch):
+        # The cut (2, n) cells have one parent, the identity, so a second
+        # worker would start with an empty stripe.
+        import multiprocessing
+
+        serial = scan_minimax(2, 9, want=(2, 3), neutral_cut=True, workers=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-parent scan started a pool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        pooled = scan_minimax(2, 9, want=(2, 3), neutral_cut=True, workers=2)
+        assert (pooled.examined, pooled.counts, pooled.firsts) == (
+            serial.examined, serial.counts, serial.firsts
+        )
+
     def test_short_scan_raises(self, monkeypatch):
         scan = search._scan
 
@@ -407,7 +424,7 @@ class TestScanKernel:
         def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
-        monkeypatch.setattr(search, "_linear_rows", refuse)
+        monkeypatch.setattr(search, "_packed_rows", refuse)
         monkeypatch.setattr(search, "_above_sets", refuse)
         note = "ranking table holds 3628800 rankings, over the limit of 362880"
         with pytest.raises(ValueError, match=note):
@@ -425,7 +442,7 @@ class TestScanKernel:
         def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
-        for builder in ("_linear_rows", "_packed_rows", "_above_sets"):
+        for builder in ("_packed_rows", "_above_sets"):
             monkeypatch.setattr(search, builder, refuse)
         for want in [(), (1, 1), (0,), (5,), (2, 3, 2)]:
             with pytest.raises(ValueError, match="bias types must be distinct"):
@@ -470,6 +487,41 @@ def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypat
             assert sum((sets[j] >> r & 1) << j for j in (1, 2, 3)) == plain[leaf], (parent, r)
             checked += 1
     assert checked == math.comb(K + h - 2, h - 1) * K
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_seeded_cut_parents_at_seven_and_eight_alternatives_match_the_leaf_verdict(n):
+    """Seeded parents of the (3, n) cut, the identity plus a ranking v, each
+    decided at once and held to _leaf_verdict on all n! leaves.  One v is
+    drawn for each of the four ways v can start with 1 and end with n, so
+    that argmin_sets meets a worst defeat tied at its minimum, a single one
+    at it and one just above it, on p and on the reversal."""
+    K, size = math.factorial(n), n * (n - 1) // 2
+    rows = search._packed_rows(n)
+    rng = random.Random(271828)
+    parents: dict[tuple[bool, bool], int] = {}
+    while len(parents) < 4:
+        v = rng.randrange(K)
+        order = search._unrank(n, v)
+        parents.setdefault((order[0] == 1, order[-1] == n), v)
+    decide = search._minimax_decider(3, n, (1, 2, 3))
+    branches: dict[str, set[str]] = {"p": set(), "reversal": set()}
+    hits = 0
+    for v in parents.values():
+        key = rows[0] + rows[v]
+        sets = decide(key, 0, 0)
+        for r in range(K):
+            leaf = list((key + rows[r]).to_bytes(size, "little"))
+            bits = sum((sets[j] >> r & 1) << j for j in range(4))
+            assert bits == search._leaf_verdict(leaf, 3, n, "minimax"), (v, r)
+        hits += sum(map(int.bit_count, sets))
+        wd, wdr, _, _ = minimax_defeats(list(key.to_bytes(size, "little")), 2, n)
+        for side, w in (("p", wd), ("reversal", wdr)):
+            tied, near, _ = decide.plans[tuple(w)]
+            branches[side] |= {"single-tied" if len(tied) == 1 else "tied"}
+            branches[side] |= {"near"} if near else set()
+    assert branches == {side: {"tied", "near", "single-tied"} for side in branches}
+    assert hits
 
 
 @given(st.integers(2, 8), st.integers(2, search.MAX_H), st.data())
@@ -544,6 +596,16 @@ def test_nine_alternatives_hold_the_rivals_above_on_seeded_rankings():
                 assert above[a][b] >> r & 1 == (a != b and place[a] < place[b]), (r, a, b)
 
 
+def test_nine_alternatives_pack_the_row_formula_on_seeded_rankings():
+    # The same seeded rankings: each packed row, the transpose of the above
+    # sets, is its order's _upper_row.
+    n = 9
+    packed = search._packed_rows(n)
+    indices = random.Random(271828).sample(range(math.factorial(n)), 2_000)
+    for r, q in zip(indices, profile_from_indices(n, tuple(indices)).columns):
+        assert packed[r].to_bytes(36, "little") == search._upper_row(q.order), r
+
+
 def test_a_scan_that_never_walks_builds_no_row_table(monkeypatch, workloads):
     # The cut (2,8) cell's one parent is the identity ranking, whose row is
     # built from its order; the 8! rows are never needed.
@@ -554,7 +616,6 @@ def test_a_scan_that_never_walks_builds_no_row_table(monkeypatch, workloads):
             return build(n, *args)
         return refused
 
-    monkeypatch.setattr(search, "_linear_rows", refuse(search._linear_rows))
     monkeypatch.setattr(search, "_packed_rows", refuse(search._packed_rows))
     report = scan_minimax(2, 8, want=(2, 3), neutral_cut=True)
     reference = {
