@@ -19,8 +19,9 @@ ranking, and judges each leaf of the other rules through ``rules``' core.
 Sampled searches (``search_sampled``, and ``compare`` through ``scan_samples``)
 judge each seeded sample's tally by the same leaf verdict.  A sample is drawn
 as one ranking code per voter, on one generator reseeded per sample; up to 8
-alternatives a per-n table turns each code into its ranking's index, whose
-kernel row the tally sums, and larger n decode the code.
+alternatives the tally sums each code's row of the kernel's table in the
+sampler's code order, built by the same block lemma, and larger n decode the
+code.  Only a hit's profile is built, from its decoded orders.
 """
 
 from __future__ import annotations
@@ -228,48 +229,61 @@ def _upper_row(order: tuple[int, ...]) -> bytes:
     """An order's upper-triangle 0/1 vector, its own tally with h = 1: entry k
     is 1 iff it ranks pair k's smaller alternative first (combinations of the
     places come in upper_pairs order).  The alternatives may be 0..n-1 or 1..n.
-    Full tables of rows are _packed_rows, the transpose of _above_sets; single
-    orders take this route where no table is built, in the sampler past
-    TABLE_MAX_N."""
+    Full tables of rows, in lexicographic or in code order, are _packed_rows,
+    the transpose of _above_sets; single orders take this route where no
+    table is built, in the sampler past TABLE_MAX_N."""
     places = sorted(range(len(order)), key=order.__getitem__)
     return bytes(itertools.starmap(lt, itertools.combinations(places, 2)))
 
 
 @lru_cache(maxsize=None)
-def _above_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    """above[a][b] has bit r set iff all_rankings(n)[r] puts alternative a over
-    b (0-based; above[a][a] is 0).
+def _above_sets(n: int, code_order: bool = False) -> tuple[tuple[int, ...], ...]:
+    """above[a][b] has bit r set iff ranking r puts alternative a over b
+    (0-based; above[a][a] is 0).  Ranking r is all_rankings(n)[r] or, with
+    code_order, the order that the sampler's code r draws (_code_drawer).
 
-    The block lemma: the rankings come in lexicographic order, so block f, the
-    B = (n - 1)! indices from f * B on, holds those that start with f, and
-    their tails come in the lexicographic order of the other n - 1
-    alternatives, z renumbered z - (f < z).  A ranking that starts with a
-    puts a over b, one that starts with b does not, and any other puts a over
-    b iff its tail does.  So block f of above[a][b] is all ones for f = a,
-    empty for f = b, and otherwise the (n - 1)-set
-    above[a - (f < a)][b - (f < b)]."""
+    The block lemma: block f, the B = (n - 1)! indices from f * B on, holds
+    the rankings that start with f, and their tails come in the same order of
+    the other n - 1 alternatives, z renumbered p(z).  In lexicographic order
+    p(z) = z - (f < z).  In code order, block f's first draw takes pool[f] = f
+    and random.sample moves the last pool entry, n - 1, into place f, so the
+    tails draw from the pool 0..n-2 with n - 1 standing in place f: p(z) = f
+    for z = n - 1, else z.  A ranking that starts with a puts a over b, one
+    that starts with b does not, and any other puts a over b iff its tail
+    does.  So block f of above[a][b] is all ones for f = a, empty for f = b,
+    and otherwise the (n - 1)-set above[p(a)][p(b)] of the same order.  Each
+    order recurses with one call shape, (n) or (n, code_order=True), so the
+    cache holds one entry per (n, order)."""
     if n == 1:
         return ((0,),)
-    sub, width = _above_sets(n - 1), math.factorial(n - 1)
+    if code_order:
+        sub = _above_sets(n - 1, code_order=True)
+        relabels = [[f if z == n - 1 else z for z in range(n)] for f in range(n)]
+    else:
+        sub = _above_sets(n - 1)
+        relabels = [[z - (f < z) for z in range(n)] for f in range(n)]
+    width = math.factorial(n - 1)
     ones = (1 << width) - 1
     above = [[0] * n for _ in range(n)]
     for a, b in itertools.permutations(range(n), 2):
         above[a][b] = sum(
-            (ones if f == a else 0 if f == b else sub[a - (f < a)][b - (f < b)]) << f * width
-            for f in range(n)
+            (ones if f == a else 0 if f == b else sub[p[a]][p[b]]) << f * width
+            for f, p in enumerate(relabels)
         )
     return tuple(map(tuple, above))
 
 
 @lru_cache(maxsize=None)
-def _packed_rows(n: int) -> tuple[int, ...]:
-    """Per ranking, in all_rankings order, its _upper_row as one integer, byte k its u[k].
+def _packed_rows(n: int, code_order: bool = False) -> tuple[int, ...]:
+    """Per ranking, in the order of _above_sets(n, code_order), its _upper_row
+    as one integer, byte k its u[k].
 
     The transpose of _above_sets: entry k of ranking r's _upper_row is 1 iff r
     puts pair k's smaller alternative x over the larger y, which is bit r of
     above[x][y].  So byte k of every row is laid down at once from that set's
     bits, lowest first, and the rows are cut from the table."""
-    above, size, K = _above_sets(n), n * (n - 1) // 2, math.factorial(n)
+    above = _above_sets(n, code_order=True) if code_order else _above_sets(n)
+    size, K = n * (n - 1) // 2, math.factorial(n)
     table = bytearray(K * size)
     for k, (x, y) in enumerate(upper_pairs(n)):
         table[k::size] = f"{above[x][y]:0{K}b}"[::-1].encode()
@@ -736,9 +750,9 @@ def search_exhaustive(
 
 # --- seeded sampling ---------------------------------------------------------
 
-# Codes of up to TABLE_MAX_N alternatives read their all_rankings index and
-# tally row off a table of n! entries per n; 8! covers every cell a default
-# verify samples.  Larger n decode.
+# Codes of up to TABLE_MAX_N alternatives read their tally row off
+# _packed_rows(n, code_order=True), n! entries per n; 8! covers every cell a
+# default verify samples.  Larger n decode.
 TABLE_MAX_N = 8
 
 
@@ -754,8 +768,9 @@ def _code_drawer(h: int, n: int, seed: int) -> Callable[[int], list[int]]:
     getrandbits(m.bit_length()) until the value is below m.  Each voter's
     draws j_n, ..., j_1 fold into its code, the sum of j_m * (m - 1)! (a number
     in range(n!)); j_1 is always 0, but its words are drawn, since later
-    voters would otherwise get them.  _code_table and _decode give the order
-    the pool swaps build from a code.
+    voters would otherwise get them.  _decode gives the order the pool swaps
+    build from one code; _above_sets(n, code_order=True) holds the pair sets
+    of all n! codes' orders at once.
 
     One generator serves every sample.  Random.seed turns the string into the
     integer of its bytes followed by their SHA-512 digest, read big-endian,
@@ -789,42 +804,8 @@ def _code_drawer(h: int, n: int, seed: int) -> Callable[[int], list[int]]:
     return draw
 
 
-@lru_cache(maxsize=None)
-def _code_table(n: int) -> tuple[int, ...]:
-    """Per code of n <= TABLE_MAX_N alternatives, the all_rankings(n) index of its order.
-
-    Soundness: with m values left to draw, random.sample's pool[:m] holds the
-    undrawn alternatives in some arrangement; draw j takes pool[j] and leaves
-    pool[:m - 1] with pool[j] replaced by pool[m - 1].  An order's
-    all_rankings index is its factorial-base number: the place drawn with m
-    values left adds (m - 1)! times the number of undrawn alternatives below
-    the one drawn, which is pool[j]'s rank in the pool.  So what the draws
-    left add to the index depends only on the pool's pattern, its ranks in
-    pool order.  A code is j * (m - 1)! plus the code of the draws left, so a
-    pattern's indices in code order are, for j = 0..m-1 in turn, those of the
-    pattern draw j leaves, each plus j's share.  Each pattern is listed once,
-    from the identity pool down: 131 patterns at n = 8, and no sort.
-    """
-    listed: dict[tuple[int, ...], list[int]] = {(0,): [0]}
-
-    def indices(pattern: tuple[int, ...]) -> list[int]:
-        if pattern not in listed:
-            weight = math.factorial(len(pattern) - 1)
-            out = listed[pattern] = []
-            for j, rank in enumerate(pattern):
-                rest = [*pattern]
-                rest[j] = pattern[-1]
-                del rest[-1]
-                share = rank * weight
-                out += [share + i for i in indices(tuple(r - (r > rank) for r in rest))]
-        return listed[pattern]
-
-    return tuple(indices((*range(n),)))
-
-
 def _decode(n: int, code: int) -> tuple[int, ...]:
-    """The order of a code of n alternatives, by the pool swaps of its draws:
-    the route past TABLE_MAX_N, where no table fits."""
+    """The order of a code of n alternatives, by the pool swaps of its draws."""
     pool = list(range(1, n + 1))
     order = []
     for m in range(n, 0, -1):
@@ -834,17 +815,9 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-# Samples of up to RANKINGS_MAX_N alternatives take their Rankings from
-# all_rankings(n), 720 at most; above, building all n! (40,320 at n = 8) would
-# cost far more than the h rankings one sampled profile needs.
-RANKINGS_MAX_N = 6
-
-
 def _code_rankings(n: int, codes: list[int]) -> tuple[Ranking, ...]:
-    """The shared Ranking of each code's order: all_rankings(n) through the
-    table up to RANKINGS_MAX_N alternatives, the interned decoded order above."""
-    if n <= RANKINGS_MAX_N:
-        return tuple(map(all_rankings(n).__getitem__, map(_code_table(n).__getitem__, codes)))
+    """The shared Ranking of each code's decoded order: a hit or a
+    sample_profile needs its h rankings, never all n!."""
     return tuple(_ranking(_decode(n, code)) for code in codes)
 
 
@@ -852,16 +825,17 @@ def _code_tallier(n: int) -> Callable[[list[int]], list[int]]:
     """codes -> the upper tally of the voters with these codes.
 
     The tally is read out by one to_bytes from the sum of the voters'
-    _upper_row vectors as integers with one byte per pair: _packed_rows
-    through the table up to TABLE_MAX_N, the decoded order's row above.  No
-    byte carries, since at most MAX_H < 256 voters add into one.
+    _upper_row vectors as integers with one byte per pair: up to TABLE_MAX_N
+    alternatives each code's row of _packed_rows(n, code_order=True), the
+    decoded order's row above.  No byte carries, since at most MAX_H < 256
+    voters add into one.
     """
     size = n * (n - 1) // 2
     if n <= TABLE_MAX_N:
-        row, index = _packed_rows(n).__getitem__, _code_table(n).__getitem__
+        row = _packed_rows(n, code_order=True).__getitem__
 
         def tally(codes: list[int]) -> list[int]:
-            return list(sum(map(row, map(index, codes))).to_bytes(size, "little"))
+            return list(sum(map(row, codes)).to_bytes(size, "little"))
     else:
         def tally(codes: list[int]) -> list[int]:
             rows = (int.from_bytes(_upper_row(_decode(n, code)), "little") for code in codes)

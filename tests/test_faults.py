@@ -1,20 +1,24 @@
-"""Faults injected into the ranking tables are caught by the checks that guard them.
+"""Faults injected into the ranking tables and the scan's stripes are caught by
+the checks that guard them.
 
-Every n! table of the scan kernel comes from _above_sets: the bitset decider
-reads its sets, and _packed_rows, the rows the walker and the per-leaf route
-sum, is the transpose of its sets above[x][y] with x < y.  Each case flips one
-bit of one set through monkeypatch, on table caches cleared before and after,
-and shows that the check meant to guard what reads that set fails.
+Every n! table of the scan kernel and the sampler comes from _above_sets: the
+bitset decider reads its sets, and _packed_rows, the rows the walker, the
+per-leaf route and the sampled tally sum, is the transpose of its sets
+above[x][y] with x < y, in lexicographic or in code order.  The table cases
+flip one bit of one set through monkeypatch, on table caches cleared before
+and after; the stripe cases break the merge of stripes or the walk of one.
+Each shows that the check meant to guard what the fault reaches fails.
 """
 
 from __future__ import annotations
 
+import builtins
 import itertools
 
 import pytest
 
-from votebias import scan_minimax, search
-from votebias.rules import upper_pairs
+from votebias import sample_profile, scan_minimax, search
+from votebias.rules import upper_pairs, upper_tally
 
 from conftest import per_leaf_minimax
 
@@ -80,3 +84,72 @@ def test_a_flip_in_a_set_only_the_bitsets_read_fails_the_per_leaf_reference(
     assert (healed.examined, healed.counts, healed.firsts) == (
         reference.examined, reference.counts, reference.firsts
     )
+
+
+def test_a_flip_in_a_code_order_set_fails_the_sampled_tally_check(fresh_tables, monkeypatch):
+    # The check of test_sample_tally_and_verdict_match_the_object_path: the
+    # sampled tally against the tally of the decoded sample_profile.
+    h, n, seed, x, y = 5, 5, 271828, 1, 3
+    draw = search._code_drawer(h, n, seed)
+    code = draw(0)[0]
+    true = search._above_sets
+
+    def faulted(m: int, **order):
+        sets = true(m, **order)
+        if m != n or not order:
+            return sets
+        rows = [list(row) for row in sets]
+        rows[x][y] ^= 1 << code
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(search, "_above_sets", faulted)
+    tally = search._code_tallier(n)
+    for index in range(200):
+        codes = draw(index)
+        same = tally(codes) == upper_tally(sample_profile(h, n, seed, index))
+        assert same == (code not in codes), index
+    # The lexicographic tables stay true.
+    size = n * (n - 1) // 2
+    rows = tuple(row.to_bytes(size, "little") for row in search._packed_rows(n))
+    assert rows == tuple(map(search._upper_row, itertools.permutations(range(n))))
+
+
+def test_a_merge_that_keeps_the_last_first_hit_fails_the_serial_scan(monkeypatch):
+    # The check of test_parallel_equals_sequential, with the stripes merged
+    # in-process.  Stripe 0 of these cells holds the earliest first hit of a
+    # type that stripe 1 also hits.
+    def keep_last(want, parts):
+        merged = search.KernelReport()
+        for part in parts:
+            merged.examined += part.examined
+            merged.kramer_mismatches += part.kramer_mismatches
+            for j in want:
+                merged.counts[j] += part.counts[j]
+                merged.firsts[j] = part.firsts[j] or merged.firsts[j]
+        return merged
+
+    monkeypatch.setattr(search, "_merge", keep_last)
+    for h, n, cut in [(2, 4, False), (4, 5, True)]:
+        serial = search._scan(h, n, neutral_cut=cut)
+        merged = search._merge((1, 2, 3), [search._scan(h, n, neutral_cut=cut, stripe=(w, 2))
+                                           for w in range(2)])
+        assert (merged.examined, merged.counts) == (serial.examined, serial.counts)
+        assert merged.firsts != serial.firsts, (h, n, cut)
+
+
+def test_a_stripe_that_skips_a_last_voter_fails_the_visit_count(monkeypatch):
+    # A stripe walks its last parent voters v by one three-argument range; the
+    # fault drops the last v of the first head, (0,), whose parent has one leaf.
+    skipped = []
+
+    def skipping_range(*args):
+        voters = builtins.range(*args)
+        if len(args) == 3 and voters and not skipped:
+            skipped.append(voters[-1])
+            return voters[:-1]
+        return voters
+
+    monkeypatch.setattr(search, "range", skipping_range, raising=False)
+    with pytest.raises(RuntimeError, match="scan visited 2599 of 2600 representatives"):
+        scan_minimax(3, 4, workers=1)
+    assert skipped == [23]

@@ -5,9 +5,9 @@ built, tallied and audited a Profile for every sample: the stdout and exit
 code of sampled verify and compare runs, and a sha256 over each cell's first
 500 serialized samples.  The sampler now draws each sample as one ranking code
 per voter by replaying random.sample on the generator's getrandbits, on one
-generator reseeded per sample, reads each code's tally row off per-n tables
-(decoding the code past 8 alternatives) and its ranking off the table of all
-rankings (decoding it past 6), and shares Ranking objects between samples;
+generator reseeded per sample, reads each code's tally row off a per-n table
+in code order (decoding the code past 8 alternatives), builds a hit's rankings
+from its decoded orders, and shares Ranking objects between samples;
 these runs hold it to the old stream and output byte for byte.  The replay
 rests on three CPython internals: random.sample's pool branch, _randbelow,
 and the integer Random.seed derives from a str seed (its bytes and their
@@ -122,31 +122,30 @@ def _pool_swap_order(n: int, code: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def test_code_table_is_a_permutation_that_matches_the_pool_swaps():
+def test_code_order_rows_match_the_pool_swaps():
     for n in range(2, search.TABLE_MAX_N + 1):
         size = math.factorial(n)
-        table = search._code_table(n)
-        assert sorted(table) == list(range(size)), n
-        rankings = search.all_rankings(n)
+        rows = search._packed_rows(n, code_order=True)
+        assert len(rows) == size, n
         codes = range(size) if n <= 7 else random.Random(n).sample(range(size), 5000)
         for code in codes:
             order = _pool_swap_order(n, code)
-            assert rankings[table[code]].order == order, (n, code)
+            assert rows[code].to_bytes(n * (n - 1) // 2, "little") == search._upper_row(order), (
+                n, code
+            )
             assert search._decode(n, code) == order, (n, code)
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_a_sample_past_six_alternatives_builds_only_its_own_rankings(n):
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_a_sample_builds_only_its_own_rankings(n):
     # A sampled hit needs its h rankings, not all n! of them (40,320 at n = 8).
     search.all_rankings.cache_clear()
-    drawn = [(sample_profile(3, n, 271828, i), search._code_drawer(3, n, 271828)(i))
-             for i in range(50)]
+    profiles = [sample_profile(3, n, 271828, i) for i in range(50)]
     assert search.all_rankings.cache_info().currsize == 0
-    rankings, table = search.all_rankings(n), search._code_table(n)
-    for profile, codes in drawn:
-        through_table = Profile(tuple(rankings[table[code]] for code in codes))
-        assert profile == through_table
-        assert serialize_profile(profile) == serialize_profile(through_table)
+    for i, profile in enumerate(profiles):
+        expected = Profile(tuple(map(Ranking, _rng_orders(3, n, 271828, i))))
+        assert profile == expected
+        assert serialize_profile(profile) == serialize_profile(expected)
 
 
 def test_a_sampled_search_refuses_a_cell_past_the_bounds():

@@ -489,6 +489,18 @@ def test_tight_rival_masks_match_the_plain_leaf_verdict(h, n, cleared, monkeypat
     assert checked == math.comb(K + h - 2, h - 1) * K
 
 
+def _held_to_the_leaf_verdict(decide, h: int, n: int, key: int) -> int:
+    """Hold decide(key, 0, 0), a parent of h - 1 voters decided at once, to
+    _leaf_verdict on all n! leaves; return its hits over all bits."""
+    size, rows = n * (n - 1) // 2, search._packed_rows(n)
+    sets = decide(key, 0, 0)
+    for r, row in enumerate(rows):
+        leaf = list((key + row).to_bytes(size, "little"))
+        bits = sum((sets[j] >> r & 1) << j for j in range(4))
+        assert bits == search._leaf_verdict(leaf, h, n, "minimax"), (key, r)
+    return sum(map(int.bit_count, sets))
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_seeded_cut_parents_at_seven_and_eight_alternatives_match_the_leaf_verdict(n):
     """Seeded parents of the (3, n) cut, the identity plus a ranking v, each
@@ -509,12 +521,7 @@ def test_seeded_cut_parents_at_seven_and_eight_alternatives_match_the_leaf_verdi
     hits = 0
     for v in parents.values():
         key = rows[0] + rows[v]
-        sets = decide(key, 0, 0)
-        for r in range(K):
-            leaf = list((key + rows[r]).to_bytes(size, "little"))
-            bits = sum((sets[j] >> r & 1) << j for j in range(4))
-            assert bits == search._leaf_verdict(leaf, 3, n, "minimax"), (v, r)
-        hits += sum(map(int.bit_count, sets))
+        hits += _held_to_the_leaf_verdict(decide, 3, n, key)
         wd, wdr, _, _ = minimax_defeats(list(key.to_bytes(size, "little")), 2, n)
         for side, w in (("p", wd), ("reversal", wdr)):
             tied, near, _ = decide.plans[tuple(w)]
@@ -522,6 +529,20 @@ def test_seeded_cut_parents_at_seven_and_eight_alternatives_match_the_leaf_verdi
             branches[side] |= {"near"} if near else set()
     assert branches == {side: {"tied", "near", "single-tied"} for side in branches}
     assert hits
+
+
+@pytest.mark.parametrize(
+    "h, n, parent", [(4, 5, (0, 30, 51)), (5, 5, (0, 9, 16, 105))], ids=["4-5", "5-5"]
+)
+def test_cut_parents_that_need_the_tied_alternatives_rises_match_the_leaf_verdict(h, n, parent):
+    """The first cut parents, in enumeration order, whose sets change when
+    argmin_sets' tied branch takes x as unique wherever x does not rise,
+    without asking that the other tied alternatives rise.  Every h = 3 cut
+    parent at n = 4..8 decides the same either way, so the seeded parents
+    above cannot show that fault."""
+    rows = search._packed_rows(n)
+    decide = search._minimax_decider(h, n, (1, 2, 3))
+    assert _held_to_the_leaf_verdict(decide, h, n, sum(map(rows.__getitem__, parent)))
 
 
 @given(st.integers(2, 8), st.integers(2, search.MAX_H), st.data())

@@ -1,8 +1,9 @@
 """Tooling: a failing test is reported, never fatal, the package's imports form a DAG,
 importing the command line leaves multiprocessing unloaded, the command line prints
-through main alone, every package cache is bounded and cleared by perfbench,
-tools/benchpair.py summarizes paired benchmark runs and records each tree's size,
-README's library quick start runs, and README's `votebias` commands parse."""
+through main alone, every package cache is bounded and cleared by perfbench, each
+ranking table is built once per order, tools/benchpair.py summarizes paired
+benchmark runs and records each tree's size, README's library quick start runs,
+and README's `votebias` commands parse."""
 
 from __future__ import annotations
 
@@ -101,9 +102,9 @@ def test_cli_commands_print_through_main_alone():
     assert uses == {"main": {"json.dumps", "csv.writer", "args.json", "args.csv"}}
 
 
-# Tables with one entry per n (or per (n, h)), which the bounds on n keep small.
+# Tables with one entry per n (or per (n, h) or (n, order)), which the bounds on n keep small.
 PER_N_TABLES = {
-    "upper_pairs", "_cells", "all_rankings", "_packed_rows", "_above_sets", "_code_table",
+    "upper_pairs", "_cells", "all_rankings", "_packed_rows", "_above_sets",
 }
 
 
@@ -126,6 +127,24 @@ def test_every_package_cache_is_bounded():
     assert PER_N_TABLES <= caches.keys()
     unbounded = sorted(k for k, c in caches.items() if c.cache_info().maxsize is None)
     assert unbounded == sorted(PER_N_TABLES)
+
+
+def test_each_ranking_table_is_built_once_per_order(monkeypatch):
+    # lru_cache keys f(n) and f(n, False) apart, so a table reached by two call
+    # shapes of one order would be built twice.  The scan reads the
+    # lexicographic tables of n = 5 and the sampler the code-order ones.
+    monkeypatch.delenv("VOTEBIAS_WORKERS", raising=False)
+    tables = (votebias.search._above_sets, votebias.search._packed_rows)
+    for table in tables:
+        table.cache_clear()
+    try:
+        votebias.search.scan_minimax(3, 5)
+        votebias.search.scan_samples(5, 5, 1, "minimax", 200, 1)
+        # n = 1..5 of each order's recursion, and each order's rows of n = 5.
+        assert [table.cache_info().currsize for table in tables] == [2 * 5, 2]
+    finally:
+        for table in tables:
+            table.cache_clear()
 
 
 def test_perfbench_clears_every_package_cache(workloads, monkeypatch):
