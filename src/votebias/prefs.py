@@ -87,6 +87,9 @@ _order = attrgetter("order")
 # and it fixes h and n (tally_size), so a function of the tally alone can be
 # cached by it and profiles with equal tallies share its answer.  A perfbench
 # sweep pass meets 5,727 distinct tallies and 7,454 distinct (tally, mu) graphs.
+# The reports built from them (bias._report) are shared by their values under
+# the same bound: the pass hands out 17,181 and builds 1,168.  Its 6,006
+# components (graphs._component) hold 33 distinct ones.
 TALLY_CACHE_SIZE = 8192
 
 

@@ -135,13 +135,7 @@ TALLY_RULES = {
 
 def minimax_direct(profile: Profile) -> frozenset[int]:
     """Alternatives whose greatest pairwise defeat, max over rivals y of t[y][x], is smallest."""
-    wd = tally_core(profile)[1]
-    best = min(wd)
-    mask = 0
-    for x, d in enumerate(wd):
-        if d == best:
-            mask |= 1 << x
-    return _alts(mask)
+    return _best(tally_core(profile)[1], min)
 
 
 def minimax_threshold(profile: Profile) -> frozenset[int]:
@@ -150,11 +144,21 @@ def minimax_threshold(profile: Profile) -> frozenset[int]:
 
 
 def borda(profile: Profile) -> frozenset[int]:
-    return frozenset(_top(_borda_scores(upper_tally(profile), profile.h, profile.n)))
+    return _best(_borda_scores(upper_tally(profile), profile.h, profile.n))
 
 
 def copeland(profile: Profile) -> frozenset[int]:
-    return frozenset(_top(_copeland_scores(upper_tally(profile), profile.h, profile.n)))
+    return _best(_copeland_scores(upper_tally(profile), profile.h, profile.n))
+
+
+def _best(scores, pick=max) -> frozenset[int]:
+    """The shared frozenset (prefs._alts) of the alternatives scoring pick(scores)."""
+    best = pick(scores)
+    mask = 0
+    for x, s in enumerate(scores):
+        if s == best:
+            mask |= 1 << x
+    return _alts(mask)
 
 
 def _condorcet(profile: Profile, side: int) -> int | None:

@@ -818,7 +818,14 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
 def _code_rankings(n: int, codes: list[int]) -> tuple[Ranking, ...]:
     """The shared Ranking of each code's decoded order: a hit or a
     sample_profile needs its h rankings, never all n!."""
-    return tuple(_ranking(_decode(n, code)) for code in codes)
+    return tuple(_code_ranking(n, code) for code in codes)
+
+
+# Each code is decoded once while the cache holds it: every code of n <= 6.
+@lru_cache(maxsize=4096)
+def _code_ranking(n: int, code: int) -> Ranking:
+    """The shared Ranking of a code's decoded order."""
+    return _ranking(_decode(n, code))
 
 
 def _code_tallier(n: int) -> Callable[[list[int]], list[int]]:

@@ -8,6 +8,7 @@ always checked against independently derived values, never against itself.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import random
 import sys
 from contextlib import contextmanager
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 from votebias import (
     Profile,
     Ranking,
+    all_rankings,
     anonymous_count,
+    audit_profile,
+    bias,
     enumerate_anonymous,
     rules,
     sample_profile,
@@ -146,6 +150,76 @@ def naive_dominant(profile: Profile, mu: int) -> set[int]:
         for x in range(1, profile.n + 1)
         if all(naive_tally(profile, y, x) < mu for y in range(1, profile.n + 1) if y != x)
     }
+
+
+def naive_analysis(n: int, arcs: frozenset) -> dict:
+    """analyze's JSON from sets, a DFS and permutations, with no bitmask."""
+    vertices = range(1, n + 1)
+    outs = {x: {y for a, y in arcs if a == x} for x in vertices}
+    ins = {y: {x for x, b in arcs if b == y} for y in vertices}
+    components, seen = [], set()
+    for start in vertices:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for w in outs[v] | ins[v]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        inside = [(x, y) for x, y in arcs if x in comp]
+        # Acyclic iff some order of the component puts every arc forward.
+        acyclic = any(
+            all(order.index(x) < order.index(y) for x, y in inside)
+            for order in itertools.permutations(sorted(comp))
+        )
+        components.append({"vertices": sorted(comp), "acyclic": acyclic})
+    return {
+        "maximal": [x for x in vertices if not ins[x]],
+        "minimal": [x for x in vertices if not outs[x]],
+        "isolated": [x for x in vertices if not ins[x] and not outs[x]],
+        "maxima": [x for x in vertices if len(outs[x]) == n - 1],
+        "minima": [x for x in vertices if len(ins[x]) == n - 1],
+        "components": components,
+        "acyclic": all(c["acyclic"] for c in components),
+    }
+
+
+def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, int]:
+    """Independent bias counts, first-hit indices and the number of distinct
+    tallies, via the plain audit path."""
+    counts = {1: 0, 2: 0, 3: 0}
+    firsts: dict[int, tuple[int, ...] | None] = {1: None, 2: None, 3: None}
+    tallies = set()
+    order = {q.order: i for i, q in enumerate(all_rankings(n))}
+
+    def visit(p):
+        r = audit_profile(p, rules=(rule,))[0]
+        flags = (r.type1, r.type2, r.type3)
+        idx = tuple(order[q.order] for q in p.columns)
+        for j in (1, 2, 3):
+            if flags[j - 1]:
+                counts[j] += 1
+                if firsts[j] is None:
+                    firsts[j] = idx
+        tallies.add(tuple(rules.upper_tally(p)))
+
+    enumerate_anonymous(h, n, visit)
+    return counts, firsts, len(tallies)
+
+
+# Read at import, so that a case which swaps bias._report still builds true reports.
+_build_report = bias._report.__wrapped__
+
+
+def fresh_reports(profile: Profile, names: tuple[str, ...]) -> list:
+    """audit_profile's reports on the profile, each built afresh by
+    bias._report's inner function from the rule's uncached selections."""
+    h, n = profile.h, profile.n
+    u = rules._core.__wrapped__(profile.tally())[0]
+    return [_build_report(name, h, n, *rules.TALLY_RULES[name](u, h, n)) for name in names]
 
 
 def random_profile(rng: random.Random, h: int, n: int) -> Profile:

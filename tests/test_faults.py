@@ -1,13 +1,15 @@
-"""Faults injected into the ranking tables and the scan's stripes are caught by
-the checks that guard them.
+"""Faults injected into the ranking tables, the scan's stripes and the object
+path's shared results are caught by the checks that guard them.
 
 Every n! table of the scan kernel and the sampler comes from _above_sets: the
 bitset decider reads its sets, and _packed_rows, the rows the walker, the
 per-leaf route and the sampled tally sum, is the transpose of its sets
 above[x][y] with x < y, in lexicographic or in code order.  The table cases
-flip one bit of one set through monkeypatch, on table caches cleared before
-and after; the stripe cases break the merge of stripes or the walk of one.
-Each shows that the check meant to guard what the fault reaches fails.
+flip one bit of one set, or put one byte of one row off by one, through
+monkeypatch, on table caches cleared before and after; the stripe cases break
+the merge of stripes or the walk of one; the sharing cases key a shared
+report or component by too little.  Each shows that the check meant to guard
+what the fault reaches fails.
 """
 
 from __future__ import annotations
@@ -17,10 +19,19 @@ import itertools
 
 import pytest
 
-from votebias import sample_profile, scan_minimax, search
+from votebias import (
+    MajorityGraph,
+    analyze,
+    audit_profile,
+    bias,
+    graphs,
+    sample_profile,
+    scan_minimax,
+    search,
+)
 from votebias.rules import upper_pairs, upper_tally
 
-from conftest import per_leaf_minimax
+from conftest import brute_counts, fresh_reports, naive_analysis, per_leaf_minimax
 
 
 @pytest.fixture()
@@ -112,6 +123,107 @@ def test_a_flip_in_a_code_order_set_fails_the_sampled_tally_check(fresh_tables, 
     size = n * (n - 1) // 2
     rows = tuple(row.to_bytes(size, "little") for row in search._packed_rows(n))
     assert rows == tuple(map(search._upper_row, itertools.permutations(range(n))))
+
+
+def _byte_off(monkeypatch, n: int, r: int, k: int) -> None:
+    """Put byte k (pair k's count) of _packed_rows(n)[r] one off; the code
+    order and other n stay true."""
+    true = search._packed_rows
+
+    def faulted(m: int, code_order: bool = False):
+        rows = true(m, code_order)
+        if m != n or code_order:
+            return rows
+        rows = list(rows)
+        rows[r] ^= 1 << 8 * k
+        return tuple(rows)
+
+    monkeypatch.setattr(search, "_packed_rows", faulted)
+
+
+@pytest.mark.parametrize("n, r, k", [(3, 0, 1), (3, 4, 0), (4, 1, 0)])
+def test_a_packed_row_with_one_byte_off_fails_the_row_formulas(fresh_tables, monkeypatch, n, r, k):
+    # The check of test_table_builder_matches_the_row_formulas, which catches
+    # every such fault.  The minimax scan against the plain audit, on that
+    # test's cells, misses 1 of the 18 of n = 3 and 27 of the 144 of n = 4;
+    # (3, 4, 0) and (4, 1, 0) are two of them.
+    _byte_off(monkeypatch, n, r, k)
+    size = n * (n - 1) // 2
+    rows = tuple(row.to_bytes(size, "little") for row in search._packed_rows(n))
+    formulas = tuple(map(search._upper_row, itertools.permutations(range(n))))
+    differ = [(q, j) for q, (got, want) in enumerate(zip(rows, formulas))
+              for j in range(size) if got[j] != want[j]]
+    assert differ == [(r, k)]
+
+
+def test_a_packed_row_with_one_byte_off_fails_the_plain_audit(fresh_tables, monkeypatch):
+    # The check of test_counts_and_firsts_match_plain_audit at (3, 3).
+    _byte_off(monkeypatch, 3, 0, 1)
+    report = scan_minimax(3, 3, want=(1, 2, 3))
+    assert (report.counts, report.firsts) != brute_counts(3, 3)[:2]
+
+
+@pytest.fixture()
+def fresh_reports_cache():
+    """Clear audit_profile's cache before and after, so that every report is
+    asked of _report and no faulted report outlives the case."""
+    bias._reports.cache_clear()
+    yield
+    bias._reports.cache_clear()
+
+
+def test_a_report_cache_keyed_without_mu_pr_fails_the_report_cross_check(
+    fresh_reports_cache, monkeypatch
+):
+    # The check of test_tally_keyed_caches_equal_their_uncached_functions.  No
+    # sweep cell has two minimax reports that differ in mu_pr alone; its 2,000
+    # samples at (7, 5) do, and 15 of them meet such a pair's second report.
+    build = bias._report.__wrapped__
+    first = {}
+
+    def faulted(rule, h, n, selection_p, selection_pr, mu_p, mu_pr):
+        key = rule, h, n, selection_p, selection_pr, mu_p
+        if key not in first:
+            first[key] = build(rule, h, n, selection_p, selection_pr, mu_p, mu_pr)
+        return first[key]
+
+    monkeypatch.setattr(bias, "_report", faulted)
+    names = ("minimax", "borda", "copeland")
+    wrong = []
+    for index in range(2000):
+        p = sample_profile(7, 5, 271828, index)
+        got, want = audit_profile(p, names), fresh_reports(p, names)
+        if got != want:
+            wrong.append([(g.rule, g.mu_pr, w.mu_pr) for g, w in zip(got, want) if g != w])
+    assert len(wrong) == 15
+    # Only minimax has thresholds, and only mu_pr is wrong.
+    assert all(len(diff) == 1 and diff[0][0] == "minimax" and diff[0][1] != diff[0][2]
+               for diff in wrong)
+
+
+def test_a_component_cache_keyed_by_the_mask_alone_fails_the_analysis_oracle(monkeypatch):
+    # The check of test_bitmask_analysis_matches_oracle_on_every_arc_set at
+    # n = 2: the component {1, 2} is first met acyclic, under the arc (2, 1),
+    # and the 2-cycle then reads acyclic too.
+    build = graphs._component.__wrapped__
+    first = {}
+
+    def faulted(mask, acyclic):
+        if mask not in first:
+            first[mask] = build(mask, acyclic)
+        return first[mask]
+
+    monkeypatch.setattr(graphs, "_component", faulted)
+    graphs._analysis.cache_clear()
+    try:
+        wrong = []
+        for arcs in ([], [(2, 1)], [(1, 2)], [(1, 2), (2, 1)]):
+            arcs = frozenset(arcs)
+            if analyze(MajorityGraph(2, arcs)).to_json_dict() != naive_analysis(2, arcs):
+                wrong.append(sorted(arcs))
+    finally:
+        graphs._analysis.cache_clear()
+    assert wrong == [[(1, 2), (2, 1)]]
 
 
 def test_a_merge_that_keeps_the_last_first_hit_fails_the_serial_scan(monkeypatch):

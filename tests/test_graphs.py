@@ -25,7 +25,7 @@ from votebias import (
 
 from votebias import fixtures, graphs, rules
 
-from conftest import GRID_H, GRID_N, SWEEP_CELLS, count, naive_dominant, profiles
+from conftest import GRID_H, GRID_N, SWEEP_CELLS, count, naive_analysis, naive_dominant, profiles
 
 CONDORCET_TRIPLE = parse_profile("1 2 3\n2 3 1\n3 1 2")
 
@@ -227,41 +227,6 @@ class TestCycles:
         assert found == (not analyze(g).acyclic)
 
 
-def naive_analysis(n: int, arcs: frozenset) -> dict:
-    """analyze's JSON from sets, a DFS and permutations, with no bitmask."""
-    vertices = range(1, n + 1)
-    outs = {x: {y for a, y in arcs if a == x} for x in vertices}
-    ins = {y: {x for x, b in arcs if b == y} for y in vertices}
-    components, seen = [], set()
-    for start in vertices:
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            v = stack.pop()
-            for w in outs[v] | ins[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        inside = [(x, y) for x, y in arcs if x in comp]
-        # Acyclic iff some order of the component puts every arc forward.
-        acyclic = any(
-            all(order.index(x) < order.index(y) for x, y in inside)
-            for order in itertools.permutations(sorted(comp))
-        )
-        components.append({"vertices": sorted(comp), "acyclic": acyclic})
-    return {
-        "maximal": [x for x in vertices if not ins[x]],
-        "minimal": [x for x in vertices if not outs[x]],
-        "isolated": [x for x in vertices if not ins[x] and not outs[x]],
-        "maxima": [x for x in vertices if len(outs[x]) == n - 1],
-        "minima": [x for x in vertices if len(ins[x]) == n - 1],
-        "components": components,
-        "acyclic": all(c["acyclic"] for c in components),
-    }
-
-
 def naive_has_l_cycle(n: int, arcs: frozenset, length: int) -> bool:
     return any(
         all((seq[i], seq[(i + 1) % length]) in arcs for i in range(length))
@@ -275,8 +240,10 @@ def test_bitmask_analysis_matches_oracle_on_every_arc_set(n):
     # 2-cycles included.
     possible = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
     # Each graph is analyzed twice, the second time through a fresh equal graph
-    # built from a set, so the cached analysis meets the oracle too.
+    # built from a set, so the cached analysis meets the oracle too.  The
+    # component cache starts empty, so each component is built in this test.
     graphs._analysis.cache_clear()
+    graphs._component.cache_clear()
     for chosen in itertools.product((False, True), repeat=len(possible)):
         arcs = frozenset(itertools.compress(possible, chosen))
         g = MajorityGraph(n, arcs)

@@ -45,6 +45,7 @@ from conftest import (
     SWEEP_CELLS,
     borda_scores,
     copeland_scores,
+    fresh_reports,
     naive_borda,
     naive_borda_scores,
     naive_copeland,
@@ -230,13 +231,21 @@ def test_tally_core_cached_by_tally_equals_a_fresh_one():
 
 def test_tally_keyed_caches_equal_their_uncached_functions():
     """Each fact cached by the tally, read warm, equals the inner function's
-    uncached result on the profile's own tally."""
+    uncached result on the profile's own tally.  Reports are held to ones
+    built afresh, and equal reports are one object: both report caches start
+    empty, and the run meets fewer distinct reports than _report's bound, so
+    none is evicted and built again."""
+    bias._reports.cache_clear()
+    bias._report.cache_clear()
+    handed = []
     for p in sweep_and_sampled_profiles():
         t = p.tally()
         h = p.h
         for names in (("minimax", "borda", "copeland"), ("copeland", "minimax")):
             audit_profile(p, names).clear()
-            assert audit_profile(p, names) == list(bias._reports.__wrapped__(t, names))
+            reports = audit_profile(p, names)
+            assert reports == fresh_reports(p, names), (serialize_profile(p), names)
+            handed += reports
         tally_core(p)
         assert tally_core(p) == rules._core.__wrapped__(t)
         worst = graphs._maxima.__wrapped__(t)
@@ -248,6 +257,8 @@ def test_tally_keyed_caches_equal_their_uncached_functions():
             assert dominant_set(p, mu) == {x for x, w in enumerate(worst, start=1) if w < mu}
         profile_threshold(p)
         assert profile_threshold(p) == min(mu for mu in admissible if min(worst) < mu)
+    distinct = set(handed)
+    assert len({id(r) for r in handed}) == len(distinct) < len(handed)
 
 
 def test_shared_alternative_sets_equal_the_frozensets_they_replace():

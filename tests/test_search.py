@@ -36,7 +36,7 @@ from votebias import search
 from votebias.rules import minimax_defeats, upper_pairs, upper_tally
 from votebias.search import OUTCOME_IMMUNE, OUTCOME_INCONCLUSIVE, OUTCOME_WITNESS
 
-from conftest import NEUTRAL_CUT_CELLS, per_leaf_minimax
+from conftest import NEUTRAL_CUT_CELLS, brute_counts, per_leaf_minimax
 
 
 class TestCounting:
@@ -200,29 +200,6 @@ def _row_bytes(n: int) -> tuple[bytes, ...]:
     """Per ranking, the bytes of its _packed_rows row: its upper-triangle 0/1 vector."""
     size = n * (n - 1) // 2
     return tuple(row.to_bytes(size, "little") for row in search._packed_rows(n))
-
-
-def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, int]:
-    """Independent bias counts, first-hit indices and the number of distinct
-    tallies, via the plain audit path."""
-    counts = {1: 0, 2: 0, 3: 0}
-    firsts: dict[int, tuple[int, ...] | None] = {1: None, 2: None, 3: None}
-    tallies = set()
-    order = {q.order: i for i, q in enumerate(all_rankings(n))}
-
-    def visit(p):
-        r = audit_profile(p, rules=(rule,))[0]
-        flags = (r.type1, r.type2, r.type3)
-        idx = tuple(order[q.order] for q in p.columns)
-        for j in (1, 2, 3):
-            if flags[j - 1]:
-                counts[j] += 1
-                if firsts[j] is None:
-                    firsts[j] = idx
-        tallies.add(tuple(upper_tally(p)))
-
-    enumerate_anonymous(h, n, visit)
-    return counts, firsts, len(tallies)
 
 
 class TestScanKernel:

@@ -158,7 +158,7 @@ def test_perfbench_clears_every_package_cache(workloads, monkeypatch):
     filled = {k for k, c in caches.items() if c.cache_info().currsize}
     assert filled >= {
         "_analysis", "_ranking", "_core", "_maxima", "_graph", "_reports", "_violations",
-        "_packed_beats", "_alts",
+        "_packed_beats", "_alts", "_report", "_component",
     }
     run._clear_lazy_tables()
     assert {k: c.cache_info().currsize for k, c in caches.items() if c.cache_info().currsize} == {}
