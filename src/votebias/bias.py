@@ -43,11 +43,12 @@ def _mask(selection: Iterable[int], n: int) -> int:
 
 
 def _mask_flags(p: int, pr: int, n: int) -> tuple[bool, bool, bool]:
-    """bias_flags on the masks _mask makes: 0 is an empty selection, -1 one
-    outside 1..n, and each is rejected with bias_flags' error."""
+    """bias_flags on two masks, bit x-1 for alternative x: the one definition
+    of the three types.  An empty mask, and a negative one (_mask's -1) or one
+    with a bit at n or above, are refused with bias_flags' errors."""
     if not p or not pr:
         raise ValueError("selections must be nonempty")
-    if p < 0 or pr < 0:
+    if (p | pr) >> n:  # nonzero iff either mask is negative or reaches bit n
         raise ValueError(f"selections must be subsets of 1..{n}")
     meets = p & pr != 0
     single = p & (p - 1) == 0
@@ -119,7 +120,7 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
     an unknown rule raises, and lru_cache stores no exception.
 
     Minimax is read off the tally core, which equals TALLY_RULES["minimax"] on
-    its upper triangle.  Each report is _report's for the rule's selections.
+    its upper triangle.  Each report is _report's for the rule's masks.
     """
     u, *defeats = _core(tally)
     h, n = tally_size(tally)
@@ -127,11 +128,8 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
     for name in rules:
         if name not in TALLY_RULES:
             raise ValueError(f"unknown rule {name!r}; choose from {sorted(TALLY_RULES)}")
-        if name == "minimax":
-            sel_p, sel_pr, mu_p, mu_pr = minimax_selections(*defeats)
-        else:
-            sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, h, n)
-        reports.append(_report(name, h, n, sel_p, sel_pr, mu_p, mu_pr))
+        masks = minimax_selections(*defeats) if name == "minimax" else TALLY_RULES[name](u, h, n)
+        reports.append(_report(name, h, n, *masks))
     return tuple(reports)
 
 
@@ -139,24 +137,16 @@ def _reports(tally: tuple[tuple[int, ...], ...], rules: tuple[str, ...]) -> tupl
 # only 1,168 distinct keys of this kind.
 @lru_cache(maxsize=TALLY_CACHE_SIZE)
 def _report(
-    rule: str,
-    h: int,
-    n: int,
-    selection_p: tuple[int, ...],
-    selection_pr: tuple[int, ...],
-    mu_p: int | None,
-    mu_pr: int | None,
+    rule: str, h: int, n: int, p: int, pr: int, mu_p: int | None, mu_pr: int | None
 ) -> BiasReport:
-    """The report of one rule's selections on a profile and its reversal.
+    """The report of one rule's selections, the masks p and pr, on a profile
+    and its reversal.
 
-    It reads only its key, whose parts are the ints, strs, None and tuples of
-    ints that _reports makes.  A BiasReport is frozen and holds only such
-    values and the shared frozensets of _alts, and nothing in the package
-    mutates one (only Profile's tally and MajorityGraph's constructors use
-    object.__setattr__), so equal keys may share one report.  A selection
-    empty or outside 1..n raises bias_flags' error, and lru_cache stores no
-    exception.
+    It reads only its key, whose parts are the ints, strs and None that
+    _reports makes.  A BiasReport is frozen and holds only such values and
+    the shared frozensets of _alts, and nothing in the package mutates one
+    (only Profile's tally and MajorityGraph's constructors use
+    object.__setattr__), so equal keys may share one report.  A mask that
+    _mask_flags refuses raises its error, and lru_cache stores no exception.
     """
-    p, pr = _mask(selection_p, n), _mask(selection_pr, n)
-    t1, t2, t3 = _mask_flags(p, pr, n)
-    return BiasReport(rule, h, n, _alts(p), _alts(pr), t1, t2, t3, mu_p, mu_pr)
+    return BiasReport(rule, h, n, _alts(p), _alts(pr), *_mask_flags(p, pr, n), mu_p, mu_pr)

@@ -3,7 +3,8 @@
 All three rules are functions of the pairwise tally alone, and reversing every
 voter transposes it.  The tally-level core takes the upper triangle ``u``
 (``u[k]`` voters rank pair k's smaller alternative first; the reversal's is
-``h - u``) and returns a rule's selections on the profile and its reversal.
+``h - u``) and returns a rule's selections on the profile and its reversal,
+each as a mask with bit x-1 for alternative x.
 
 Minimax is implemented twice on purpose: once as the argmin of greatest
 pairwise defeats and once through the threshold/dominant-set machinery
@@ -56,17 +57,22 @@ def minimax_defeats(u, h: int, n: int) -> tuple[list[int], list[int], int, int]:
     return wd, wdr, m1 + 1 if m1 >= mu0 else mu0, m2 + 1 if m2 >= mu0 else mu0
 
 
-def minimax_tally(u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """Minimax on p and its reversal: (selection_p, selection_pr, mu_p, mu_pr)."""
+def minimax_tally(u, h: int, n: int) -> tuple[int, int, int, int]:
+    """Minimax on p and its reversal: (mask_p, mask_pr, mu_p, mu_pr)."""
     return minimax_selections(*minimax_defeats(u, h, n))
 
 
-def minimax_selections(
-    wd, wdr, mu_p: int, mu_pr: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+def minimax_selections(wd, wdr, mu_p: int, mu_pr: int) -> tuple[int, int, int, int]:
     """minimax_tally's result, read off minimax_defeats' result."""
-    sel_p = tuple(x + 1 for x, d in enumerate(wd) if d < mu_p)
-    return sel_p, tuple(x + 1 for x, d in enumerate(wdr) if d < mu_pr), mu_p, mu_pr
+    p = pr = 0
+    bit = 1
+    for d, dr in zip(wd, wdr):
+        if d < mu_p:
+            p |= bit
+        if dr < mu_pr:
+            pr |= bit
+        bit <<= 1
+    return p, pr, mu_p, mu_pr
 
 
 def tally_core(profile: Profile) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
@@ -109,12 +115,17 @@ def _copeland_scores(u, h: int, n: int) -> list[int]:
     return scores
 
 
-def _top(scores: list[int], pick=max) -> tuple[int, ...]:
+def _top(scores, pick=max) -> int:
+    """The mask of the alternatives scoring pick(scores)."""
     best = pick(scores)
-    return tuple(x + 1 for x, s in enumerate(scores) if s == best)
+    mask = 0
+    for x, s in enumerate(scores):
+        if s == best:
+            mask |= 1 << x
+    return mask
 
 
-def scored_tally(scores, u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], None, None]:
+def scored_tally(scores, u, h: int, n: int) -> tuple[int, int, None, None]:
     """A score rule on p and on its reversal: top alternatives on u and on h - u.
 
     On the transposed tally h - u, Borda scores each x h(n-1) - s[x] and
@@ -124,8 +135,8 @@ def scored_tally(scores, u, h: int, n: int) -> tuple[tuple[int, ...], tuple[int,
     return _top(s), _top(s, min), None, None
 
 
-# Each maps (u, h, n) to (selection_p, selection_pr, mu_p, mu_pr); selections
-# are ascending 1-based tuples, thresholds are None for rules without one.
+# Each maps (u, h, n) to (mask_p, mask_pr, mu_p, mu_pr): the selections as
+# masks, bit x-1 for alternative x, and thresholds None for rules without one.
 TALLY_RULES = {
     "minimax": minimax_tally,
     "borda": partial(scored_tally, _borda_scores),
@@ -135,7 +146,7 @@ TALLY_RULES = {
 
 def minimax_direct(profile: Profile) -> frozenset[int]:
     """Alternatives whose greatest pairwise defeat, max over rivals y of t[y][x], is smallest."""
-    return _best(tally_core(profile)[1], min)
+    return _alts(_top(tally_core(profile)[1], min))
 
 
 def minimax_threshold(profile: Profile) -> frozenset[int]:
@@ -144,21 +155,11 @@ def minimax_threshold(profile: Profile) -> frozenset[int]:
 
 
 def borda(profile: Profile) -> frozenset[int]:
-    return _best(_borda_scores(upper_tally(profile), profile.h, profile.n))
+    return _alts(_top(_borda_scores(upper_tally(profile), profile.h, profile.n)))
 
 
 def copeland(profile: Profile) -> frozenset[int]:
-    return _best(_copeland_scores(upper_tally(profile), profile.h, profile.n))
-
-
-def _best(scores, pick=max) -> frozenset[int]:
-    """The shared frozenset (prefs._alts) of the alternatives scoring pick(scores)."""
-    best = pick(scores)
-    mask = 0
-    for x, s in enumerate(scores):
-        if s == best:
-            mask |= 1 << x
-    return _alts(mask)
+    return _alts(_top(_copeland_scores(upper_tally(profile), profile.h, profile.n)))
 
 
 def _condorcet(profile: Profile, side: int) -> int | None:

@@ -36,10 +36,10 @@ from functools import lru_cache, reduce
 from operator import and_, itemgetter, lt, or_
 from typing import Callable
 
-from .bias import bias_flags
+from .bias import _mask_flags, bias_flags
 from .graphs import profile_threshold
 from .prefs import Profile, Ranking, _ranking, serialize_profile
-from .rules import RULES, TALLY_RULES, minimax_defeats, upper_pairs
+from .rules import RULES, TALLY_RULES, _top, minimax_defeats, minimax_selections, upper_pairs
 
 DEFAULT_EXHAUSTIVE_BUDGET = 5_000_000
 DEFAULT_SAMPLE_BUDGET = 100_000
@@ -305,15 +305,12 @@ class KernelReport:
     kramer_mismatches: int = 0
 
 
-def _type_bits(ls: int, lsr: int, meets: bool, n: int) -> int:
-    """Type-flag bits from the selection sizes on p and its reversal and whether they meet."""
-    return (ls == 1 and lsr == 1) << 1 | (ls == 1) << 2 | (ls < n) << 3 if meets else 0
-
-
 def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
-    """One leaf's verdict bits from its tally: bit j (1..3) the type-j flag and,
-    for minimax, bit 0 the dual-route mismatch; for a pair of rules, bit 1
-    alone, set when their selections differ.
+    """One leaf's verdict bits from its tally: bit j (1..3) the type-j flag of
+    _mask_flags on the rule's TALLY_RULES masks and, for minimax, bit 0 the
+    dual-route mismatch, set when the threshold selection is not the argmin
+    of the worst defeats; for a pair of rules, bit 1 alone, set when their
+    masks on p differ.
 
     The mismatch bit is 0 on every u in [0,h]^(n(n-1)/2), so it is a
     cross-check of this code, never a fact about a profile.  Let m1 = min(wd)
@@ -324,19 +321,18 @@ def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
     least y's tally over x and wd[y] at least x's tally over y, and those two
     sum to h: a contradiction.  The same holds for wdr on the transposed tally.
     """
-    if rule == "minimax":
-        rng_n = range(n)
-        wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
-        sel = [x for x in rng_n if wd[x] < mu_p]
-        m1 = min(wd)
-        bits = _MISMATCH if sel != [x for x in rng_n if wd[x] == m1] else 0
-        selr = [x for x in rng_n if wdr[x] < mu_pr]
-        return bits | _type_bits(len(sel), len(selr), any(wd[x] < mu_p for x in selr), n)
     if isinstance(rule, tuple):
         first, second = rule
         return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
-    sel, selr, _, _ = TALLY_RULES[rule](tally, h, n)
-    return _type_bits(len(sel), len(selr), not set(sel).isdisjoint(selr), n)
+    if rule == "minimax":
+        wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
+        p, pr, _, _ = minimax_selections(wd, wdr, mu_p, mu_pr)
+        bits = _MISMATCH if p != _top(wd, min) else 0
+    else:
+        p, pr, _, _ = TALLY_RULES[rule](tally, h, n)
+        bits = 0
+    t1, t2, t3 = _mask_flags(p, pr, n)
+    return bits | t1 << 1 | t2 << 2 | t3 << 3
 
 
 def _leaf_decider(h: int, n: int, rule) -> Callable[..., list[int]]:
@@ -406,11 +402,13 @@ def _minimax_decider(h: int, n: int, want: tuple[int, ...]) -> Callable[..., lis
     is in where not R[x] and R[y] for every y at m; x at m is in where not
     R[x] or R[y] for the other y at m, and unique where not R[x] and R[y] for
     them or, alone at m, where not R[x] or R[y] for every y at m + 1; each
-    condition left out follows from these.  _type_bits' flags are then: type
-    1, the union over x of uniq(wd, A, x) and uniq(wdr, B, x), since
-    selections of one alternative meet only in it; type 2, of uniq(wd, A, x)
-    and in(wdr, B, x); type 3, of in(wd, A, x) and in(wdr, B, x), less the
-    set where every x is in argmin(wd + A), a selection of all n.  Bit 0 and the unwanted types are 0.
+    condition left out follows from these.  The flags that _mask_flags, the
+    types' one definition, sets on those selections are then: type 1, the
+    union over x of uniq(wd, A, x) and uniq(wdr, B, x), since selections of
+    one alternative meet only in it; type 2, of uniq(wd, A, x) and
+    in(wdr, B, x); type 3, of in(wd, A, x) and in(wdr, B, x), less the set
+    where every x is in argmin(wd + A), a selection of all n.  Bit 0 and the
+    unwanted types are 0.
 
     The sets depend on u alone (h, n and want are fixed for a scan), so
     decide.memo keeps them by the packed tally, whose bytes are u (_scan);

@@ -1,5 +1,6 @@
-"""Faults injected into the ranking tables, the scan's stripes and the object
-path's shared results are caught by the checks that guard them.
+"""Faults injected into the ranking tables, the scan's stripes, the bitset
+decider, the bias types' definition and the object path's shared results are
+caught by the checks that guard them.
 
 Every n! table of the scan kernel and the sampler comes from _above_sets: the
 bitset decider reads its sets, and _packed_rows, the rows the walker, the
@@ -7,9 +8,12 @@ per-leaf route and the sampled tally sum, is the transpose of its sets
 above[x][y] with x < y, in lexicographic or in code order.  The table cases
 flip one bit of one set, or put one byte of one row off by one, through
 monkeypatch, on table caches cleared before and after; the stripe cases break
-the merge of stripes or the walk of one; the sharing cases key a shared
-report or component by too little.  Each shows that the check meant to guard
-what the fault reaches fails.
+the merge of stripes or the walk of one; the decider cases misread a tie in
+an argmin plan or key the parent memo by too little; the flag case drops a
+clause from _mask_flags, which every route but the bitset decider reads its
+flags from; the sharing cases key a shared report or component by too
+little.  Each shows that the check meant to guard what the fault reaches
+fails.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 
 import pytest
 
+import test_bias
 from votebias import (
     MajorityGraph,
     analyze,
@@ -163,6 +168,95 @@ def test_a_packed_row_with_one_byte_off_fails_the_plain_audit(fresh_tables, monk
     assert (report.counts, report.firsts) != brute_counts(3, 3)[:2]
 
 
+def _bitsets_and_reference(h: int, n: int) -> tuple[tuple, tuple]:
+    """(examined, counts, firsts) of the bitset scan of (h, n) and of the
+    per-leaf reference: the comparison of test_bitset_scans_equal_the_per_leaf_reference."""
+    fast = scan_minimax(h, n, want=(1, 2, 3))
+    with per_leaf_minimax():
+        reference = scan_minimax(h, n, want=(1, 2, 3))
+    return tuple((r.examined, r.counts, r.firsts) for r in (fast, reference))
+
+
+def test_an_argmin_plan_that_reads_a_tie_as_a_rise_fails_the_per_leaf_reference(monkeypatch):
+    # Each plan the (3, 3) decider can meet, w in [0, 2]^3, is laid down
+    # before the scan with one fault: of the alternatives tied at m = min w,
+    # only the first is listed there, and the others with those at m + 1, so
+    # a pair at d = 0 gets the condition of d = -1.  A parent of (2, n) is one
+    # ranking: only its top has no defeat and only its bottom no victory, so
+    # no plan there ties at m, and those cells decide the same under this
+    # fault; (3, 4) and (4, 4) do not.
+    true = search._minimax_decider
+
+    def faulted(h, n, want):
+        decide = true(h, n, want)
+        for w in itertools.product(range(h), repeat=n):
+            m = min(w)
+            tied = [x for x in range(n) if w[x] == m]
+            near = tied[1:] + [x for x in range(n) if w[x] == m + 1]
+            decide.plans[w] = tied[:1], near, [(tied[0], [])]
+        return decide
+
+    monkeypatch.setattr(search, "_minimax_decider", faulted)
+    fast, reference = _bitsets_and_reference(3, 3)
+    assert fast != reference
+    assert brute_counts(3, 3)[:2] == reference[1:]
+
+
+def test_a_parent_memo_keyed_without_the_last_voter_fails_the_per_leaf_reference(monkeypatch):
+    # Keyed by its head alone, each parent is handed the sets of its head's
+    # first decided parent.  At h = 2 every parent's head is empty, so one
+    # parent's sets serve them all.  (3, 3) has no hit to lose.
+    true = search._minimax_decider
+
+    def faulted(h, n, want):
+        decide, rows, first = true(h, n, want), search._packed_rows(n), {}
+
+        def keyed_by_the_head(key, lo, until):
+            head = key - rows[lo]
+            if head not in first:
+                first[head] = decide(key, lo, until)
+            return first[head]
+
+        return keyed_by_the_head
+
+    monkeypatch.setattr(search, "_minimax_decider", faulted)
+    for h, n in [(2, 3), (3, 4)]:
+        fast, reference = _bitsets_and_reference(h, n)
+        assert fast[0] == reference[0] and fast != reference, (h, n)
+
+
+def test_a_type_3_flag_without_its_proper_clause_fails_the_first_principles_and_the_bitsets(
+    monkeypatch,
+):
+    # The one definition of the types, with type 3 set on a selection of
+    # all n.  bias_flags reads it, and so does each leaf verdict, but the
+    # bitset decider works its type 3 out by its own set algebra: (3, 3) is
+    # type-3 immune, and the per-leaf reference now finds two hits there.
+    true = bias._mask_flags
+
+    def faulted(p, pr, n):
+        t1, t2, _ = true(p, pr, n)
+        return t1, t2, p & pr != 0
+
+    monkeypatch.setattr(bias, "_mask_flags", faulted)
+    monkeypatch.setattr(search, "_mask_flags", faulted)
+    # The test's body, run on every case of n = 2 and 3 rather than on drawn ones.
+    check = test_bias.TestBiasFlags.test_flags_from_first_principles.hypothesis.inner_test
+    failing = []
+    for n in (2, 3):
+        alternatives = range(1, n + 1)
+        subsets = [set(c) for k in alternatives for c in itertools.combinations(alternatives, k)]
+        for case in itertools.product([n], subsets, subsets):
+            try:
+                check(test_bias.TestBiasFlags(), case)
+            except AssertionError:
+                failing.append(case)
+    # Exactly the cases whose selection on p has all n, and so meets any other.
+    assert len(failing) == 3 + 7 and all(len(p) == n for n, p, _ in failing)
+    fast, reference = _bitsets_and_reference(3, 3)
+    assert (fast[1][3], reference[1][3]) == (0, 2)
+
+
 @pytest.fixture()
 def fresh_reports_cache():
     """Clear audit_profile's cache before and after, so that every report is
@@ -181,10 +275,10 @@ def test_a_report_cache_keyed_without_mu_pr_fails_the_report_cross_check(
     build = bias._report.__wrapped__
     first = {}
 
-    def faulted(rule, h, n, selection_p, selection_pr, mu_p, mu_pr):
-        key = rule, h, n, selection_p, selection_pr, mu_p
+    def faulted(rule, h, n, p, pr, mu_p, mu_pr):
+        key = rule, h, n, p, pr, mu_p
         if key not in first:
-            first[key] = build(rule, h, n, selection_p, selection_pr, mu_p, mu_pr)
+            first[key] = build(rule, h, n, p, pr, mu_p, mu_pr)
         return first[key]
 
     monkeypatch.setattr(bias, "_report", faulted)

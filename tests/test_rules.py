@@ -184,16 +184,20 @@ class TestTallyCore:
         oracles = {"minimax": naive_minimax, "borda": naive_borda, "copeland": naive_copeland}
         assert set(TALLY_RULES) == set(oracles)
         for name, oracle in oracles.items():
-            sel_p, sel_pr, mu_p, mu_pr = TALLY_RULES[name](u, p.h, p.n)
-            assert set(sel_p) == oracle(p), name
-            assert set(sel_pr) == oracle(pr), name
-            assert list(sel_p) == sorted(sel_p) and list(sel_pr) == sorted(sel_pr)
+            mask_p, mask_pr, mu_p, mu_pr = TALLY_RULES[name](u, p.h, p.n)
+            assert mask_p == as_mask(oracle(p)), name
+            assert mask_pr == as_mask(oracle(pr)), name
             if name != "minimax":
                 assert mu_p is mu_pr is None
         _, _, mu_p, mu_pr = TALLY_RULES["minimax"](u, p.h, p.n)
         for q, mu in ((p, mu_p), (pr, mu_pr)):
             admissible = range(p.h // 2 + 1, p.h + 1)
             assert mu == min(m for m in admissible if naive_dominant(q, m))
+
+
+def as_mask(selection) -> int:
+    """The mask of a selection: bit x-1 for alternative x."""
+    return sum(1 << x - 1 for x in selection)
 
 
 def check_cached_core(p: Profile, first: int) -> None:
@@ -207,7 +211,7 @@ def check_cached_core(p: Profile, first: int) -> None:
 
     def audited():
         r = audit_profile(p)[0]
-        return tuple(sorted(r.selection_p)), tuple(sorted(r.selection_pr)), r.mu_p, r.mu_pr
+        return as_mask(r.selection_p), as_mask(r.selection_pr), r.mu_p, r.mu_pr
 
     readers = [
         (lambda: minimax_direct(p), frozenset(x + 1 for x, d in enumerate(wd) if d == min(wd))),
@@ -269,7 +273,7 @@ def test_shared_alternative_sets_equal_the_frozensets_they_replace():
 
     def shared(got, old):
         assert type(got) is frozenset and got == old and list(got) == list(old)
-        assert got is _alts(sum(1 << x - 1 for x in old))
+        assert got is _alts(as_mask(old))
 
     for h, n in SWEEP_CELLS:
         full = (1 << n) - 1
@@ -292,20 +296,26 @@ def test_shared_alternative_sets_equal_the_frozensets_they_replace():
             u, wd = tally_core(p)[:2]
             shared(minimax_direct(p), frozenset(x + 1 for x, d in enumerate(wd) if d == min(wd)))
             for r in audit_profile(p):
-                sel_p, sel_pr = map(frozenset, TALLY_RULES[r.rule](u, h, n)[:2])
+                masks = TALLY_RULES[r.rule](u, h, n)[:2]
+                sel_p, sel_pr = (frozenset(x + 1 for x in range(n) if m >> x & 1) for m in masks)
                 shared(r.selection_p, sel_p)
                 shared(r.selection_pr, sel_pr)
                 assert (r.type1, r.type2, r.type3) == bias_flags(sel_p, sel_pr, n)
 
 
-@pytest.mark.parametrize("bad", [(), (0,), (-1,), (4,), (2, 4)])
+# Each mask with the selection it stands for: 0 is empty, -1 is what bias._mask
+# makes of a member outside 1..n, and the others have a bit at n = 3.
+@pytest.mark.parametrize(
+    "bad", [(0, ()), (-1, (0,)), (-1, (-1,)), (1 << 3, (4,)), (1 << 1 | 1 << 3, (2, 4))]
+)
 def test_audit_keeps_the_flag_checks(monkeypatch, bad):
-    """A selection that is empty or outside 1..n fails the audit with
-    bias_flags' own ValueError, on either side."""
+    """A mask that is empty, negative or has a bit at n or above fails the
+    audit with bias_flags' own ValueError for its selection, on either side."""
+    mask, selection = bad
     p = parse_profile("1 2 3\n2 3 1\n3 1 2")
-    for sides in ((bad, (1,)), ((1,), bad)):
+    for sides, selections in (((mask, 1), (selection, (1,))), ((1, mask), ((1,), selection))):
         with pytest.raises(ValueError) as want:
-            bias_flags(*sides, p.n)
+            bias_flags(*selections, p.n)
         monkeypatch.setitem(TALLY_RULES, "bad", lambda u, h, n: (*sides, None, None))
         bias._reports.cache_clear()
         with pytest.raises(ValueError) as got:
@@ -318,7 +328,7 @@ def test_score_rules_read_the_reversal_off_one_scoring(n, top):
     """scored_tally against the two-pass formula: score u, then score h - u."""
 
     def best(scores):
-        return tuple(x + 1 for x, s in enumerate(scores) if s == max(scores))
+        return as_mask(x + 1 for x, s in enumerate(scores) if s == max(scores))
 
     for scores in (_borda_scores, _copeland_scores):
         for h in range(2, top + 1):
@@ -342,9 +352,9 @@ def condorcet_selected_alone(u, h: int, n: int) -> bool:
     sel_p, sel_pr, _, _ = minimax_tally(u, h, n)
     for x in range(n):
         if wd[x] <= bound:
-            assert sel_p == (x + 1,), (u, h, n)
+            assert sel_p == 1 << x, (u, h, n)
         if wdr[x] <= bound:
-            assert sel_pr == (x + 1,), (u, h, n)
+            assert sel_pr == 1 << x, (u, h, n)
     return min(wd) <= bound
 
 
