@@ -344,7 +344,7 @@ def _verify_group(
     started = time.perf_counter()
     if strategy in ("auto", "exhaustive"):
         ex_budget = DEFAULT_EXHAUSTIVE_BUDGET if budget is None else budget
-        results = search_exhaustive(h, n, tuple(js), "minimax", ex_budget, workers)
+        results = search_exhaustive(h, n, tuple(js), ex_budget, workers)
         if strategy == "exhaustive" or results[0].outcome != OUTCOME_INCONCLUSIVE:
             elapsed = time.perf_counter() - started
             return [VerificationCell(r, in_table(r.j, h, n), elapsed) for r in results]
@@ -355,13 +355,13 @@ def _verify_group(
         witness = None if strategy == "sampled" else constructive_witness(h, n, j)
         if witness or strategy == "constructive":
             result = SearchResult(
-                h=h, n=n, j=j, rule="minimax", method="constructive",
+                h=h, n=n, j=j, method="constructive",
                 outcome=OUTCOME_WITNESS if witness else OUTCOME_INCONCLUSIVE,
                 examined=1 if witness else 0, space=anonymous_count(h, n), witness=witness,
                 note="" if witness else "no constructive recipe applies at this (h, n)",
             )
         else:
-            result = search_sampled(h, n, j, "minimax", _sample_budget(budget, "verify"), seed)
+            result = search_sampled(h, n, j, _sample_budget(budget, "verify"), seed)
         cells.append(VerificationCell(result, expected, time.perf_counter() - started))
     return cells
 

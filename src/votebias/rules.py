@@ -130,6 +130,10 @@ def scored_tally(scores, u, h: int, n: int) -> tuple[int, int, None, None]:
 
     On the transposed tally h - u, Borda scores each x h(n-1) - s[x] and
     Copeland -s[x], so the reversal's top alternatives are p's bottom ones.
+    The two selections meet only when the top score equals the bottom one:
+    then every alternative ties, both select all n, and no bias type can be
+    set.  So no score rule is scanned alone; the search kernel scans minimax,
+    and score rules only in a pair, for where two selections differ.
     """
     s = scores(u, h, n)
     return _top(s), _top(s, min), None, None

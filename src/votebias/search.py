@@ -7,15 +7,16 @@ rules are also neutral, which allows an optional further cut: only multisets
 containing the identity ranking need to be visited.  The cut is never used
 for counting.
 
-Exhaustive scans for every rule go through one entry, ``scan_minimax``,
-which checks its visit count against the closed form; ``search_exhaustive``
-alone decides which scan a cell gets, for ``find_witness`` and ``verify``,
-and ``compare`` scans with a pair of rules for the first multiset on which
-their selections differ.
+Exhaustive scans go through one entry, ``scan_minimax``, which checks its
+visit count against the closed form.  It scans minimax for the bias types, or
+a pair of rules for the multisets on which their selections differ; no score
+rule is scanned alone (``rules.scored_tally`` says why).  ``search_exhaustive``
+alone decides which minimax scan a cell gets, for ``find_witness`` and
+``verify``, and ``compare`` scans with a pair for its first difference.
 The kernel walks the parents of the leaves in two flat loops, heads and
 last parent voters, with their upper-triangle tally packed in one integer;
 it decides a minimax parent's leaves at once by bitsets over the last voter's
-ranking, and judges each leaf of the other rules through ``rules``' core.
+ranking, and judges each leaf of a pair through ``rules``' core.
 Sampled searches (``search_sampled``, and ``compare`` through ``scan_samples``)
 judge each seeded sample's tally by the same leaf verdict.  A sample is drawn
 as one ranking code per voter, on one generator reseeded per sample; up to 8
@@ -130,7 +131,7 @@ def certify_witness(
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one search for one bias type: three-valued, never a silent None.
+    """Outcome of one minimax search for one bias type: three-valued, never a silent None.
 
     space is anonymous_count(h, n) in every mode, also under the neutrality
     cut.  hits is the exact number of biased representatives, set only by an
@@ -142,7 +143,6 @@ class SearchResult:
     h: int
     n: int
     j: int
-    rule: str
     method: str
     outcome: str
     examined: int
@@ -295,7 +295,7 @@ def _packed_rows(n: int, code_order: bool = False) -> tuple[int, ...]:
 class KernelReport:
     """Aggregate of one scan over (part of) the multiset tree.
 
-    kramer_mismatches stays 0 for Borda and Copeland, and for minimax unless
+    kramer_mismatches stays 0 for a pair of rules, and for minimax unless
     its leaves are judged one by one (_leaf_decider).
     """
 
@@ -306,11 +306,11 @@ class KernelReport:
 
 
 def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
-    """One leaf's verdict bits from its tally: bit j (1..3) the type-j flag of
-    _mask_flags on the rule's TALLY_RULES masks and, for minimax, bit 0 the
+    """One leaf's verdict bits from its tally.  For "minimax", bit j (1..3) is
+    the type-j flag of _mask_flags on minimax_tally's masks and bit 0 the
     dual-route mismatch, set when the threshold selection is not the argmin
-    of the worst defeats; for a pair of rules, bit 1 alone, set when their
-    masks on p differ.
+    of the worst defeats; for a pair of TALLY_RULES names, bit 1 alone, set
+    when their masks on p differ.
 
     The mismatch bit is 0 on every u in [0,h]^(n(n-1)/2), so it is a
     cross-check of this code, never a fact about a profile.  Let m1 = min(wd)
@@ -321,26 +321,21 @@ def _leaf_verdict(tally: list[int], h: int, n: int, rule) -> int:
     least y's tally over x and wd[y] at least x's tally over y, and those two
     sum to h: a contradiction.  The same holds for wdr on the transposed tally.
     """
-    if isinstance(rule, tuple):
-        first, second = rule
-        return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
     if rule == "minimax":
         wd, wdr, mu_p, mu_pr = minimax_defeats(tally, h, n)
         p, pr, _, _ = minimax_selections(wd, wdr, mu_p, mu_pr)
-        bits = _MISMATCH if p != _top(wd, min) else 0
-    else:
-        p, pr, _, _ = TALLY_RULES[rule](tally, h, n)
-        bits = 0
-    t1, t2, t3 = _mask_flags(p, pr, n)
-    return bits | t1 << 1 | t2 << 2 | t3 << 3
+        t1, t2, t3 = _mask_flags(p, pr, n)
+        return (_MISMATCH if p != _top(wd, min) else 0) | t1 << 1 | t2 << 2 | t3 << 3
+    first, second = rule
+    return (TALLY_RULES[first](tally, h, n)[0] != TALLY_RULES[second](tally, h, n)[0]) << 1
 
 
 def _leaf_decider(h: int, n: int, rule) -> Callable[..., list[int]]:
     """Judge each leaf r >= lo by _leaf_verdict, through a verdict cache keyed
     by the leaf's packed tally: one int add and one lookup per leaf, up to
-    the leaf by which every bit of until has been set.  Borda, Copeland and
-    pairs of rules are scanned this way; minimax only by tests, as the
-    reference _minimax_decider is held to.
+    the leaf by which every bit of until has been set.  Pairs of rules are
+    scanned this way; minimax only by tests, as the reference
+    _minimax_decider is held to.
 
     Soundness of the cache: _leaf_verdict reads the tally u, h, n and rule
     and nothing else (no ranking index), and all but u are fixed for one
@@ -519,7 +514,7 @@ def _scan(
     decide(key, lo, until), returns per verdict bit j (0, the dual-route
     mismatch, or the type j) the set of last voters r (bit r) whose leaf,
     the parent plus ranking r, sets bit j.  Minimax decides all K at once by
-    bitsets (_minimax_decider); other rules and pairs judge leaf by leaf
+    bitsets (_minimax_decider); a pair of rules judges leaf by leaf
     (_leaf_decider).  The parent's leaves are r = lo..K-1, lo = v, in
     enumeration order, so the walker reads each set from bit lo up: its
     popcount is the parent's count of that bit, its lowest set bit the
@@ -603,10 +598,10 @@ def scan_minimax(
     neutral_cut: bool = False,
     rule: str | tuple[str, str] = "minimax",
 ) -> KernelReport:
-    """Scan the representative space for a rule's bias flags: the one kernel entry.
+    """Scan the representative space for minimax's bias flags: the one kernel entry.
 
-    A rule given as a pair of TALLY_RULES names counts, as type 1, the
-    representatives on which their selections differ.  With workers > 1 the
+    A rule given as a pair of TALLY_RULES names counts instead, as type 1,
+    the representatives on which their selections differ.  With workers > 1 the
     parents are striped by their last voter across a process pool, one _scan
     (and one verdict cache) per worker, and never more workers than parents,
     so that a one-parent scan stays serial; parallel runs never stop early, so
@@ -665,7 +660,7 @@ def _check_cell(h: int, n: int) -> None:
         raise ValueError(f"need 2 <= h <= {MAX_H} and 2 <= n <= {MAX_N}, got h={h}, n={n}")
 
 
-def _check_query(j: int, rule: str) -> None:
+def _check_query(j: int, rule: str = "minimax") -> None:
     """Refuse a bias type outside 1..3 and a rule outside RULES."""
     if j not in (1, 2, 3):
         raise ValueError(f"bias type must be 1, 2 or 3, got {j}")
@@ -675,12 +670,14 @@ def _check_query(j: int, rule: str) -> None:
 
 def _check_scan(want: tuple[int, ...], rule) -> None:
     """Refuse a want that is empty, repeats a type or names one outside 1..3,
-    and a rule that is neither a TALLY_RULES name nor a pair of them."""
+    and a rule that is neither "minimax" nor a pair of TALLY_RULES names."""
     if not want or len(set(want)) < len(want) or not set(want) <= {1, 2, 3}:
         raise ValueError(f"bias types must be distinct and each 1, 2 or 3, got {want!r}")
-    names = rule if isinstance(rule, tuple) and len(rule) == 2 else (rule,)
-    if not all(isinstance(name, str) and name in TALLY_RULES for name in names):
-        raise ValueError(f"rule must be one of {sorted(TALLY_RULES)} or a pair of them, got {rule!r}")
+    pair = isinstance(rule, tuple) and len(rule) == 2 and all(
+        isinstance(name, str) and name in TALLY_RULES for name in rule
+    )
+    if rule != "minimax" and not pair:
+        raise ValueError(f"rule must be 'minimax' or a pair of {sorted(TALLY_RULES)}, got {rule!r}")
 
 
 def _disagreement(mismatches: int) -> str:
@@ -691,12 +688,11 @@ def search_exhaustive(
     h: int,
     n: int,
     js: tuple[int, ...],
-    rule: str = "minimax",
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
     workers: int | None = None,
     stop_early: bool = False,
 ) -> list[SearchResult]:
-    """Exhaustive search for each bias type in js at (h, n): the one cell search.
+    """Exhaustive minimax search for each bias type in js at (h, n): the one cell search.
 
     The scan is plain when anonymous_count fits the budget and under the
     neutrality cut when only neutral_count does; otherwise, or when the ranking
@@ -705,17 +701,17 @@ def search_exhaustive(
     stop_early the scan is complete, so hits are exact counts and examined does
     not depend on the worker count; with it hits is None.  A dual-route
     mismatch is counted in mismatches and named in the note, never raised here.
-    A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N, or a js or rule that
-    _check_scan refuses, raises ValueError.
+    A cell outside 2 <= h <= MAX_H, 2 <= n <= MAX_N, or a js that _check_scan
+    refuses, raises ValueError.
     """
     _check_cell(h, n)
-    _check_scan(js, rule)
+    _check_scan(js, "minimax")
     space = anonymous_count(h, n)
     cut_space = neutral_count(h, n)
     refusal = table_refusal(n)
 
     def result(j: int, **fields) -> SearchResult:
-        return SearchResult(h=h, n=n, j=j, rule=rule, method="exhaustive", space=space, **fields)
+        return SearchResult(h=h, n=n, j=j, method="exhaustive", space=space, **fields)
 
     if refusal or cut_space > budget:
         note = (
@@ -725,9 +721,7 @@ def search_exhaustive(
         )
         return [result(j, outcome=OUTCOME_INCONCLUSIVE, examined=0, note=note) for j in js]
     cut = space > budget
-    report = scan_minimax(
-        h, n, want=js, stop_early=stop_early, workers=workers, neutral_cut=cut, rule=rule
-    )
+    report = scan_minimax(h, n, want=js, stop_early=stop_early, workers=workers, neutral_cut=cut)
     notes = [f"neutrality cut: {cut_space} representatives cover the space"] if cut else []
     if report.kramer_mismatches:
         notes.append(_disagreement(report.kramer_mismatches))
@@ -736,7 +730,7 @@ def search_exhaustive(
         witness = None
         if report.firsts[j] is not None:
             profile = profile_from_indices(n, report.firsts[j])
-            witness = certify_witness(profile, j, rule, method="exhaustive")
+            witness = certify_witness(profile, j, "minimax", method="exhaustive")
         results.append(result(
             j, outcome=OUTCOME_WITNESS if witness else OUTCOME_IMMUNE,
             examined=report.examined, witness=witness, note="; ".join(notes),
@@ -813,16 +807,11 @@ def _decode(n: int, code: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _code_rankings(n: int, codes: list[int]) -> tuple[Ranking, ...]:
-    """The shared Ranking of each code's decoded order: a hit or a
-    sample_profile needs its h rankings, never all n!."""
-    return tuple(_code_ranking(n, code) for code in codes)
-
-
 # Each code is decoded once while the cache holds it: every code of n <= 6.
 @lru_cache(maxsize=4096)
 def _code_ranking(n: int, code: int) -> Ranking:
-    """The shared Ranking of a code's decoded order."""
+    """The shared Ranking of a code's decoded order: a hit or a
+    sample_profile needs its h rankings, never all n!."""
     return _ranking(_decode(n, code))
 
 
@@ -851,7 +840,7 @@ def _code_tallier(n: int) -> Callable[[list[int]], list[int]]:
 
 def sample_profile(h: int, n: int, seed: int, index: int) -> Profile:
     """The index-th seeded random profile; independent of worker layout."""
-    return Profile(_code_rankings(n, _code_drawer(h, n, seed)(index)))
+    return Profile(tuple(_code_ranking(n, code) for code in _code_drawer(h, n, seed)(index)))
 
 
 def scan_samples(
@@ -861,8 +850,10 @@ def scan_samples(
     bit, at most budget: (examined, the hit's sample_profile or None, the
     examined samples with the dual-route mismatch bit).  One generator draws
     every sample, and only a hit becomes a Profile.  A cell outside
-    2 <= h <= MAX_H, 2 <= n <= MAX_N raises ValueError."""
+    2 <= h <= MAX_H, 2 <= n <= MAX_N, a bit outside 1..3 or a rule that
+    _check_scan refuses raises ValueError before any draw."""
     _check_cell(h, n)
+    _check_scan((bit,), rule)
     draw, tally = _code_drawer(h, n, seed), _code_tallier(n)
     mismatches = 0
     for index in range(budget):
@@ -873,19 +864,19 @@ def scan_samples(
     return budget, None, mismatches
 
 
-def search_sampled(h: int, n: int, j: int, rule: str, budget: int, seed: int) -> SearchResult:
-    """Sampled search for bias type j at (h, n), for verify and find_witness:
-    scan_samples, then certify_witness on a hit.  A miss is inconclusive; a
-    dual-route mismatch is counted and named in the note, never raised here.
-    A j or rule that find_witness refuses raises ValueError before any draw."""
-    _check_query(j, rule)
-    examined, profile, mismatches = scan_samples(h, n, j, rule, budget, seed)
-    witness = certify_witness(profile, j, rule, "sampled", seed) if profile else None
+def search_sampled(h: int, n: int, j: int, budget: int, seed: int) -> SearchResult:
+    """Sampled minimax search for bias type j at (h, n), for verify and
+    find_witness: scan_samples, then certify_witness on a hit.  A miss is
+    inconclusive; a dual-route mismatch is counted and named in the note,
+    never raised here.  A j that scan_samples refuses raises ValueError before
+    any draw."""
+    examined, profile, mismatches = scan_samples(h, n, j, "minimax", budget, seed)
+    witness = certify_witness(profile, j, "minimax", "sampled", seed) if profile else None
     notes = [] if witness else [f"no witness in {budget} samples; sampling cannot certify immunity"]
     if mismatches:
         notes.append(_disagreement(mismatches))
     return SearchResult(
-        h=h, n=n, j=j, rule=rule, method="sampled",
+        h=h, n=n, j=j, method="sampled",
         outcome=OUTCOME_WITNESS if witness else OUTCOME_INCONCLUSIVE,
         examined=examined, space=anonymous_count(h, n), witness=witness, seed=seed,
         note="; ".join(notes), mismatches=mismatches,
@@ -896,13 +887,12 @@ def find_witness(
     h: int,
     n: int,
     j: int,
-    rule: str = "minimax",
     mode: str = "exhaustive",
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> SearchResult:
-    """Search for a type-j reversal-bias witness for a rule at (h, n).
+    """Search for a type-j reversal-bias witness for minimax at (h, n).
 
     budget bounds the representatives examined (mode "exhaustive") or the
     samples drawn (mode "sampled"); None means DEFAULT_EXHAUSTIVE_BUDGET or
@@ -913,17 +903,17 @@ def find_witness(
     mode is search_sampled.  Both raise ValueError past MAX_H or MAX_N, and
     RuntimeError when the two minimax routes disagreed.
     """
-    _check_query(j, rule)
+    _check_query(j)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown search mode {mode!r}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if mode == "exhaustive":
         budget = DEFAULT_EXHAUSTIVE_BUDGET if budget is None else budget
-        (result,) = search_exhaustive(h, n, (j,), rule, budget, workers, stop_early=True)
+        (result,) = search_exhaustive(h, n, (j,), budget, workers, stop_early=True)
     else:
         budget = DEFAULT_SAMPLE_BUDGET if budget is None else budget
-        result = search_sampled(h, n, j, rule, budget, seed)
+        result = search_sampled(h, n, j, budget, seed)
     if result.mismatches:
         raise RuntimeError(_disagreement(result.mismatches))
     return result

@@ -187,16 +187,16 @@ def naive_analysis(n: int, arcs: frozenset) -> dict:
     }
 
 
-def brute_counts(h: int, n: int, rule: str = "minimax") -> tuple[dict, dict, int]:
-    """Independent bias counts, first-hit indices and the number of distinct
-    tallies, via the plain audit path."""
+def brute_counts(h: int, n: int) -> tuple[dict, dict, int]:
+    """Independent minimax bias counts, first-hit indices and the number of
+    distinct tallies, via the plain audit path."""
     counts = {1: 0, 2: 0, 3: 0}
     firsts: dict[int, tuple[int, ...] | None] = {1: None, 2: None, 3: None}
     tallies = set()
     order = {q.order: i for i, q in enumerate(all_rankings(n))}
 
     def visit(p):
-        r = audit_profile(p, rules=(rule,))[0]
+        r = audit_profile(p, rules=("minimax",))[0]
         flags = (r.type1, r.type2, r.type3)
         idx = tuple(order[q.order] for q in p.columns)
         for j in (1, 2, 3):
@@ -255,7 +255,7 @@ def exhaustive_grid_cells() -> list[tuple[int, int]]:
 @contextmanager
 def per_leaf_minimax():
     """Minimax scans inside judge every leaf by _leaf_verdict, through the
-    per-leaf decider that Borda and Copeland use.  It is the reference the
+    per-leaf decider that rule pairs use.  It is the reference the
     bitset decider is held to, and the one route that reads each leaf's
     dual-route mismatch bit."""
     with pytest.MonkeyPatch.context() as patch:

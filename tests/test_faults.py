@@ -12,18 +12,21 @@ the merge of stripes or the walk of one; the decider cases misread a tie in
 an argmin plan or key the parent memo by too little; the flag case drops a
 clause from _mask_flags, which every route but the bitset decider reads its
 flags from; the sharing cases key a shared report or component by too
-little.  Each shows that the check meant to guard what the fault reaches
-fails.
+little; the walker cases drop or reorder the heads of _scan's outer loop, and
+the per-leaf decider's stop-early cases ignore until or read one bit of it.
+Each shows that the check meant to guard what the fault reaches fails.
 """
 
 from __future__ import annotations
 
 import builtins
 import itertools
+import types
 
 import pytest
 
 import test_bias
+import test_search
 from votebias import (
     MajorityGraph,
     analyze,
@@ -359,3 +362,74 @@ def test_a_stripe_that_skips_a_last_voter_fails_the_visit_count(monkeypatch):
     with pytest.raises(RuntimeError, match="scan visited 2599 of 2600 representatives"):
         scan_minimax(3, 4, workers=1)
     assert skipped == [23]
+
+
+def _heads(monkeypatch, fault) -> None:
+    """Hand _scan's outer loop the list of heads through fault; the head
+    generator is reached through search.itertools, and other callers, such as
+    enumerate_anonymous over rankings, get the true combinations."""
+    true = itertools.combinations_with_replacement
+
+    def faulted(pool, r):
+        heads = true(pool, r)
+        return fault(list(heads)) if isinstance(pool, range) else heads
+
+    patched = types.SimpleNamespace(**vars(itertools))
+    patched.combinations_with_replacement = faulted
+    monkeypatch.setattr(search, "itertools", patched)
+
+
+def test_a_dropped_head_fails_the_visit_count(monkeypatch):
+    # The (3, 3) heads are the six single rankings; head (1,) has the
+    # parents (1, v), v = 1..5, and their 5 + 4 + 3 + 2 + 1 leaves.
+    _heads(monkeypatch, lambda heads: [head for head in heads if head != (1,)])
+    with pytest.raises(RuntimeError, match="scan visited 41 of 56 representatives"):
+        scan_minimax(3, 3, workers=1)
+
+
+@pytest.mark.parametrize("h, n", [(4, 3), (5, 3), (3, 4)])
+def test_heads_walked_backwards_fail_the_plain_audit(monkeypatch, h, n):
+    # Every leaf is still visited once, so the visit count and the counts
+    # hold, but the first hit is now the last head's.  A (2, n) cell has one
+    # head, (), and (3, 3) no hit, so neither shows it.
+    _heads(monkeypatch, lambda heads: heads[::-1])
+    with pytest.raises(AssertionError, match="assert {1: None"):
+        test_search.TestScanKernel().test_counts_and_firsts_match_plain_audit(h, n)
+
+
+def test_a_leaf_decider_that_ignores_until_fails_the_stop_early_bound(monkeypatch):
+    # The check of test_stop_early_agrees_on_the_first_hit: the (3, 7) pair
+    # scan ends at leaf 840 of its first parent, whose 5,040 leaves have
+    # distinct tallies, so each leaf judged past it is one more verdict.
+    true = search._leaf_decider
+
+    def faulted(h, n, rule):
+        decide = true(h, n, rule)
+        return lambda key, lo, until: decide(key, lo, 0)
+
+    monkeypatch.setattr(search, "_leaf_decider", faulted)
+    with pytest.raises(AssertionError, match="assert 5040 <= 841"):
+        test_search.TestScanKernel().test_stop_early_agrees_on_the_first_hit(monkeypatch)
+
+
+def test_a_leaf_decider_that_stops_at_one_hunted_type_fails_the_bitsets(monkeypatch):
+    # The check of test_bitset_scans_equal_the_per_leaf_reference on a
+    # stop-early scan.  The types nest, type 1 in 2 in 3, so a decider that
+    # reads only until's lowest bit, the most severe type, stops no earlier
+    # than it should; this one reads the highest.  Hunting types 2 and 3 at
+    # (2, 3), it stops at the first type-3 leaf; (2, 3) has no type-2 leaf,
+    # so the walker still counts the parent's later leaves, undecided.
+    true = search._leaf_decider
+
+    def faulted(h, n, rule):
+        decide = true(h, n, rule)
+        return lambda key, lo, until: decide(key, lo, until and 1 << until.bit_length() - 1)
+
+    monkeypatch.setattr(search, "_leaf_decider", faulted)
+    fast = scan_minimax(2, 3, want=(2, 3), stop_early=True)
+    with per_leaf_minimax():
+        reference = scan_minimax(2, 3, want=(2, 3), stop_early=True)
+    assert (fast.examined, fast.firsts) == (reference.examined, reference.firsts) == (
+        21, {1: None, 2: None, 3: (0, 3)}
+    )
+    assert (fast.counts[3], reference.counts[3]) == (6, 5)

@@ -78,7 +78,7 @@ def test_code_drawer_replays_rng_sample():
             for n in range(2, search.MAX_N + 1):
                 draw = search._code_drawer(h, n, seed)
                 for index in range(25):
-                    orders = [q.order for q in search._code_rankings(n, draw(index))]
+                    orders = [search._code_ranking(n, code).order for code in draw(index)]
                     assert orders == _rng_orders(h, n, seed, index), (h, n, seed, index)
 
 
@@ -107,7 +107,7 @@ def test_a_reseeded_generator_replays_the_string_seed():
             ], (seed, index)
             # A fresh drawer's first sample is already the seeded stream's.
             codes = search._code_drawer(3, 6, seed)(index)
-            orders = [q.order for q in search._code_rankings(6, codes)]
+            orders = [search._code_ranking(6, code).order for code in codes]
             assert orders == _rng_orders(3, 6, seed, index)
 
 
@@ -160,20 +160,29 @@ def test_a_sampled_search_refuses_a_cell_past_the_bounds():
 
 
 @pytest.mark.parametrize("j, rule, message", [
-    (4, "minimax", "bias type must be 1, 2 or 3, got 4"),
-    (1, "veto", "unknown rule 'veto'"),
+    (4, "minimax", "bias types must be distinct and each 1, 2 or 3"),
+    (1, "veto", "rule must be 'minimax' or a pair of"),
+    (0, "minimax", "bias types must be distinct and each 1, 2 or 3"),
+    (5, "minimax", "bias types must be distinct and each 1, 2 or 3"),
+    (1, "borda", "rule must be 'minimax' or a pair of"),
+    (1, ("minimax", "borda", "copeland"), "rule must be 'minimax' or a pair of"),
 ])
 def test_a_sampled_search_refuses_what_find_witness_refuses_before_any_draw(
     monkeypatch, j, rule, message
 ):
-    # Type 4 used to draw the whole budget and report inconclusive; "veto"
-    # failed with KeyError at the first verdict.
+    # Type 4 used to draw the whole budget and report inconclusive, and so
+    # did bit 5 of scan_samples; bit 0 would hunt the dual-route mismatch.
+    # "veto" failed with KeyError at the first verdict, and a 3-name tuple or
+    # a score rule alone fails to unpack as a pair there.
     def refuse(*args):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(search, "_code_drawer", refuse)
     with pytest.raises(ValueError, match=message):
-        search.search_sampled(2, 3, j, rule, 50, 1)
+        search.scan_samples(2, 3, j, rule, 50, 1)
+    if rule == "minimax":
+        with pytest.raises(ValueError, match=message):
+            search.search_sampled(2, 3, j, 50, 1)
 
 
 @pytest.mark.parametrize("h, n", [(5, 5), (2, 10)])
@@ -217,9 +226,13 @@ def test_sample_tally_and_verdict_match_the_object_path(h, n):
         u = tally(draw(index))
         profile = sample_profile(h, n, 271828, index)
         assert u == upper_tally(profile), index
-        for report in audit_profile(profile):
-            bits = search._leaf_verdict(u, h, n, report.rule)
-            assert bits == 2 * report.type1 | 4 * report.type2 | 8 * report.type3, index
+        reports = {report.rule: report for report in audit_profile(profile)}
+        m = reports["minimax"]
+        bits = search._leaf_verdict(u, h, n, "minimax")
+        assert bits == 2 * m.type1 | 4 * m.type2 | 8 * m.type3, index
+        for first, second in itertools.combinations(reports, 2):
+            differ = reports[first].selection_p != reports[second].selection_p
+            assert search._leaf_verdict(u, h, n, (first, second)) == 2 * differ, index
 
 
 def test_a_sampled_mismatch_contradicts_the_cell_and_raises(capsys, monkeypatch):
@@ -243,7 +256,7 @@ def test_a_sampled_mismatch_contradicts_the_cell_and_raises(capsys, monkeypatch)
     assert main(argv) == 3
     clean = json.loads(capsys.readouterr().out)["cells"][0]
     monkeypatch.setattr(search, "minimax_defeats", skewed)
-    assert search.search_sampled(h, n, 1, "minimax", budget, 271828).mismatches == 1
+    assert search.search_sampled(h, n, 1, budget, 271828).mismatches == 1
     assert main(argv) == 2
     payload = json.loads(capsys.readouterr().out)
     cell = payload["cells"][0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from votebias import (
     CertificationError,
     Profile,
+    SearchResult,
     all_rankings,
     anonymous_count,
     audit_profile,
@@ -203,17 +206,10 @@ def _row_bytes(n: int) -> tuple[bytes, ...]:
 
 
 class TestScanKernel:
-    @pytest.mark.parametrize(
-        "h, n, rule",
-        [
-            pytest.param(h, n, rule, id=f"{h}-{n}" if rule == "minimax" else f"{h}-{n}-{rule}")
-            for rule in ("minimax", "borda", "copeland")
-            for h, n in [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]
-        ],
-    )
-    def test_counts_and_firsts_match_plain_audit(self, h, n, rule):
-        expected_counts, expected_firsts, distinct = brute_counts(h, n, rule)
-        report = scan_minimax(h, n, want=(1, 2, 3), rule=rule)
+    @pytest.mark.parametrize("h, n", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)])
+    def test_counts_and_firsts_match_plain_audit(self, h, n):
+        expected_counts, expected_firsts, distinct = brute_counts(h, n)
+        report = scan_minimax(h, n, want=(1, 2, 3))
         # Leaves share tallies here, so most of them are answered by the verdict cache.
         assert distinct < report.examined == anonymous_count(h, n)
         assert report.counts == expected_counts
@@ -312,7 +308,7 @@ class TestScanKernel:
         # depth-1 scans, (3,6) cut and (2,6) plain, are pooled too.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         cases = [(5, 4, False, "minimax"), (4, 5, True, "minimax"), (3, 6, True, "minimax"),
-                 (2, 6, False, "minimax"), (6, 4, True, "borda")]
+                 (2, 6, False, "minimax"), (6, 4, True, ("minimax", "borda"))]
         for h, n, cut, rule in cases:
             seq = scan_minimax(h, n, want=(1, 2, 3), workers=1, neutral_cut=cut, rule=rule)
             par = scan_minimax(h, n, want=(1, 2, 3), workers=3, neutral_cut=cut, rule=rule)
@@ -325,9 +321,11 @@ class TestScanKernel:
     def test_parallel_scan_keeps_the_rule(self, monkeypatch):
         # Minimax has type-2 and type-3 hits at (5,4); a worker running it would count them.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        report = scan_minimax(5, 4, want=(1, 2, 3), workers=2, rule="borda")
+        pair = ("borda", "copeland")
+        report = scan_minimax(5, 4, want=(1, 2, 3), workers=2, rule=pair)
         assert report.examined == anonymous_count(5, 4)
-        assert report.counts == {1: 0, 2: 0, 3: 0}
+        assert report.counts == scan_minimax(5, 4, want=(1, 2, 3), workers=1, rule=pair).counts
+        assert report.counts[2] == report.counts[3] == 0 < report.counts[1]
 
     def test_a_one_parent_scan_stays_serial(self, monkeypatch):
         # The cut (2, n) cells have one parent, the identity, so a second
@@ -357,8 +355,10 @@ class TestScanKernel:
         monkeypatch.setattr(search, "_scan", one_short)
         with pytest.raises(RuntimeError, match="visited 55 of 56"):
             scan_minimax(3, 3)
+        # Minimax and Copeland select alike on all of (3,3), so this scan never stops early.
         with pytest.raises(RuntimeError, match="visited 20 of 21"):
-            scan_minimax(3, 3, want=(3,), stop_early=True, neutral_cut=True, rule="borda")
+            scan_minimax(3, 3, want=(1,), stop_early=True, neutral_cut=True,
+                         rule=("minimax", "copeland"))
         # A scan that stopped after finding every wanted type is not short.
         early = scan_minimax(4, 3, want=(3,), stop_early=True)
         assert early.firsts[3] is not None
@@ -415,7 +415,8 @@ class TestScanKernel:
     def test_bad_types_and_rules_are_refused_before_any_table(self, monkeypatch):
         # A repeated type was counted once per repeat, 0 was scanned for as if
         # the mismatch bit were a type, and 5 or "Borda" failed after the
-        # tables were built.
+        # tables were built.  A score rule alone is refused: it can never hit
+        # (rules.scored_tally).
         def refuse(n, *_):
             raise AssertionError(f"ranking table built for n={n}")
 
@@ -426,8 +427,9 @@ class TestScanKernel:
                 scan_minimax(6, 4, want=want)
             with pytest.raises(ValueError, match="bias types must be distinct"):
                 search.search_exhaustive(3, 3, want)
-        for rule in ["Borda", ("minimax",), ("minimax", "Borda"), ("minimax", "borda", "copeland")]:
-            with pytest.raises(ValueError, match="rule must be one of"):
+        for rule in ["Borda", "borda", "copeland", ("minimax",), ("minimax", "Borda"),
+                     ("minimax", "borda", "copeland")]:
+            with pytest.raises(ValueError, match="rule must be 'minimax' or a pair of"):
                 scan_minimax(3, 3, rule=rule)
 
 
@@ -710,25 +712,6 @@ class TestFindWitness:
         assert miss.examined == 50
         assert "cannot certify immunity" in miss.note
 
-    def test_borda_and_copeland_are_immune_exhaustively(self, monkeypatch):
-        # Reversal complements Borda scores and negates Copeland scores, so
-        # neither rule can keep a proper selection alive; every small cell
-        # certifies immune for every type.
-        scan, scanned = search.scan_minimax, []
-
-        def spy(*args, **kwargs):
-            scanned.append(kwargs["rule"])
-            return scan(*args, **kwargs)
-
-        monkeypatch.setattr(search, "scan_minimax", spy)
-        for rule in ("borda", "copeland"):
-            for h, n in [(2, 3), (3, 3), (4, 3), (2, 4)]:
-                for j in (1, 2, 3):
-                    res = find_witness(h, n, j, rule=rule)
-                    assert res.outcome == OUTCOME_IMMUNE
-                    assert res.examined == anonymous_count(h, n)
-        assert scanned == ["borda"] * 12 + ["copeland"] * 12
-
     def test_dual_route_mismatch_raises(self, monkeypatch):
         scan = search.scan_minimax
 
@@ -757,8 +740,12 @@ class TestFindWitness:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             find_witness(3, 3, 4)
-        with pytest.raises(ValueError):
-            find_witness(3, 3, 1, rule="plurality")
+        # The searches serve minimax alone; rule pairs scan through scan_minimax.
+        with pytest.raises(TypeError):
+            find_witness(3, 3, 1, rule="borda")
+        for searcher in (find_witness, search.search_exhaustive, search.search_sampled):
+            assert "rule" not in inspect.signature(searcher).parameters
+        assert "rule" not in {field.name for field in dataclasses.fields(SearchResult)}
 
 
 @given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 30))

@@ -3,7 +3,7 @@ importing the command line leaves multiprocessing unloaded, the command line pri
 through main alone, every package cache is bounded and cleared by perfbench, each
 ranking table is built once per order, tools/benchpair.py summarizes paired
 benchmark runs and records each tree's size, README's library quick start runs,
-and README's `votebias` commands parse."""
+README names find_witness's keywords, and README's `votebias` commands parse."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import inspect
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -309,6 +311,16 @@ def test_readme_library_quick_start_runs(capsys):
     assert [line.split()[0] for line in lines[:3]] == ["minimax", "borda", "copeland"]
     assert lines[3].startswith("witness-found ") and lines[3].endswith(" of 98280")
     assert "'j': 2" in lines[4]
+
+
+def test_readme_names_the_keywords_find_witness_takes():
+    # The paragraph after the quick start lists them, each with its values in
+    # parentheses; a keyword added or dropped must show there.
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("`find_witness` also takes", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", paragraph))
+    parameters = inspect.signature(votebias.find_witness).parameters.values()
+    assert named == [p.name for p in parameters if p.default is not p.empty]
 
 
 def _readme_commands() -> list[list[str]]:
